@@ -16,7 +16,13 @@ import time
 from . import constructions, search
 from .graphs import CayleyGraph, InvariantError
 from .groupring import search_gds, verify_gds
-from .spectral import ramanujan_check, spectrum_by_characters, spectrum_oracle
+from .spectral import (
+    ORACLE_MAX_N,
+    ramanujan_check,
+    spectra_agree,
+    spectrum_by_characters,
+    spectrum_oracle,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,8 +139,7 @@ def cmd_analyze(args):
         return EXIT_USAGE
     spec = spectrum_by_characters(graph)
     oracle_ok = True
-    if graph.n <= 4096:
-        from .spectral import spectra_agree
+    if graph.n <= ORACLE_MAX_N:
         oracle_ok = spectra_agree(spec, spectrum_oracle(graph))
     st = graph.stats()
     verdict = ramanujan_check(spec, graph.k, st.component_count == 1)
@@ -206,16 +211,14 @@ def build_parser():
     c.add_argument("--i", type=int)
     c.add_argument("--j", type=int)
     c.add_argument("--out", default=".")
-    c.add_argument("--format", choices=["json", "dot", "csv"], default="json")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--format", choices=["json", "dot"], default="json")
     c.set_defaults(func=cmd_construct)
 
     a = sub.add_parser("analyze", help="analyze a graph JSON file")
     a.add_argument("input")
     a.add_argument("--out", default=".")
-    a.add_argument("--format", choices=["json", "dot", "csv"], default="json")
+    a.add_argument("--format", choices=["json", "dot"], default="json")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--jobs", type=int, default=1)
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("search", help="exhaustive GDS / Ramanujan-circulant search")
@@ -223,8 +226,6 @@ def build_parser():
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--minDegree", type=int, default=2)
     s.add_argument("--out", default=".")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=cmd_search)
     return p
 

@@ -3,15 +3,16 @@
 A connection set must be symmetric (C = -C) and identity-free, so the graph
 is simple, undirected and k-regular with k = |C|.  Vertices are indexed by
 the lexicographic rank of their coordinate tuples.  Neighbor lists are
-derived from the connection set on demand; a dense adjacency matrix is built
-only when an eigensolver or batch edge count asks for one.
+derived from the connection set on demand.  Statistics and srg parameters
+are read off convolutions of indicator arrays on the group's factor grid;
+the dense adjacency matrix exists only as the input of the eigensolver
+oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,6 @@ class CayleyGraph:
         self.n = self.group.order
         self.k = len(connection)
         self._vertices = self.group.elements()
-        self._adj = None
         self._stats = None
 
     @classmethod
@@ -95,55 +95,39 @@ class CayleyGraph:
         return [g.index_of(g.add(v, c)) for c in self.connection.elements]
 
     def adjacency_matrix(self):
-        if self._adj is None:
-            A = np.zeros((self.n, self.n), dtype=np.int64)
-            for i in range(self.n):
-                for j in self.neighbor_indices(i):
-                    A[i, j] = 1
-            self._adj = A
-        return self._adj
-
-    # -- BFS machinery ------------------------------------------------------
+        """Dense n x n 0/1 matrix, built afresh on every call (oracle input)."""
+        A = np.zeros((self.n, self.n), dtype=np.int64)
+        for i in range(self.n):
+            A[i, self.neighbor_indices(i)] = 1
+        return A
 
     def stats(self):
-        """Component count, bipartiteness and diameter, by BFS."""
+        """Component count, bipartiteness and diameter, by a frontier search
+        from 0: N = supp(L_t * 1_C), L_{t+1} = N minus everything reached.
+
+        Components are translates of the one through 0, so components =
+        n / |reached|; bipartite iff no N meets its L_t (an edge inside a
+        level closes an odd cycle); diameter = steps taken, if all reached.
+        """
         if self._stats is not None:
             return self._stats
         g = self.group
-        conn = sorted(self.connection.elements)
-        color = {}
-        components = 0
+        conn = g.indicator(self.connection.elements)
+        frontier = g.indicator([g.zero]).astype(bool)
+        reached = frontier.copy()
         bipartite = True
-        for start in self._vertices:
-            if start in color:
-                continue
-            components += 1
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for c in conn:
-                    w = g.add(u, c)
-                    if w not in color:
-                        color[w] = color[u] ^ 1
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        bipartite = False
-        if components == 1:
-            # vertex-transitive: eccentricity of the identity is the diameter
-            dist = {g.zero: 0}
-            queue = deque([g.zero])
-            while queue:
-                u = queue.popleft()
-                for c in conn:
-                    w = g.add(u, c)
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            diameter = max(dist.values())
-        else:
-            diameter = math.inf
-        self._stats = GraphStats(components, bipartite, diameter)
+        steps = 0
+        while True:
+            nxt = g.convolve(frontier, conn) > 0
+            bipartite = bipartite and not (nxt & frontier).any()
+            frontier = nxt & ~reached
+            if not frontier.any():
+                break
+            reached |= frontier
+            steps += 1
+        size = int(reached.sum())
+        diameter = steps if size == self.n else math.inf
+        self._stats = GraphStats(self.n // size, bipartite, diameter)
         return self._stats
 
     def components(self):
@@ -174,13 +158,14 @@ class CayleyGraph:
         """
         if not self.is_connected():
             raise DisconnectedGraphError("srg check requires a connected graph")
-        A = self.adjacency_matrix()
-        # float matmul hits BLAS and is exact here (counts are < 2^53)
-        A2 = (A.astype(float) @ A.astype(float)).round().astype(np.int64)
-        off = ~np.eye(self.n, dtype=bool)
-        adj = A.astype(bool)
-        lam_values = set(A2[adj & off].tolist())
-        mu_values = set(A2[~adj & off].tolist())
+        # A^2(0, g) = #{(c, c') in C x C : c - c' = g} and C = -C
+        ind = self.group.indicator(self.connection.elements)
+        counts = self.group.convolve(ind, ind).ravel()
+        adj = ind.ravel().astype(bool)
+        nonadj = ~adj
+        nonadj[0] = False  # index 0 is the identity: the diagonal of A^2
+        lam_values = set(counts[adj].tolist())
+        mu_values = set(counts[nonadj].tolist())
         if len(lam_values) != 1 or len(mu_values) > 1:
             return None
         lam = lam_values.pop()

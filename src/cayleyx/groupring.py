@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import AbelianGroup, cyclic
 
 __all__ = [
@@ -24,22 +26,22 @@ __all__ = [
     "verify_difference_set",
     "has_multiplier_minus_one",
     "search_gds",
-    "hall_polynomial_difference",
     "check_group_ring_identity",
 ]
 
 
-def difference_counts(group, C):
-    """Ordered difference counts mu_g for every nonidentity g (zeros included)."""
-    C = [group.element(c) for c in C]
+def _difference_array(group, C):
+    """C*C^(-1) on the factor grid: entry g is #{(c1, c2) : c1 - c2 = g}."""
+    C = {group.element(c) for c in C}
     if not C:
         raise ValueError("difference counts of the empty set are undefined")
-    counts = {g: 0 for g in group.elements() if g != group.zero}
-    for c1 in C:
-        for c2 in C:
-            if c1 != c2:
-                counts[group.sub(c1, c2)] += 1
-    return counts
+    return group.convolve(group.indicator(C), group.indicator(group.neg(c) for c in C))
+
+
+def difference_counts(group, C):
+    """Ordered difference counts mu_g for every nonidentity g (zeros included)."""
+    counts = _difference_array(group, C)
+    return {g: int(counts[g]) for g in group.elements() if g != group.zero}
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ def verify_gds(group, C):
         raise ValueError("C must be nonempty")
     if len(C) >= group.order:
         return None
-    counts = difference_counts(group, C)
-    values = sorted(set(counts.values()))
+    counts = _difference_array(group, C)
+    values = sorted(set(counts.ravel()[1:].tolist()))  # flat index 0 is the identity
     if len(values) > 2:
         return None
     if len(values) == 1:
@@ -113,7 +115,8 @@ def verify_gds(group, C):
             mu1=values[0], mu2=values[0], identity_in_S=True,
         )
     mu1, mu2 = values
-    S = frozenset(g for g, v in counts.items() if v == mu1) | {group.zero}
+    # mu1 < mu2 <= k = counts[0], so the identity is added by hand
+    S = frozenset(map(tuple, np.argwhere(counts == mu1).tolist())) | {group.zero}
     return GdsCertificate(
         group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2, identity_in_S=True,
     )
@@ -128,15 +131,15 @@ def verify_difference_set(group, C):
 
 
 def has_multiplier_minus_one(group, C):
-    """True iff -C is a translate of C (checked over all n translates)."""
-    C = {group.element(c) for c in C}
-    if not C:
+    """True iff -C is a translate of C.
+
+    (C * C)[g] = |C intersect (g - C)|, which reaches |C| exactly when
+    C = g - C, i.e. -C = C - g.
+    """
+    ind = group.indicator({group.element(c) for c in C})
+    if not ind.any():
         raise ValueError("C must be nonempty")
-    negC = {group.neg(c) for c in C}
-    for t in group.elements():
-        if {group.add(c, t) for c in C} == negC:
-            return True
-    return False
+    return bool(group.convolve(ind, ind).max() == ind.sum())
 
 
 def check_group_ring_identity(cert):
@@ -147,29 +150,9 @@ def check_group_ring_identity(cert):
     identity coefficient is (k - mu2) instead.
     """
     group = cert.group
-    counts = difference_counts(group, cert.C)
-    counts[group.zero] = len(cert.C)  # identity coefficient of C*C^(-1)
-    for g in group.elements():
-        expected = cert.mu1 if g in cert.S else cert.mu2
-        if g == group.zero:
-            expected += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
-        if counts[g] != expected:
-            return False
-    return True
-
-
-def hall_polynomial_difference(C, n):
-    """Coefficients of c(x) * c(x^(n-1)) mod (x^n - 1), as a length-n list.
-
-    The Hall-polynomial route of the cyclic search; an independent oracle for
-    :func:`difference_counts` on Z_n.
-    """
-    coeffs = [0] * n
-    C = sorted(set(c % n for c in C))
-    for c1 in C:
-        for c2 in C:
-            coeffs[(c1 - c2) % n] += 1
-    return coeffs
+    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S)
+    expected[group.zero] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
+    return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
 def _rotl(mask, g, n):

@@ -8,7 +8,9 @@ and the dual group is indexed exactly like the group itself.
 
 Character sums are the workhorse of everything downstream: the eigenvalues of
 a Cayley graph on ``G`` with connection set ``C`` are the values ``chi(C)``
-over all characters ``chi``.
+over all characters ``chi``.  Group-ring products (difference counts,
+neighbourhoods of vertex sets) are convolutions of indicator arrays on the
+same grid, computed through the same DFT by :meth:`AbelianGroup.convolve`.
 """
 
 from __future__ import annotations
@@ -144,6 +146,28 @@ class AbelianGroup:
             return total.real
         return total
 
+    def indicator(self, C):
+        """The 0/1 float array on the factor grid with a 1 at each element of ``C``."""
+        ind = np.zeros(self.factors, dtype=float)
+        for c in C:
+            ind[self._check(tuple(c))] = 1.0
+        return ind
+
+    def convolve(self, x, y):
+        """Integer counts ``(x * y)[g] = sum_{a + b = g} x[a] y[b]``.
+
+        ``x`` and ``y`` are integer-valued arrays whose trailing axes are the
+        factor grid (leading axes broadcast).  Computed as
+        ``ifftn(fftn(x) * fftn(y))`` and rounded; a value more than 0.25 from
+        an integer raises ArithmeticError instead of being snapped.
+        """
+        axes = tuple(range(-len(self.factors), 0))
+        z = np.fft.ifftn(np.fft.fftn(x, axes=axes) * np.fft.fftn(y, axes=axes), axes=axes)
+        counts = np.rint(z.real)
+        if np.abs(z - counts).max() > 0.25:
+            raise ArithmeticError("convolution of integer arrays is not integral")
+        return counts.astype(np.int64)
+
     def character_sum_table(self, C):
         """``chi_a(C)`` for every character index ``a``, as a complex ndarray.
 
@@ -152,25 +176,18 @@ class AbelianGroup:
         the indicator array of ``C`` (conjugated to match the sign convention
         of :meth:`character_value`).  For symmetric ``C`` every entry is real.
         """
-        ind = np.zeros(self.factors, dtype=float)
-        for c in C:
-            ind[self._check(tuple(c))] = 1.0
-        table = np.fft.fftn(ind)
-        return np.conj(table)  # fftn uses exp(-2*pi*i...); we want +
+        return np.conj(np.fft.fftn(self.indicator(C)))  # fftn uses exp(-2*pi*i...); we want +
 
     def subgroup_generated(self, gens):
         """Closure of ``gens`` under addition and negation (contains 0)."""
-        closure = {self.zero}
-        frontier = [self.zero]
         gens = [self.element(g) for g in gens]
-        while frontier:
-            g = frontier.pop()
-            for h in gens:
-                for nxt in (self.add(g, h), self.sub(g, h)):
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        frontier.append(nxt)
-        return frozenset(closure)
+        step = self.indicator([self.zero] + gens + [self.neg(g) for g in gens])
+        closure = self.indicator([self.zero])
+        while True:
+            nxt = self.convolve(closure, step) > 0
+            if nxt.sum() == closure.sum():
+                return frozenset(map(tuple, np.argwhere(nxt).tolist()))
+            closure = nxt
 
     def is_symmetric(self, C):
         Cset = set(C)

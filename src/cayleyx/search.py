@@ -103,9 +103,10 @@ def search_ramanujan_circulant(n, min_degree=2):
         if mids.size and mids.max() > 2.0 * math.sqrt(k - 1) + bound_tol:
             continue
         # survivor: confirm with the exact snapped-spectrum certificate
+        # (connected: the gcd test above passed)
         graph = CayleyGraph.build(group, [(c,) for c in C])
         spec = spectrum_by_characters(graph)
-        verdict = ramanujan_check(spec, k, graph.is_connected())
+        verdict = ramanujan_check(spec, k, connected=True)
         if verdict.is_ramanujan:
             yield SearchHit(
                 n=n,

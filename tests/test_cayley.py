@@ -1,7 +1,10 @@
-"""Cayley graph construction, BFS statistics, srg detection, serialization."""
+"""Cayley graph construction, statistics, srg detection, serialization."""
 
 import math
+import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from cayleyx import (
@@ -9,7 +12,9 @@ from cayleyx import (
     CayleyGraph,
     ConnectionSet,
     DisconnectedGraphError,
+    GraphStats,
     InvariantError,
+    bent_hadamard_set,
     cyclic,
     theorem33_set,
     polar_trace_set,
@@ -34,6 +39,112 @@ NEIGHBOR_TABLE = {
 
 def _circulant(n, C):
     return CayleyGraph.build(cyclic(n), [(c,) for c in C])
+
+
+def bfs_stats(graph):
+    """Component count, bipartiteness and diameter by tuple BFS over every
+    vertex: the reference for the transform-based ``CayleyGraph.stats``."""
+    g = graph.group
+    conn = sorted(graph.connection.elements)
+    color = {}
+    components = 0
+    bipartite = True
+    for start in graph.vertices:
+        if start in color:
+            continue
+        components += 1
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for c in conn:
+                w = g.add(u, c)
+                if w not in color:
+                    color[w] = color[u] ^ 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    bipartite = False
+    if components > 1:
+        return GraphStats(components, bipartite, math.inf)
+    # vertex-transitive: eccentricity of the identity is the diameter
+    dist = {g.zero: 0}
+    queue = deque([g.zero])
+    while queue:
+        u = queue.popleft()
+        for c in conn:
+            w = g.add(u, c)
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return GraphStats(components, bipartite, max(dist.values()))
+
+
+def srg_by_dense_square(graph):
+    """srg parameters read off the dense A @ A: the reference for srg_check."""
+    A = graph.adjacency_matrix()
+    A2 = A @ A
+    off = ~np.eye(graph.n, dtype=bool)
+    adj = A.astype(bool)
+    lam_values = set(A2[adj & off].tolist())
+    mu_values = set(A2[~adj & off].tolist())
+    if len(lam_values) != 1 or len(mu_values) > 1:
+        return None
+    return (graph.n, graph.k, lam_values.pop(), mu_values.pop() if mu_values else 0)
+
+
+def _random_symmetric(factors, size, seed):
+    """Seeded random symmetric identity-free set of about ``size`` elements."""
+    group = AbelianGroup(factors)
+    rng = random.Random(seed)
+    elems = group.elements()[1:]
+    C = set()
+    while len(C) < size:
+        c = rng.choice(elems)
+        C |= {c, group.neg(c)}
+    return CayleyGraph.build(group, C)
+
+
+STATS_CASES = [
+    pytest.param(lambda: _circulant(3, [1, 2]), id="C3"),
+    pytest.param(lambda: _circulant(4, [1, 3]), id="C4"),
+    pytest.param(lambda: _circulant(9, [1, 8]), id="C9"),
+    pytest.param(lambda: _circulant(10, [1, 9]), id="C10"),
+    pytest.param(lambda: _circulant(100, [1, 99]), id="C100"),
+    pytest.param(lambda: _circulant(101, [1, 100]), id="C101"),
+    pytest.param(lambda: _circulant(20, [4, 8, 12, 16]), id="Z20-subgroup-K5s"),
+    pytest.param(lambda: _circulant(20, [2, 6, 14, 18]), id="Z20-even-coset"),
+    pytest.param(lambda: _circulant(24, [3, 21]), id="Z24-disjoint-C8s"),
+    pytest.param(lambda: _circulant(2, [1]), id="K2"),
+    pytest.param(lambda: _circulant(6, [1, 2, 3, 4, 5]), id="K6"),
+    pytest.param(lambda: _circulant(7, [1, 2, 3, 4, 5, 6]), id="K7"),
+    pytest.param(lambda: CayleyGraph.build(AbelianGroup([4, 6]), [(1, 0), (3, 0), (0, 1), (0, 5)]),
+                 id="Z4xZ6-torus"),
+    pytest.param(lambda: CayleyGraph.build(AbelianGroup([4, 6]), [(2, 0), (0, 2), (0, 4)]),
+                 id="Z4xZ6-disconnected"),
+    pytest.param(lambda: CayleyGraph.build(AbelianGroup([2] * 6), np.eye(6, dtype=int).tolist()),
+                 id="Z2^6-hypercube"),
+    pytest.param(lambda: CayleyGraph.build(AbelianGroup([2] * 6), [(1, 1, 0, 0, 0, 0),
+                                                                 (0, 1, 1, 0, 0, 0),
+                                                                 (1, 0, 1, 0, 0, 0)]),
+                 id="Z2^6-disconnected-K4s"),
+] + [
+    pytest.param(lambda seed=seed, size=size: _random_symmetric((16, 16, 8), size, seed),
+                 id=f"Z16xZ16xZ8-k{size}-seed{seed}")
+    for seed, size in [(1, 2), (2, 3), (3, 4), (4, 6), (5, 8), (6, 12), (7, 40)]
+]
+
+
+@pytest.mark.parametrize("make_graph", STATS_CASES)
+def test_stats_match_bfs(make_graph):
+    graph = make_graph()
+    assert graph.stats() == bfs_stats(graph)
+
+
+def test_stats_known_values():
+    assert _circulant(101, [1, 100]).stats() == GraphStats(1, False, 50)
+    assert _circulant(100, [1, 99]).stats() == GraphStats(1, True, 50)
+    assert _circulant(7, [1, 2, 3, 4, 5, 6]).stats() == GraphStats(1, False, 1)
+    assert _circulant(24, [3, 21]).stats() == GraphStats(3, True, math.inf)
 
 
 def test_connection_set_invariants():
@@ -89,6 +200,23 @@ def test_srg_complete_graph():
 
 def test_srg_none_for_plain_cycle():
     assert _circulant(8, [1, 7]).srg_check() is None
+
+
+@pytest.mark.parametrize("make_graph", [
+    pytest.param(lambda: theorem33_set(4, 4).graph, id="product(4,4)"),
+    pytest.param(lambda: theorem33_set(4, 6).graph, id="product(4,6)"),
+    pytest.param(lambda: _circulant(13, [1, 3, 4, 9, 10, 12]), id="Paley13"),
+    pytest.param(lambda: _circulant(5, [1, 2, 3, 4]), id="K5"),
+    pytest.param(lambda: _circulant(8, [1, 7]), id="C8"),
+    pytest.param(lambda: _circulant(6, [1, 3, 5]), id="K33"),
+    pytest.param(lambda: bent_hadamard_set(2).graph, id="bent(u=2)"),
+    pytest.param(lambda: polar_trace_set(2).graph, id="polar(m=2)"),
+    pytest.param(lambda: _random_symmetric((4, 6), 7, 3), id="Z4xZ6-random"),
+])
+def test_srg_matches_dense_square(make_graph):
+    graph = make_graph()
+    assert graph.is_connected()
+    assert graph.srg_check() == srg_by_dense_square(graph)
 
 
 def test_srg_requires_connected():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cayleyx import CayleyGraph, cyclic, theorem33_set
 from cayleyx.cli import main
 
@@ -132,3 +134,18 @@ def test_search_gds_cli(tmp_path):
 
 def test_search_budget_exit(tmp_path):
     assert run(["search", "ramanujan", "--n", "40", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "theorem33", "--s", "4", "--r", "4", "--jobs", "2"],
+    ["construct", "theorem33", "--s", "4", "--r", "4", "--format", "csv"],
+    ["analyze", "g.json", "--jobs", "2"],
+    ["analyze", "g.json", "--format", "csv"],
+    ["search", "gds", "--n", "7", "--jobs", "2"],
+    ["search", "gds", "--n", "7", "--seed", "1"],
+])
+def test_removed_options_exit_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

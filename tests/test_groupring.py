@@ -14,7 +14,25 @@ from cayleyx import (
     verify_difference_set,
     verify_gds,
 )
-from cayleyx.groupring import check_group_ring_identity, hall_polynomial_difference
+from cayleyx.groupring import check_group_ring_identity
+
+
+def hall_polynomial_difference(C, n):
+    """Coefficients of c(x) * c(x^(n-1)) mod (x^n - 1) by a double loop: the
+    reference for the transform-based difference counts on Z_n."""
+    coeffs = [0] * n
+    C = sorted(set(c % n for c in C))
+    for c1 in C:
+        for c2 in C:
+            coeffs[(c1 - c2) % n] += 1
+    return coeffs
+
+
+def multiplier_minus_one_by_translates(group, C):
+    """Whether -C equals some translate C + t, tried for all n translates."""
+    C = {group.element(c) for c in C}
+    negC = {group.neg(c) for c in C}
+    return any({group.add(c, t) for c in C} == negC for t in group.elements())
 
 Z20 = cyclic(20)
 SUBGROUP_SET = [(4,), (8,), (12,), (16,)]
@@ -139,6 +157,24 @@ def test_multiplier_minus_one():
     assert has_multiplier_minus_one(Z20, [(c,) for c in (1, 3, 4, 7, 8, 9, 11, 12, 13, 16, 17, 19)])
     assert has_multiplier_minus_one(Z20, SUBGROUP_SET)  # symmetric, t=0
     assert not has_multiplier_minus_one(cyclic(7), [(1,), (2,), (4,)])
+
+
+def test_multiplier_minus_one_matches_translates():
+    rng = random.Random(5)
+    seen = set()
+    for factors in ([20], [9], [4, 6], [2, 2, 2, 2], [3, 3]):
+        group = AbelianGroup(factors)
+        elems = group.elements()
+        for _ in range(30):
+            C = rng.sample(elems, rng.randrange(1, group.order))
+            # a translate of a symmetric set always has the multiplier
+            t = rng.choice(elems)
+            D = [group.add(c, t) for c in set(C) | {group.neg(c) for c in C}]
+            for S in (C, D):
+                want = multiplier_minus_one_by_translates(group, S)
+                assert has_multiplier_minus_one(group, S) == want
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_search_small_n():

@@ -95,10 +95,33 @@ def test_character_sum_table_real_for_symmetric():
     assert np.abs(table.imag).max() < 1e-12
 
 
+def test_convolve_counts_sums():
+    g = AbelianGroup([4, 3])
+    A = [(1, 0), (3, 2), (0, 1)]
+    B = [(1, 1), (2, 2)]
+    want = np.zeros(g.factors, dtype=np.int64)
+    for a in A:
+        for b in B:
+            want[g.add(a, b)] += 1
+    got = g.convolve(g.indicator(A), g.indicator(B))
+    assert got.dtype == np.int64 and (got == want).all()
+
+
+def test_convolve_rejects_non_integral_result():
+    g = cyclic(8)
+    with pytest.raises(ArithmeticError):
+        g.convolve(np.full(g.factors, 0.5), g.indicator([(1,)]))
+
+
 def test_subgroup_generated():
     g = cyclic(20)
     assert g.subgroup_generated([(4,)]) == frozenset({(0,), (4,), (8,), (12,), (16,)})
     assert g.subgroup_generated([(3,)]) == frozenset(g.elements())
+    h = AbelianGroup([4, 6])
+    assert h.subgroup_generated([(2, 3)]) == frozenset({(0, 0), (2, 3)})
+    assert h.subgroup_generated([(1, 0), (0, 2)]) == frozenset(
+        (x, y) for x in range(4) for y in range(0, 6, 2))
+    assert h.subgroup_generated([]) == frozenset({(0, 0)})
 
 
 def test_is_symmetric():

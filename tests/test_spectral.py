@@ -1,8 +1,10 @@
 """Character spectra, the eigensolver oracle, and certification primitives."""
 
+import numpy as np
 import pytest
 
 from cayleyx import (
+    AbelianGroup,
     CayleyGraph,
     cyclic,
     gds_predicted_eigenvalues,
@@ -16,6 +18,7 @@ from cayleyx import (
 )
 from cayleyx.spectral import (
     certify_ramanujan,
+    crossing_counts_batch,
     crossing_lemma_bound,
     spectra_agree,
 )
@@ -134,6 +137,19 @@ def test_crossing_lemma_bound():
     bound, actual = crossing_lemma_bound(g16, half)
     assert bound == (6 - 2) * 64 / 16
     assert actual >= bound - 1e-9
+
+
+def test_crossing_counts_batch_matches_dense():
+    rng = np.random.default_rng(3)
+    for graph in (_circulant(20, [4, 8, 12, 16]), theorem33_set(4, 6).graph,
+                  CayleyGraph.build(AbelianGroup([2, 4, 3]), [(1, 0, 0), (0, 1, 0), (0, 3, 0),
+                                                              (0, 0, 1), (0, 0, 2)])):
+        X = (rng.random((graph.n, 9)) < 0.5).astype(float)
+        A = graph.adjacency_matrix()
+        want = (A[:, :, None] * (X[:, None, :] != X[None, :, :])).sum(axis=(0, 1)) // 2
+        actual, sizes = crossing_counts_batch(graph, X)
+        assert actual.tolist() == want.tolist()
+        assert sizes.tolist() == X.sum(axis=0).astype(int).tolist()
 
 
 def test_crossing_bound_degenerates_when_disconnected():
