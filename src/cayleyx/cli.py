@@ -27,6 +27,7 @@ from .spectral import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
+CROSSING_TRIALS = 64
 
 
 class ParameterError(Exception):
@@ -106,7 +107,7 @@ def _require(args, *names):
             raise ParameterError(f"construction {args.name!r} needs --{nm}")
 
 
-def _seeded_crossing_check(graph, spec, seed, trials=64):
+def _seeded_crossing_check(graph, spec, seed):
     """Crossing-edge bound (k - lambda2)|O1||O2|/n versus exact counts on
     seeded random partitions; deterministic per seed."""
     import numpy as np
@@ -114,12 +115,12 @@ def _seeded_crossing_check(graph, spec, seed, trials=64):
     from .spectral import crossing_counts_batch, second_largest_by_index
 
     rng = np.random.default_rng(seed)
-    X = (rng.random((graph.n, trials)) < 0.5).astype(float)
+    X = (rng.random((graph.n, CROSSING_TRIALS)) < 0.5).astype(float)
     actual, sizes = crossing_counts_batch(graph, X)
     gap = graph.k - second_largest_by_index(spec, graph.k)
     bounds = gap * sizes * (graph.n - sizes) / graph.n
     violations = int((actual < bounds - 1e-9).sum())
-    return {"seed": seed, "trials": trials, "violations": violations}
+    return {"seed": seed, "trials": CROSSING_TRIALS, "violations": violations}
 
 
 def cmd_analyze(args):

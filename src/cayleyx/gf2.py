@@ -8,14 +8,12 @@ found by sieve, so field construction is deterministic.
 The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` is
 computed by three independent routes (direct evaluation, the three-term
 recursion for ``k_m(1)``, and the Carlitz closed form) so each can check the
-others.  Full value tables are cached as CSV keyed by (m, modulus).
+others.  Full value tables (m <= 12) are computed from the log tables.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -368,7 +366,7 @@ def embed_subfield(sub, big):
 
 
 class KloostermanTable:
-    """Cached map a -> k_m(a) over all of GF(2^m)."""
+    """The map a -> k_m(a) over all of GF(2^m)."""
 
     def __init__(self, m, values, modulus):
         self.m = m
@@ -376,14 +374,10 @@ class KloostermanTable:
         self.modulus = modulus
 
     @classmethod
-    def compute(cls, m, cache_dir=None):
+    def compute(cls, m):
         if not 1 <= m <= MAX_TABLE_DEGREE:
             raise ValueError(f"table degree must be in [1, {MAX_TABLE_DEGREE}], got {m}")
         fld = Gf2Field(m)
-        if cache_dir is not None:
-            path = os.path.join(cache_dir, cls._filename(m, fld.modulus))
-            if os.path.exists(path):
-                return cls.load_csv(path)
         q = fld.order
         signs = fld.trace_signs()
         exp, log = fld._dlog_tables()
@@ -394,45 +388,16 @@ class KloostermanTable:
         for a in range(1, q):
             ax = exp[(log[a] + logx) % (q - 1)]
             values[a] = int((signs[ax] * inv_signs).sum())
-        table = cls(m, values, fld.modulus)
         weil = 2 * math.sqrt(q)
         assert all(abs(v) <= weil for v in values.values())
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            table.save_csv(path)
-        return table
-
-    @staticmethod
-    def _filename(m, modulus):
-        return f"kloosterman_m{m}_{modulus:x}.csv"
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([f"m={self.m}", f"modulus={self.modulus:#x}"])
-            w.writerow(["a_bits", "value"])
-            for a in sorted(self.values):
-                w.writerow([a, self.values[a]])
-
-    @classmethod
-    def load_csv(cls, path):
-        with open(path, newline="") as f:
-            r = csv.reader(f)
-            header = next(r)
-            m = int(header[0].split("=")[1])
-            modulus = int(header[1].split("=")[1], 16)
-            next(r)  # column names
-            values = {int(a): int(v) for a, v in r}
-        return cls(m, values, modulus)
+        return cls(m, values, fld.modulus)
 
     def __getitem__(self, a):
         return self.values[a]
 
 
-def kloosterman_value_set(m, table=None):
+def kloosterman_value_set(m):
     """The set ``{k_m(lambda) : lambda in GF(2^m)}`` (enumerated, m <= 12)."""
     if not 2 <= m <= MAX_TABLE_DEGREE:
         raise ValueError(f"m must be in [2, {MAX_TABLE_DEGREE}] for the value set")
-    if table is None:
-        table = KloostermanTable.compute(m)
-    return set(table.values.values())
+    return set(KloostermanTable.compute(m).values.values())

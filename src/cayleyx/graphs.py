@@ -1,12 +1,12 @@
 """Cayley graphs on finite abelian groups and their combinatorial queries.
 
 A connection set must be symmetric (C = -C) and identity-free, so the graph
-is simple, undirected and k-regular with k = |C|.  Vertices are indexed by
-the lexicographic rank of their coordinate tuples.  Neighbor lists are
-derived from the connection set on demand.  Statistics and srg parameters
-are read off convolutions of indicator arrays on the group's factor grid;
-the dense adjacency matrix exists only as the input of the eigensolver
-oracle.
+is simple, undirected and k-regular with k = |C|.  Vertices are the group's
+flat indices (see :mod:`cayleyx.groups`); coordinate tuples appear only in
+the tuple API and in JSON/DOT.  Each graph builds the indicator array of its
+connection set once; statistics and srg parameters are read off its
+convolutions, and the dense adjacency matrix, the input of the eigensolver
+oracle, is its group matrix.
 """
 
 from __future__ import annotations
@@ -38,19 +38,24 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectionSet:
+    """Reduced tuples in ``elements`` (API, JSON), sorted flat ``indices``."""
+
     group: AbelianGroup
     elements: frozenset
 
     def __post_init__(self):
-        elems = frozenset(self.group.element(c) for c in self.elements)
-        object.__setattr__(self, "elements", elems)
-        if not elems:
+        group = self.group
+        idx = group.indices(self.elements)
+        if not idx.size:
             raise InvariantError("connection set must be nonempty")
-        if self.group.zero in elems:
+        if idx[0] == 0:
             raise InvariantError("connection set must not contain the identity (loops)")
-        for c in elems:
-            if self.group.neg(c) not in elems:
-                raise InvariantError(f"connection set is not symmetric: -{c} missing")
+        neg = group.neg_indices(idx)
+        if not np.array_equal(np.sort(neg), idx):
+            c = group.elements_at(idx[~np.isin(neg, idx)][:1])[0]
+            raise InvariantError(f"connection set is not symmetric: -{c} missing")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "elements", frozenset(group.elements_at(idx)))
 
     def __len__(self):
         return len(self.elements)
@@ -74,32 +79,27 @@ class CayleyGraph:
         self.group = connection.group
         self.n = self.group.order
         self.k = len(connection)
-        self._vertices = self.group.elements()
+        self.indicator = self.group.indicator(connection.indices)
         self._stats = None
 
     @classmethod
     def build(cls, group, elements):
-        return cls(ConnectionSet(group, frozenset(tuple(e) for e in elements)))
+        return cls(ConnectionSet(group, elements))
 
     @property
     def vertices(self):
-        return self._vertices
+        return self.group.elements()
 
     def neighbors(self, v):
         g = self.group
         return [g.add(v, c) for c in sorted(self.connection.elements)]
 
     def neighbor_indices(self, i):
-        v = self._vertices[i]
-        g = self.group
-        return [g.index_of(g.add(v, c)) for c in self.connection.elements]
+        return self.group.add_indices(i, self.connection.indices).tolist()
 
     def adjacency_matrix(self):
-        """Dense n x n 0/1 matrix, built afresh on every call (oracle input)."""
-        A = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            A[i, self.neighbor_indices(i)] = 1
-        return A
+        """Dense float A[u, v] = 1_C[v - u], built afresh per call (oracle input)."""
+        return self.group.group_matrix(self.indicator)
 
     def stats(self):
         """Component count, bipartiteness and diameter, by a frontier search
@@ -112,8 +112,8 @@ class CayleyGraph:
         if self._stats is not None:
             return self._stats
         g = self.group
-        conn = g.indicator(self.connection.elements)
-        frontier = g.indicator([g.zero]).astype(bool)
+        conn = self.indicator
+        frontier = g.indicator([0]).astype(bool)
         reached = frontier.copy()
         bipartite = True
         steps = 0
@@ -159,7 +159,7 @@ class CayleyGraph:
         if not self.is_connected():
             raise DisconnectedGraphError("srg check requires a connected graph")
         # A^2(0, g) = #{(c, c') in C x C : c - c' = g} and C = -C
-        ind = self.group.indicator(self.connection.elements)
+        ind = self.indicator
         counts = self.group.convolve(ind, ind).ravel()
         adj = ind.ravel().astype(bool)
         nonadj = ~adj
@@ -177,25 +177,24 @@ class CayleyGraph:
     def to_json(self):
         return {
             "factors": list(self.group.factors),
-            "connection_set": sorted(list(c) for c in self.connection.elements),
+            "connection_set": [list(c) for c in self.group.elements_at(self.connection.indices)],
         }
 
     @classmethod
     def from_json(cls, obj):
         group = AbelianGroup(obj["factors"])
-        return cls.build(group, [tuple(c) for c in obj["connection_set"]])
+        return cls.build(group, obj["connection_set"])
 
     def to_json_str(self):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self):
         lines = ["graph cayley {"]
-        for v in self._vertices:
+        for i, v in enumerate(self.vertices):
             label = ",".join(map(str, v))
-            lines.append(f'  v{self.group.index_of(v)} [label="({label})"];')
-        for i, v in enumerate(self._vertices):
-            for j in self.neighbor_indices(i):
-                if i < j:
-                    lines.append(f"  v{i} -- v{j};")
+            lines.append(f'  v{i} [label="({label})"];')
+        nbrs = self.group.add_indices(np.arange(self.n)[:, None], self.connection.indices)
+        for i, row in enumerate(np.sort(nbrs, axis=1).tolist()):
+            lines.extend(f"  v{i} -- v{j};" for j in row if i < j)
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -31,17 +31,18 @@ __all__ = [
 
 
 def _difference_array(group, C):
-    """C*C^(-1) on the factor grid: entry g is #{(c1, c2) : c1 - c2 = g}."""
-    C = {group.element(c) for c in C}
-    if not C:
+    """C*C^(-1) as a flat array over flat indices: entry g is
+    #{(c1, c2) : c1 - c2 = g}.  ``C`` holds flat indices."""
+    if not C.size:
         raise ValueError("difference counts of the empty set are undefined")
-    return group.convolve(group.indicator(C), group.indicator(group.neg(c) for c in C))
+    ind, neg = group.indicator(C), group.indicator(group.neg_indices(C))
+    return group.convolve(ind, neg).ravel()
 
 
 def difference_counts(group, C):
     """Ordered difference counts mu_g for every nonidentity g (zeros included)."""
-    counts = _difference_array(group, C)
-    return {g: int(counts[g]) for g in group.elements() if g != group.zero}
+    counts = _difference_array(group, group.indices(C))
+    return dict(zip(group.elements_at(np.arange(1, group.order)), counts[1:].tolist()))
 
 
 @dataclass(frozen=True)
@@ -93,33 +94,32 @@ class GdsCertificate:
         )
 
 
-def verify_gds(group, C):
-    """Certificate iff the difference counts take at most two values.
-
-    Canonical presentation: 0 is put in S and mu1 < mu2 (S collects the
-    less-frequent differences plus the identity).  When all counts coincide
-    the set is a plain difference set; S degenerates to {0} and mu1 = mu2.
-    """
-    C = frozenset(group.element(c) for c in C)
-    if not C:
-        raise ValueError("C must be nonempty")
-    if len(C) >= group.order:
-        return None
-    counts = _difference_array(group, C)
-    values = sorted(set(counts.ravel()[1:].tolist()))  # flat index 0 is the identity
+def _certificate(group, C, mu):
+    """Certificate of the flat-index set C from the list ``mu[g - 1]`` of its
+    counts at g = 1..n-1, or None beyond two values.  Canonical presentation:
+    0 in S and mu1 < mu2 (S = the rarer differences plus 0); when all counts
+    coincide C is a difference set, S = {0} and mu1 = mu2."""
+    values = sorted(set(mu))
     if len(values) > 2:
         return None
-    if len(values) == 1:
-        return GdsCertificate(
-            group=group, C=C, S=frozenset({group.zero}), k=len(C),
-            mu1=values[0], mu2=values[0], identity_in_S=True,
-        )
-    mu1, mu2 = values
-    # mu1 < mu2 <= k = counts[0], so the identity is added by hand
-    S = frozenset(map(tuple, np.argwhere(counts == mu1).tolist())) | {group.zero}
+    mu1, mu2 = values[0], values[-1]
+    # mu1 < mu2 <= k = mu_0, so the identity is added by hand
+    S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
     return GdsCertificate(
-        group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2, identity_in_S=True,
+        group=group, C=frozenset(group.elements_at(C)), S=frozenset(group.elements_at(S)),
+        k=len(C), mu1=mu1, mu2=mu2, identity_in_S=True,
     )
+
+
+def verify_gds(group, C):
+    """Certificate iff the difference counts take at most two values
+    (presentation as in :func:`_certificate`)."""
+    C = group.indices(C)
+    if not C.size:
+        raise ValueError("C must be nonempty")
+    if C.size >= group.order:
+        return None
+    return _certificate(group, C, _difference_array(group, C)[1:].tolist())
 
 
 def verify_difference_set(group, C):
@@ -136,10 +136,11 @@ def has_multiplier_minus_one(group, C):
     (C * C)[g] = |C intersect (g - C)|, which reaches |C| exactly when
     C = g - C, i.e. -C = C - g.
     """
-    ind = group.indicator({group.element(c) for c in C})
-    if not ind.any():
+    C = group.indices(C)
+    if not C.size:
         raise ValueError("C must be nonempty")
-    return bool(group.convolve(ind, ind).max() == ind.sum())
+    ind = group.indicator(C)
+    return bool(group.convolve(ind, ind).max() == C.size)
 
 
 def check_group_ring_identity(cert):
@@ -150,9 +151,9 @@ def check_group_ring_identity(cert):
     identity coefficient is (k - mu2) instead.
     """
     group = cert.group
-    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S)
-    expected[group.zero] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
-    return bool(np.array_equal(_difference_array(group, cert.C), expected))
+    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(group.indices(cert.S)).ravel()
+    expected[0] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
+    return bool(np.array_equal(_difference_array(group, group.indices(cert.C)), expected))
 
 
 def _rotl(mask, g, n):
@@ -160,39 +161,37 @@ def _rotl(mask, g, n):
 
 
 def _two_valued_fast(mask, n):
-    """Whether the difference counts of the bitmask subset take <= 2 values.
-
-    mu_g = |C intersect (C + g)| = popcount(mask & rotl(mask, g)); early exit
-    as soon as a third distinct value shows up.
+    """Exact difference counts [mu_1, ..., mu_{n-1}] of the bitmask subset if
+    they take <= 2 values, else None: mu_g = |C intersect (C + g)| =
+    popcount(mask & rotl(mask, g)), with an early exit at a third value.
     """
-    seen = set()
+    mu, seen = [], set()
     for g in range(1, n):
-        seen.add((mask & _rotl(mask, g, n)).bit_count())
+        mu.append((mask & _rotl(mask, g, n)).bit_count())
+        seen.add(mu[-1])
         if len(seen) > 2:
-            return False
-    return True
+            return None
+    return mu
 
 
-def search_gds(n, min_size=2):
-    """Exhaustively scan subsets of Z_n (bitmask encoding, bit i <-> i in C)
-    and yield (C, certificate) for every GDS, in increasing encoding order.
+def search_gds(n):
+    """Exhaustively scan subsets of Z_n with at least two elements (bitmask
+    encoding, bit i <-> i in C) and yield (C, certificate) for every GDS, in
+    increasing encoding order.
 
     The bitmask pre-check on rotated intersections exits as soon as a third
     distinct difference count appears, which rejects almost every mask after
-    a handful of rotations; the full certificate is built only for survivors.
-    Every verifying subset is emitted (not just one orbit representative), so
-    any particular set of interest appears verbatim in the stream.
+    a handful of rotations; a survivor's certificate is built from its exact
+    counts.  Every verifying subset is emitted (not just one orbit
+    representative), so any particular set of interest appears verbatim.
     """
     if not 2 <= n <= 24:
         raise ValueError(f"n must be in [2, 24], got {n}")
     group = cyclic(n)
     for mask in range(3, (1 << n) - 1):
-        k = mask.bit_count()
-        if k < min_size or k >= n:
+        if mask.bit_count() < 2:
             continue
-        if not _two_valued_fast(mask, n):
-            continue
-        C = frozenset((i,) for i in range(n) if (mask >> i) & 1)
-        cert = verify_gds(group, C)
-        if cert is not None:
-            yield C, cert
+        mu = _two_valued_fast(mask, n)
+        if mu is not None:
+            cert = _certificate(group, [i for i in range(n) if (mask >> i) & 1], mu)
+            yield cert.C, cert

@@ -1,8 +1,11 @@
 """Finite abelian groups as products of cyclic factors, and their characters.
 
 A group is given by its factor list ``[d_1, ..., d_t]`` (each ``d_i >= 2``)
-and represents ``Z_{d_1} x ... x Z_{d_t}`` written additively.  Elements and
-character indices are plain tuples of residues, reduced coordinate-wise.
+and represents ``Z_{d_1} x ... x Z_{d_t}`` written additively.  At the API
+and JSON edges elements and character indices are tuples of residues.  Inside
+the pipeline an element is its flat index, the ravel (lexicographic) rank of
+its coordinates on the factor grid, so index 0 is the identity; only this
+module converts between the two (:meth:`AbelianGroup.indices` and back).
 The character indexed by ``a`` sends ``x`` to ``prod_i exp(2*pi*i*a_i*x_i/d_i)``,
 and the dual group is indexed exactly like the group itself.
 
@@ -18,9 +21,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["AbelianGroup", "cyclic"]
 
@@ -99,19 +104,11 @@ class AbelianGroup:
         return [tuple(t) for t in itertools.product(*(range(d) for d in self.factors))]
 
     def index_of(self, g):
-        """Lexicographic rank of an element (mixed-radix value of coords)."""
-        self._check(g)
-        idx = 0
-        for x, d in zip(g, self.factors):
-            idx = idx * d + x
-        return idx
+        """Lexicographic rank of an element: its flat index."""
+        return int(self.indices([g])[0])
 
     def element_at(self, idx):
-        coords = []
-        for d in reversed(self.factors):
-            coords.append(idx % d)
-            idx //= d
-        return tuple(reversed(coords))
+        return self.elements_at([idx])[0]
 
     # -- characters -------------------------------------------------------
 
@@ -146,12 +143,61 @@ class AbelianGroup:
             return total.real
         return total
 
-    def indicator(self, C):
-        """The 0/1 float array on the factor grid with a 1 at each element of ``C``."""
-        ind = np.zeros(self.factors, dtype=float)
-        for c in C:
-            ind[self._check(tuple(c))] = 1.0
-        return ind
+    # -- flat indices -------------------------------------------------------
+
+    def indices(self, elements):
+        """Sorted distinct flat indices (int64) of coordinate tuples, reduced
+        as by :meth:`element`; a bad arity or a non-integer raises ValueError."""
+        found = set()
+        for g in elements:
+            g = tuple(g)
+            self._check(g)
+            idx = 0
+            for x, d in zip(g, self.factors):
+                try:
+                    idx = idx * d + operator.index(x) % d
+                except TypeError:
+                    raise ValueError(f"element {g!r} has a non-integer coordinate") from None
+            found.add(idx)
+        return np.array(sorted(found), dtype=np.int64)
+
+    def elements_at(self, indices):
+        """Coordinate tuples (of Python ints) of an array of flat indices."""
+        coords = np.unravel_index(np.asarray(indices, dtype=np.int64), self.factors)
+        return list(zip(*(c.tolist() for c in coords)))
+
+    def add_indices(self, x, y):
+        """Flat index of ``x + y`` for broadcastable flat-index arrays."""
+        cx = np.unravel_index(x, self.factors)
+        cy = np.unravel_index(y, self.factors)
+        return np.ravel_multi_index(
+            tuple((a + b) % d for a, b, d in zip(cx, cy, self.factors)), self.factors)
+
+    def neg_indices(self, x):
+        """Flat index of ``-x`` for an array of flat indices."""
+        cx = np.unravel_index(x, self.factors)
+        return np.ravel_multi_index(tuple(-a % d for a, d in zip(cx, self.factors)), self.factors)
+
+    def indicator(self, indices):
+        """The 0/1 float array on the factor grid with a 1 at each flat index."""
+        ind = np.zeros(self.order)
+        ind[indices] = 1.0
+        return ind.reshape(self.factors)
+
+    def group_matrix(self, x):
+        """The n x n matrix ``M[u, v] = x[v - u]`` (flat indices) of a grid array,
+        as one broadcast gather: coordinate i of ``v - u`` is read from a strided
+        d_i x d_i circulant view on axes i (u) and t + i (v), so the result is
+        the only array of its size that is allocated."""
+        t = len(self.factors)
+        index = []
+        for i, d in enumerate(self.factors):
+            r = np.arange(d)
+            table = sliding_window_view(np.concatenate((r, r)), d)[d:0:-1]  # (v - u) % d
+            shape = [1] * (2 * t)
+            shape[i] = shape[t + i] = d
+            index.append(table.reshape(shape))
+        return np.asarray(x)[tuple(index)].reshape(self.order, self.order)
 
     def convolve(self, x, y):
         """Integer counts ``(x * y)[g] = sum_{a + b = g} x[a] y[b]``.
@@ -168,25 +214,21 @@ class AbelianGroup:
             raise ArithmeticError("convolution of integer arrays is not integral")
         return counts.astype(np.int64)
 
-    def character_sum_table(self, C):
-        """``chi_a(C)`` for every character index ``a``, as a complex ndarray.
-
-        The array is indexed on the factor grid, so ``table[a]`` (tuple index)
-        is the sum for character ``a``.  Computed as a multidimensional DFT of
-        the indicator array of ``C`` (conjugated to match the sign convention
-        of :meth:`character_value`).  For symmetric ``C`` every entry is real.
-        """
-        return np.conj(np.fft.fftn(self.indicator(C)))  # fftn uses exp(-2*pi*i...); we want +
+    def character_sum_table(self, indicator):
+        """``chi_a(C)`` for every character index ``a`` from the grid array of
+        ``C``, on the same grid: a multidimensional DFT, conjugated to match
+        :meth:`character_value`.  For symmetric ``C`` every entry is real."""
+        return np.conj(np.fft.fftn(indicator))  # fftn uses exp(-2*pi*i...); we want +
 
     def subgroup_generated(self, gens):
         """Closure of ``gens`` under addition and negation (contains 0)."""
-        gens = [self.element(g) for g in gens]
-        step = self.indicator([self.zero] + gens + [self.neg(g) for g in gens])
-        closure = self.indicator([self.zero])
+        gens = self.indices(gens)
+        step = self.indicator(np.concatenate(([0], gens, self.neg_indices(gens))))
+        closure = self.indicator([0])
         while True:
             nxt = self.convolve(closure, step) > 0
             if nxt.sum() == closure.sum():
-                return frozenset(map(tuple, np.argwhere(nxt).tolist()))
+                return frozenset(self.elements_at(np.flatnonzero(nxt)))
             closure = nxt
 
     def is_symmetric(self, C):

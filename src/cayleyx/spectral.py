@@ -50,8 +50,8 @@ class Spectrum:
     def values(self):
         return [v for v, _, _ in self.entries]
 
-    def multiplicity(self, value, tol=0.0):
-        return sum(m for v, m, _ in self.entries if abs(v - value) <= tol or v == value)
+    def multiplicity(self, value):
+        return sum(m for v, m, _ in self.entries if v == value)
 
     def as_multiset(self):
         return {v: m for v, m, _ in self.entries}
@@ -124,7 +124,7 @@ def _group_eigenvalues(raw, n):
 
 def spectrum_by_characters(graph):
     """One eigenvalue chi(C) per character, via the group's DFT table."""
-    table = graph.group.character_sum_table(graph.connection.elements)
+    table = graph.group.character_sum_table(graph.indicator)
     if np.abs(table.imag).max() > 1e-9 * max(graph.k, 1):
         raise ArithmeticError("character sums of a symmetric set must be real")
     return _group_eigenvalues(table.real.ravel().tolist(), graph.n)
@@ -134,17 +134,17 @@ def spectrum_oracle(graph):
     """Dense symmetric eigensolve of the adjacency matrix (independent route)."""
     if graph.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {graph.n}")
-    eigs = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float))
+    eigs = np.linalg.eigvalsh(graph.adjacency_matrix())
     return _group_eigenvalues(eigs.tolist(), graph.n)
 
 
-def spectra_agree(spec_a, spec_b, tol=1e-6):
-    """Values within tol, multiplicities exact."""
+def spectra_agree(spec_a, spec_b):
+    """Values within 1e-6, multiplicities exact."""
     ea, eb = spec_a.entries, spec_b.entries
     if len(ea) != len(eb):
         return False
     return all(
-        abs(va - vb) <= tol and ma == mb
+        abs(va - vb) <= 1e-6 and ma == mb
         for (va, ma, _), (vb, mb, _) in zip(ea, eb)
     )
 
@@ -172,9 +172,8 @@ def ramanujan_check(spectrum, k, connected):
     return RamanujanVerdict(not failure, second, bound, True, boundary, failure)
 
 
-def certify_ramanujan(graph, spectrum=None):
-    spec = spectrum if spectrum is not None else spectrum_by_characters(graph)
-    return ramanujan_check(spec, graph.k, graph.is_connected())
+def certify_ramanujan(graph):
+    return ramanujan_check(spectrum_by_characters(graph), graph.k, graph.is_connected())
 
 
 def spectral_gap(spectrum, k):
@@ -198,10 +197,10 @@ def second_largest_by_index(spectrum, k):
 def crossing_lemma_bound(graph, omega1):
     """Crossing bound (k - lambda2)|Omega1||Omega2| / n and the exact count
     of edges between the parts."""
-    omega1 = {graph.group.element(v) for v in omega1}
+    omega1 = graph.group.indices(omega1)
     spec = spectrum_by_characters(graph)
     lam2 = second_largest_by_index(spec, graph.k)
-    size1 = len(omega1)
+    size1 = omega1.size
     bound = (graph.k - lam2) * size1 * (graph.n - size1) / graph.n
     actual, _ = crossing_counts_batch(graph, graph.group.indicator(omega1).reshape(-1, 1))
     return bound, int(actual[0])
@@ -217,19 +216,19 @@ def crossing_counts_batch(graph, indicators):
     group = graph.group
     X = np.asarray(indicators, dtype=float)
     grids = X.T.reshape(-1, *group.factors)
-    AX = group.convolve(grids, group.indicator(graph.connection.elements))
+    AX = group.convolve(grids, graph.indicator)
     AX = AX.reshape(X.shape[1], -1).T
     sizes = X.sum(axis=0)
     inside_twice = np.einsum("ij,ij->j", X, AX)
     return (graph.k * sizes - inside_twice).round().astype(int), sizes.astype(int)
 
 
-def vertex_expansion(graph, limit=EXPANSION_MAX_N):
+def vertex_expansion(graph):
     """Exact min over nonempty Omega with |Omega| <= n/2 of |Gamma(Omega)|/|Omega|,
     with the neighborhood taken outside Omega.  Exhaustive 2^n scan."""
     n = graph.n
-    if n > limit:
-        raise ValueError(f"vertex expansion is exhaustive; n <= {limit} required")
+    if n > EXPANSION_MAX_N:
+        raise ValueError(f"vertex expansion is exhaustive; n <= {EXPANSION_MAX_N} required")
     nbr_masks = []
     for i in range(n):
         m = 0
@@ -272,11 +271,9 @@ def gds_predicted_eigenvalues(cert):
     if not cert.identity_in_S:
         raise ValueError("predicted set implemented for the 0-in-S presentation")
     group = cert.group
-    table = group.character_sum_table(cert.S)
+    table = group.character_sum_table(group.indicator(group.indices(cert.S)))
     values = set()
-    flat = table.real.ravel()
-    for idx in range(1, group.order):
-        chi_s = flat[idx]
+    for chi_s in table.real.ravel()[1:].tolist():  # flat index 0 is the principal character
         radicand = cert.k - cert.mu1 + (cert.mu1 - cert.mu2) * chi_s
         if radicand < 0:
             if radicand < -1e-6:

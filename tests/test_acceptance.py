@@ -2,7 +2,7 @@
 
 Each test exercises a criterion end to end at its stated tolerance and prints
 a single PASS line on success (run with -v to see one line per criterion).
-Criterion 11 is expected to fail honestly at u=1: see the decisions ledger.
+Criterion 11 is expected to fail honestly at u=1: see ROADMAP aim 3.
 """
 
 import math
@@ -244,6 +244,6 @@ def test_criterion_11_bent_hadamard():
         pytest.fail(
             "Ramanujan claimed for u in {1,2,3,4} but " + "; ".join(failures)
             + " — the u=1 graph is a perfect matching on 4 vertices and is "
-            "genuinely disconnected; see notes/decisions.md"
+            "genuinely disconnected; see ROADMAP aim 3"
         )
     _report(11, "bent Hadamard u=1..4: parameters, spectrum, Ramanujan")

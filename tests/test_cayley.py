@@ -79,6 +79,16 @@ def bfs_stats(graph):
     return GraphStats(components, bipartite, max(dist.values()))
 
 
+def adjacency_by_rows(graph):
+    """Dense adjacency filled row by row with tuple additions: the reference
+    for the group-matrix gather of ``CayleyGraph.adjacency_matrix``."""
+    g = graph.group
+    A = np.zeros((graph.n, graph.n), dtype=np.int64)
+    for i, v in enumerate(g.elements()):
+        A[i, [g.index_of(g.add(v, c)) for c in graph.connection.elements]] = 1
+    return A
+
+
 def srg_by_dense_square(graph):
     """srg parameters read off the dense A @ A: the reference for srg_check."""
     A = graph.adjacency_matrix()
@@ -138,6 +148,22 @@ STATS_CASES = [
 def test_stats_match_bfs(make_graph):
     graph = make_graph()
     assert graph.stats() == bfs_stats(graph)
+
+
+ADJACENCY_CASES = [p for p in STATS_CASES if p.id in {
+    "C101", "Z4xZ6-torus", "Z4xZ6-disconnected", "Z2^6-hypercube", "Z2^6-disconnected-K4s",
+    "Z16xZ16xZ8-k2-seed1", "Z16xZ16xZ8-k40-seed7"}]
+
+
+@pytest.mark.parametrize("make_graph", ADJACENCY_CASES)
+def test_adjacency_and_neighbors_match_row_fill(make_graph):
+    graph = make_graph()
+    want = adjacency_by_rows(graph)
+    A = graph.adjacency_matrix()
+    assert A.dtype == np.float64 and A.shape == (graph.n, graph.n)
+    assert np.array_equal(A, want)
+    for i in range(graph.n):
+        assert sorted(graph.neighbor_indices(i)) == np.flatnonzero(want[i]).tolist()
 
 
 def test_stats_known_values():

@@ -83,6 +83,18 @@ def test_analyze_invariant_violation(tmp_path):
     assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("conn, bad", [
+    ([[1.5], [8.5]], "(1.5,)"),
+    ([["a"], ["b"]], "('a',)"),
+])
+def test_analyze_non_integer_coordinates(conn, bad, tmp_path, capsys):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"factors": [10], "connection_set": conn}))
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"element {bad} has a non-integer coordinate" in err
+
+
 def test_analyze_malformed_json(tmp_path):
     gpath = tmp_path / "junk.json"
     gpath.write_text("{not json")

@@ -166,17 +166,6 @@ def test_lifted_recursion_matches_extension_field():
     assert kloosterman_lifted(3, 1, 1) == kloosterman(3, 1)
 
 
-def test_table_cache_roundtrip(tmp_path):
-    t1 = KloostermanTable.compute(6, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    assert files[0].name == f"kloosterman_m6_{Gf2Field(6).modulus:x}.csv"
-    t2 = KloostermanTable.compute(6, cache_dir=str(tmp_path))
-    assert t1.values == t2.values and t1.modulus == t2.modulus
-    t3 = KloostermanTable.load_csv(str(files[0]))
-    assert t3.values == t1.values and t3.m == 6
-
-
 def test_budget_errors():
     with pytest.raises(ValueError):
         Gf2Field(25)

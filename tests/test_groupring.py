@@ -193,6 +193,18 @@ def test_search_emits_all_certified_subsets_in_order():
         assert check_group_ring_identity(cert)
 
 
+def test_search_certificates_match_fft_route():
+    """The search builds certificates from its popcounts; verify_gds (FFT
+    counts) is the reference."""
+    hits = 0
+    for n in range(2, 13):
+        for C, cert in search_gds(n):
+            assert cert == verify_gds(cyclic(n), C)
+            assert C == cert.C
+            hits += 1
+    assert hits > 1000
+
+
 def test_search_budget():
     with pytest.raises(ValueError):
         next(search_gds(25))

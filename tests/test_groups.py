@@ -1,11 +1,25 @@
 """Group arithmetic, characters, and character sums."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
 
-from cayleyx import AbelianGroup, cyclic
+from cayleyx import (
+    AbelianGroup,
+    CayleyGraph,
+    cyclic,
+    has_multiplier_minus_one,
+    kloosterman_trace_set,
+    search_gds,
+    search_ramanujan_circulant,
+    spectrum_by_characters,
+    spectrum_oracle,
+    verify_gds,
+)
+from cayleyx.groupring import check_group_ring_identity
+from cayleyx.spectral import crossing_counts_batch
 
 
 def test_factor_validation():
@@ -34,6 +48,58 @@ def test_element_indexing_roundtrip():
     for i, e in enumerate(elems):
         assert g.index_of(e) == i
         assert g.element_at(i) == e
+
+
+def test_flat_indices_match_tuple_api():
+    g = AbelianGroup([3, 4, 2])
+    elems = g.elements()
+    idx = g.indices(reversed(elems + [(3, 4, 2)]))  # duplicates, unreduced
+    assert idx.dtype == np.int64 and idx.tolist() == list(range(g.order))
+    assert g.indices([(4, -1, 7)]).tolist() == [g.index_of(g.element((4, -1, 7)))]
+    back = g.elements_at(idx)
+    assert back == elems and all(type(x) is int for e in back for x in e)
+    assert g.neg_indices(idx).tolist() == [g.index_of(g.neg(e)) for e in elems]
+    total = g.add_indices(idx[:, None], idx[None, :])
+    assert total.tolist() == [[g.index_of(g.add(a, b)) for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("bad, words", [
+    ([(1, 2)], "2 coordinates"),
+    ([(1.5,)], "(1.5,) has a non-integer coordinate"),
+    ([("a",)], "('a',) has a non-integer coordinate"),
+])
+def test_indices_reject_bad_elements(bad, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        cyclic(10).indices(bad)
+
+
+def test_group_matrix_is_a_gather():
+    g = AbelianGroup([3, 2, 4])
+    x = np.arange(g.order, dtype=float).reshape(g.factors)
+    M = g.group_matrix(x)
+    want = [[x.ravel()[g.index_of(g.sub(v, u))] for v in g.elements()] for u in g.elements()]
+    assert M.dtype == np.float64 and M.tolist() == want
+
+
+def test_pipeline_never_calls_the_tuple_api(monkeypatch):
+    """Pipeline paths run on flat indices: the tuple API is for callers only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tuple API called by the pipeline")
+
+    for name in ("add", "sub", "neg", "element", "index_of", "element_at"):
+        monkeypatch.setattr(AbelianGroup, name, refuse)
+    graph = CayleyGraph.build(AbelianGroup([4, 6]), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)])
+    graph.stats()
+    spectrum_by_characters(graph)
+    spectrum_oracle(graph)
+    graph.srg_check()
+    crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
+    cert = verify_gds(cyclic(20), [(4,), (8,), (12,), (16,)])
+    assert check_group_ring_identity(cert)
+    assert has_multiplier_minus_one(cyclic(20), [(1,), (3,), (4,)]) is False
+    assert sum(1 for _ in search_gds(8)) > 0
+    assert sum(1 for _ in search_ramanujan_circulant(12)) > 0
+    kloosterman_trace_set(4)
 
 
 def test_character_values_are_exact_fourth_roots():
@@ -82,7 +148,7 @@ def test_character_sum_complex_for_asymmetric_sets():
 def test_character_sum_table_matches_pointwise():
     g = AbelianGroup([4, 5])
     C = [(1, 2), (3, 3), (0, 1), (0, 4)]
-    table = g.character_sum_table(C)
+    table = g.character_sum_table(g.indicator(g.indices(C)))
     for a in g.elements():
         direct = sum(g.character_value(a, c) for c in C)
         assert abs(table[a] - direct) < 1e-9
@@ -91,7 +157,7 @@ def test_character_sum_table_matches_pointwise():
 def test_character_sum_table_real_for_symmetric():
     g = AbelianGroup([2, 2, 2])
     C = [(1, 0, 0), (0, 1, 1)]
-    table = g.character_sum_table(C)
+    table = g.character_sum_table(g.indicator(g.indices(C)))
     assert np.abs(table.imag).max() < 1e-12
 
 
@@ -103,14 +169,14 @@ def test_convolve_counts_sums():
     for a in A:
         for b in B:
             want[g.add(a, b)] += 1
-    got = g.convolve(g.indicator(A), g.indicator(B))
+    got = g.convolve(g.indicator(g.indices(A)), g.indicator(g.indices(B)))
     assert got.dtype == np.int64 and (got == want).all()
 
 
 def test_convolve_rejects_non_integral_result():
     g = cyclic(8)
     with pytest.raises(ArithmeticError):
-        g.convolve(np.full(g.factors, 0.5), g.indicator([(1,)]))
+        g.convolve(np.full(g.factors, 0.5), g.indicator([1]))
 
 
 def test_subgroup_generated():
