@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2 import Gf2Field, kloosterman, KloostermanTable
+import numpy as np
+
+from .gf2 import Gf2Field, KloostermanTable, _sign_tables, kloosterman
 from .graphs import CayleyGraph, ConnectionSet, GraphStats
 from .groups import AbelianGroup
 from .spectral import (
@@ -32,7 +34,6 @@ __all__ = [
     "dij_cardinality",
     "polar_trace_set",
     "bent_hadamard_set",
-    "field_element_to_coords",
     "additive_character_sum",
 ]
 
@@ -114,8 +115,8 @@ def theorem33_set(s, r):
     case5 = -(s - 2) * (r - 2) // 2
     predicted = {s * r // 2 - 2, r - 2, s - 2, -2, case5}
     criterion_holds = theorem33_condition(s, r)
-    report = _certify(
-        ConnectionSet(group, D),
+    return _certify(
+        ConnectionSet(group, group.indices(D)),
         predicted_degree=s * r // 2 - 2,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=criterion_holds,
@@ -125,21 +126,21 @@ def theorem33_set(s, r):
             f"criterion fired: {criterion_holds}",
         ],
     )
-    return report
 
 
 # -- Kloosterman trace set over GF(2^m) ----------------------------------------
 
-def field_element_to_coords(m, e):
-    """Field element (poly-basis int) as a Z_2^m coordinate tuple, bit i first."""
-    return tuple((e >> i) & 1 for i in range(m))
+def _field_connection(m, elements):
+    """The connection set in Z_2^m of an array of GF(2^m) elements (poly-basis
+    ints), under the labeling bit i <-> coordinate i."""
+    group = AbelianGroup([2] * m)
+    return ConnectionSet(group, group.ravel([(elements >> i) & 1 for i in range(m)]))
 
 
-def coords_to_field_element(coords):
-    e = 0
-    for i, b in enumerate(coords):
-        e |= (b & 1) << i
-    return e
+def _trace_pair_set(fld, i, j):
+    """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j."""
+    signs, _, _, inv_signs = _sign_tables(fld)
+    return np.flatnonzero((signs[1:] == 1 - 2 * i) & (inv_signs == 1 - 2 * j)) + 1
 
 
 def additive_character_sum(fld, a, elements):
@@ -160,10 +161,7 @@ def kloosterman_trace_set(m):
     if not 1 <= m <= 20:
         raise ValueError(f"m must be in [1, 20], got {m}")
     fld = Gf2Field(m)
-    D_field = [z for z in range(1, fld.order)
-               if fld.trace(z) == 1 and fld.trace(fld.inv(z)) == 1]
-    group = AbelianGroup([2] * m)
-    D = frozenset(field_element_to_coords(m, z) for z in D_field)
+    D_field = _trace_pair_set(fld, 1, 1)
     k1 = kloosterman(m, 1, fld)
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
@@ -173,7 +171,7 @@ def kloosterman_trace_set(m):
         for a in range(2, fld.order):
             predicted.add((-table[a] + table[a ^ 1]) // 4)
     report = _certify(
-        ConnectionSet(group, D),
+        _field_connection(m, D_field),
         predicted_degree=degree,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=k1 > 3,
@@ -181,7 +179,7 @@ def kloosterman_trace_set(m):
         notes=[f"k_m(1) = {k1}", "valency sign corrected to +(2^m+1+k_m(1))/4"],
     )
     report.field = fld
-    report.field_elements = D_field
+    report.field_elements = D_field.tolist()
     return report
 
 
@@ -199,17 +197,11 @@ def dij_cardinality(m, i, j):
 
 def dij_set(m, i, j):
     """The set {z != 0 : Tr(z) = i, Tr(1/z) = j} as a ConnectionSet when it
-    is one (nonempty; always symmetric since -z = z), else the raw tuple set."""
+    is one (nonempty; always symmetric since -z = z), else an empty frozenset."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("i and j must be bits")
-    fld = Gf2Field(m)
-    D_field = [z for z in range(1, fld.order)
-               if fld.trace(z) == i and fld.trace(fld.inv(z)) == j]
-    group = AbelianGroup([2] * m)
-    coords = frozenset(field_element_to_coords(m, z) for z in D_field)
-    if coords:
-        return ConnectionSet(group, coords)
-    return coords
+    D_field = _trace_pair_set(Gf2Field(m), i, j)
+    return _field_connection(m, D_field) if D_field.size else frozenset()
 
 
 # -- polar trace set over GF(2^{2m}) --------------------------------------------
@@ -223,20 +215,21 @@ def polar_trace_set(m):
         raise ValueError(f"m must be in [1, 10], got {m}")
     n_deg = 2 * m
     fld = Gf2Field(n_deg)
-    D_field = []
-    for x in range(1, fld.order):
-        xbar = fld.frobenius(x, m)
-        if (fld.subfield_trace(x ^ xbar) == 1
-                and fld.subfield_trace(fld.mul(x, xbar)) == 1):
-            D_field.append(x)
-    group = AbelianGroup([2] * n_deg)
-    D = frozenset(field_element_to_coords(n_deg, x) for x in D_field)
-    degree = 1 << (n_deg - 2)
-    if m % 2 == 1:
-        degree += 1 << (m - 1)
+    exp, log = fld._dlog_tables()
+    x = np.arange(1, fld.order)
+    log_norm = (log[x] * ((1 << m) + 1)) % exp.size  # norm x * xbar, nonzero
+    norm = exp[log_norm]
+    assert np.array_equal(exp[(log_norm << m) % exp.size], norm), "norm outside GF(2^m)"
+    norm_trace = np.zeros_like(norm)
+    for i in range(m):  # Tr_m(y) = sum_{i < m} y^(2^i)
+        norm_trace ^= exp[(log_norm << i) % exp.size]
+    assert norm_trace.max() <= 1
+    # Tr_m(x + xbar) = Tr(x), the absolute trace of GF(2^{2m})
+    D_field = x[(fld.trace_signs()[x] == -1) & (norm_trace == 1)]
+    degree = (1 << (n_deg - 2)) + (m % 2) * (1 << (m - 1))
     predicted = {degree, -degree, 1 << (m - 1), -(1 << (m - 1)), 0}
     report = _certify(
-        ConnectionSet(group, D),
+        _field_connection(n_deg, D_field),
         predicted_degree=degree,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=True,
@@ -247,7 +240,7 @@ def polar_trace_set(m):
             "polar construction: graph not connected bipartite as claimed"
         )
     report.field = fld
-    report.field_elements = D_field
+    report.field_elements = D_field.tolist()
     return report
 
 
@@ -267,7 +260,7 @@ def bent_hadamard_set(u):
     k = (1 << (2 * u - 1)) - (1 << (u - 1))
     predicted = {k, 1 << (u - 1), -(1 << (u - 1))}
     return _certify(
-        ConnectionSet(group, D),
+        ConnectionSet(group, group.indices(D)),
         predicted_degree=k,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=True,

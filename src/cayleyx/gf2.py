@@ -125,11 +125,7 @@ class Gf2Field:
             raise ValueError(f"modulus {self.modulus:#x} is not irreducible of degree {m}")
         # trace is F2-linear: Tr(e) = parity(e & mask) where the mask collects
         # the basis monomials of trace 1
-        mask = 0
-        for i in range(m):
-            if self._trace_slow(1 << i):
-                mask |= 1 << i
-        self._trace_mask = mask
+        self._trace_mask = sum(1 << i for i in range(m) if self._trace_slow(1 << i))
         self._log = None
         self._exp = None
 
@@ -231,57 +227,53 @@ class Gf2Field:
     # -- discrete-log tables for vectorized sums ----------------------------
 
     def _dlog_tables(self):
+        """(exp, log): exp[i] = g^i for the smallest primitive element g, and
+        log[exp[i]] = i (log[0] = 0 is a placeholder)."""
         if self._log is None:
             q = self.order
             exp = np.zeros(q - 1, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            if q == 2:
-                exp[0] = 1
-                log[1] = 0
-                self._exp, self._log = exp, log
-                return self._exp, self._log
-            for g in range(2, q):
-                e, ok = 1, True
+            for g in range(1, q):
+                e = 1
                 for i in range(q - 1):
                     exp[i] = e
                     e = self.mul(e, g)
-                    if e == 1 and i < q - 2:
-                        ok = False
+                    if e == 1:
                         break
-                if ok and e == 1:
+                if i == q - 2:  # g has order q - 1
                     break
-            else:
-                raise AssertionError("no primitive element found")  # unreachable
+            log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             self._exp, self._log = exp, log
         return self._exp, self._log
 
     def trace_signs(self):
         """ndarray of (-1)^Tr(x) over all x, via the linear trace mask."""
-        x = np.arange(self.order, dtype=np.int64) & self._trace_mask
-        par = x.copy()
-        shift = 1
-        while shift < self.m + 1:
-            par ^= par >> shift
-            shift <<= 1
-        return 1 - 2 * (par & 1)
+        signs = np.ones(1, dtype=np.int64)
+        for i in range(self.m):  # Tr(x + 2^i) = Tr(x) + Tr(2^i) for x < 2^i
+            signs = np.concatenate((signs, -signs if (self._trace_mask >> i) & 1 else signs))
+        return signs
 
 
 # -- Kloosterman sums ----------------------------------------------------------
+
+def _sign_tables(fld):
+    """``(signs, exp, log, inv_signs)`` of a field: ``signs[x] = (-1)^Tr(x)``
+    over all x, the discrete-log tables, and ``inv_signs[x - 1] =
+    (-1)^Tr(1/x)`` for x = 1..q-1, where ``1/x = exp[-log x]`` (negative
+    indices wrap modulo q - 1)."""
+    signs = fld.trace_signs()
+    exp, log = fld._dlog_tables()
+    return signs, exp, log, signs[exp[-log[1:]]]
+
 
 def kloosterman(m, a, field=None):
     """Exact ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}``."""
     fld = field if field is not None else Gf2Field(m)
     fld._chk(a)
-    q = fld.order
-    signs = fld.trace_signs()
-    exp, log = fld._dlog_tables()
-    xs = np.arange(1, q, dtype=np.int64)
-    inv_xs = exp[(q - 1 - log[xs]) % (q - 1)]
-    if a == 0:
-        return int(signs[inv_xs].sum())
-    ax = exp[(log[a] + log[xs]) % (q - 1)]
-    return int((signs[ax] * signs[inv_xs]).sum())
+    signs, exp, log, inv_signs = _sign_tables(fld)
+    if a:
+        inv_signs = inv_signs * signs[exp[(log[a] + log[1:]) % (fld.order - 1)]]
+    return int(inv_signs.sum())
 
 
 def kloosterman_pair(m, a, b, field=None):
@@ -379,14 +371,10 @@ class KloostermanTable:
             raise ValueError(f"table degree must be in [1, {MAX_TABLE_DEGREE}], got {m}")
         fld = Gf2Field(m)
         q = fld.order
-        signs = fld.trace_signs()
-        exp, log = fld._dlog_tables()
-        xs = np.arange(1, q, dtype=np.int64)
-        inv_signs = signs[exp[(q - 1 - log[xs]) % (q - 1)]]
+        signs, exp, log, inv_signs = _sign_tables(fld)
         values = {0: int(inv_signs.sum())}
-        logx = log[xs]
         for a in range(1, q):
-            ax = exp[(log[a] + logx) % (q - 1)]
+            ax = exp[(log[a] + log[1:]) % (q - 1)]
             values[a] = int((signs[ax] * inv_signs).sum())
         weil = 2 * math.sqrt(q)
         assert all(abs(v) <= weil for v in values.values())

@@ -36,32 +36,51 @@ class DisconnectedGraphError(ValueError):
     """Raised by queries that are only defined for connected graphs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionSet:
-    """Reduced tuples in ``elements`` (API, JSON), sorted flat ``indices``."""
+    """A connection set held as its sorted flat ``indices`` (a read-only int64
+    array); the reduced tuples in ``elements`` are derived for the API."""
 
     group: AbelianGroup
-    elements: frozenset
+    indices: np.ndarray
 
     def __post_init__(self):
-        group = self.group
-        idx = group.indices(self.elements)
+        group, idx = self.group, np.asarray(self.indices)
         if not idx.size:
             raise InvariantError("connection set must be nonempty")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError(f"connection-set indices must be a 1-D integer array, "
+                             f"got a {idx.ndim}-D {idx.dtype} array")
+        idx = np.sort(idx.astype(np.int64))
+        if idx[0] < 0 or idx[-1] >= group.order:
+            raise ValueError(f"connection-set indices {idx[0]}..{idx[-1]} leave [0, {group.order})")
+        if (idx[1:] == idx[:-1]).any():
+            raise ValueError("connection-set indices must be distinct")
         if idx[0] == 0:
             raise InvariantError("connection set must not contain the identity (loops)")
         neg = group.neg_indices(idx)
         if not np.array_equal(np.sort(neg), idx):
             c = group.elements_at(idx[~np.isin(neg, idx)][:1])[0]
             raise InvariantError(f"connection set is not symmetric: -{c} missing")
+        idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "elements", frozenset(group.elements_at(idx)))
+
+    @property
+    def elements(self):
+        return frozenset(self.group.elements_at(self.indices))
+
+    def __eq__(self, other):
+        return (isinstance(other, ConnectionSet) and self.group == other.group
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.group, self.indices.tobytes()))
 
     def __len__(self):
-        return len(self.elements)
+        return self.indices.size
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return iter(self.group.elements_at(self.indices))
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ class CayleyGraph:
 
     @classmethod
     def build(cls, group, elements):
-        return cls(ConnectionSet(group, elements))
+        return cls(ConnectionSet(group, group.indices(elements)))
 
     @property
     def vertices(self):
@@ -92,7 +111,7 @@ class CayleyGraph:
 
     def neighbors(self, v):
         g = self.group
-        return [g.add(v, c) for c in sorted(self.connection.elements)]
+        return [g.add(v, c) for c in self.connection]
 
     def neighbor_indices(self, i):
         return self.group.add_indices(i, self.connection.indices).tolist()

@@ -5,7 +5,8 @@ and represents ``Z_{d_1} x ... x Z_{d_t}`` written additively.  At the API
 and JSON edges elements and character indices are tuples of residues.  Inside
 the pipeline an element is its flat index, the ravel (lexicographic) rank of
 its coordinates on the factor grid, so index 0 is the identity; only this
-module converts between the two (:meth:`AbelianGroup.indices` and back).
+module converts between the two (:meth:`AbelianGroup.indices` for tuples,
+:meth:`AbelianGroup.ravel` for coordinate arrays, and back).
 The character indexed by ``a`` sends ``x`` to ``prod_i exp(2*pi*i*a_i*x_i/d_i)``,
 and the dual group is indexed exactly like the group itself.
 
@@ -166,17 +167,20 @@ class AbelianGroup:
         coords = np.unravel_index(np.asarray(indices, dtype=np.int64), self.factors)
         return list(zip(*(c.tolist() for c in coords)))
 
+    def ravel(self, coords):
+        """Flat indices of integer coordinate arrays, one per factor
+        (broadcastable), each reduced modulo its factor."""
+        return np.ravel_multi_index(tuple(c % d for c, d in zip(coords, self.factors)), self.factors)
+
     def add_indices(self, x, y):
         """Flat index of ``x + y`` for broadcastable flat-index arrays."""
         cx = np.unravel_index(x, self.factors)
         cy = np.unravel_index(y, self.factors)
-        return np.ravel_multi_index(
-            tuple((a + b) % d for a, b, d in zip(cx, cy, self.factors)), self.factors)
+        return self.ravel([a + b for a, b in zip(cx, cy)])
 
     def neg_indices(self, x):
         """Flat index of ``-x`` for an array of flat indices."""
-        cx = np.unravel_index(x, self.factors)
-        return np.ravel_multi_index(tuple(-a % d for a, d in zip(cx, self.factors)), self.factors)
+        return self.ravel([-a for a in np.unravel_index(x, self.factors)])
 
     def indicator(self, indices):
         """The 0/1 float array on the factor grid with a 1 at each flat index."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CayleyGraph
+from .graphs import CayleyGraph, ConnectionSet
 from .groups import cyclic
 from .spectral import RamanujanVerdict, ramanujan_check, spectrum_by_characters
 
@@ -104,7 +104,7 @@ def search_ramanujan_circulant(n, min_degree=2):
             continue
         # survivor: confirm with the exact snapped-spectrum certificate
         # (connected: the gcd test above passed)
-        graph = CayleyGraph.build(group, [(c,) for c in C])
+        graph = CayleyGraph(ConnectionSet(group, np.asarray(C)))  # Z_n: c is its flat index
         spec = spectrum_by_characters(graph)
         verdict = ramanujan_check(spec, k, connected=True)
         if verdict.is_ramanujan:

@@ -176,13 +176,51 @@ def test_stats_known_values():
 def test_connection_set_invariants():
     g = cyclic(10)
     with pytest.raises(InvariantError):
-        ConnectionSet(g, frozenset())
+        ConnectionSet(g, np.array([], dtype=np.int64))
     with pytest.raises(InvariantError):
-        ConnectionSet(g, frozenset({(0,), (1,), (9,)}))
+        ConnectionSet(g, np.array([0, 1, 9]))
     with pytest.raises(InvariantError):
-        ConnectionSet(g, frozenset({(1,), (2,)}))  # not symmetric
-    cs = ConnectionSet(g, frozenset({(1,), (9,), (5,)}))
+        ConnectionSet(g, np.array([1, 2]))  # not symmetric
+    cs = ConnectionSet(g, np.array([1, 9, 5]))
     assert len(cs) == 3
+
+
+def test_connection_set_rejects_bad_index_arrays():
+    g = AbelianGroup([4, 6])
+    with pytest.raises(ValueError, match="leave"):
+        ConnectionSet(g, np.array([1, 24]))
+    with pytest.raises(ValueError, match="leave"):
+        ConnectionSet(g, np.array([-1, 1]))
+    with pytest.raises(ValueError, match="integer"):
+        ConnectionSet(g, np.array([1.0, 5.0]))
+    with pytest.raises(ValueError, match="integer"):
+        ConnectionSet(g, np.array([True, False]))
+    with pytest.raises(ValueError, match="integer"):
+        ConnectionSet(g, frozenset({6, 18}))
+    with pytest.raises(ValueError, match="distinct"):
+        ConnectionSet(g, np.array([6, 18, 6]))
+
+
+def test_connection_set_stores_sorted_indices():
+    g = AbelianGroup([4, 6])
+    cs = ConnectionSet(g, [18, 1, 6, 5])
+    assert cs.indices.dtype == np.int64 and cs.indices.tolist() == [1, 5, 6, 18]
+    assert not cs.indices.flags.writeable
+    assert cs.elements == frozenset({(0, 1), (0, 5), (1, 0), (3, 0)})
+    assert list(cs) == sorted(cs.elements)
+    assert all(type(x) is int for c in cs for x in c)
+
+
+def test_connection_set_equality_and_hash():
+    g = AbelianGroup([4, 6])
+    a = ConnectionSet(g, np.array([18, 6, 1, 5]))
+    b = ConnectionSet(g, np.array([1, 5, 6, 18], dtype=np.int32))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ConnectionSet(g, np.array([6, 18]))
+    # the same indices in another group of order 24 are another set
+    assert a != ConnectionSet(cyclic(24), np.array([1, 6, 18, 23]))
+    assert ConnectionSet(cyclic(24), np.array([6, 18])) != ConnectionSet(g, np.array([6, 18]))
+    assert a == CayleyGraph.build(g, [(1, 0), (3, 0), (0, 1), (0, 5)]).connection
 
 
 def test_regularity_and_neighbors():

@@ -3,6 +3,7 @@
 import pytest
 
 from cayleyx import (
+    Gf2Field,
     bent_hadamard_set,
     dij_cardinality,
     dij_set,
@@ -13,10 +14,95 @@ from cayleyx import (
     theorem33_set,
     verify_difference_set,
 )
-from cayleyx.constructions import (
-    additive_character_sum,
-    field_element_to_coords,
-)
+from cayleyx.constructions import additive_character_sum
+
+
+# -- scalar references for the array enumeration of the GF(2) sets -------------
+
+def field_element_to_coords(m, e):
+    """Field element (poly-basis int) as a Z_2^m coordinate tuple, bit i first:
+    the labeling the GF(2) constructions use."""
+    return tuple((e >> i) & 1 for i in range(m))
+
+
+def coords_to_field_element(coords):
+    e = 0
+    for i, b in enumerate(coords):
+        e |= (b & 1) << i
+    return e
+
+
+def trace_pair_reference(m, i, j):
+    """{z != 0 : Tr(z) = i, Tr(1/z) = j}, ascending, by scalar field calls."""
+    fld = Gf2Field(m)
+    return [z for z in range(1, fld.order)
+            if fld.trace(z) == i and fld.trace(fld.inv(z)) == j]
+
+
+def polar_reference(m):
+    """{x != 0 : Tr_m(x + xbar) = Tr_m(x*xbar) = 1} in GF(2^{2m}), ascending,
+    by scalar field calls."""
+    fld = Gf2Field(2 * m)
+    D = []
+    for x in range(1, fld.order):
+        xbar = fld.frobenius(x, m)
+        if (fld.subfield_trace(x ^ xbar) == 1
+                and fld.subfield_trace(fld.mul(x, xbar)) == 1):
+            D.append(x)
+    return D
+
+
+def _coords(m, D):
+    return frozenset(field_element_to_coords(m, z) for z in D)
+
+
+def test_kloosterman_set_matches_scalar_reference():
+    for m in range(1, 11):
+        want = trace_pair_reference(m, 1, 1)
+        rep = kloosterman_trace_set(m)
+        assert rep.field_elements == want
+        assert all(type(z) is int for z in rep.field_elements)
+        assert rep.connection.elements == _coords(m, want)
+
+
+def test_dij_sets_match_scalar_reference():
+    empty = 0
+    for m in range(2, 11):
+        for i in (0, 1):
+            for j in (0, 1):
+                want = _coords(m, trace_pair_reference(m, i, j))
+                got = dij_set(m, i, j)
+                if want:
+                    assert got.elements == want
+                else:
+                    assert isinstance(got, frozenset) and got == frozenset()
+                    empty += 1
+    assert empty  # D_{0,0} is empty at m = 3
+
+
+def test_polar_set_matches_scalar_reference():
+    for m in range(1, 6):
+        want = polar_reference(m)
+        rep = polar_trace_set(m)
+        assert rep.field_elements == want
+        assert all(type(x) is int for x in rep.field_elements)
+        assert rep.connection.elements == _coords(2 * m, want)
+
+
+def test_gf2_sets_never_call_scalar_field_methods(monkeypatch):
+    """The GF(2) sets are enumerated on the log/exp tables; the scalar field
+    methods are public API and test reference only (``mul`` builds the
+    tables)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar field method called by a construction")
+
+    for name in ("inv", "pow", "frobenius", "trace", "subfield_trace", "in_subfield"):
+        monkeypatch.setattr(Gf2Field, name, refuse)
+    kloosterman_trace_set(6)
+    for i in (0, 1):
+        for j in (0, 1):
+            dij_set(6, i, j)
+    polar_trace_set(3)
 
 
 # -- product construction -------------------------------------------------------
@@ -225,6 +311,5 @@ def test_bent_budget():
 
 
 def test_field_element_coords_roundtrip():
-    from cayleyx.constructions import coords_to_field_element
     for e in range(32):
         assert coords_to_field_element(field_element_to_coords(5, e)) == e
