@@ -5,7 +5,9 @@ i = 1..floor(n/2); when n is even the midpoint n/2 pairs with itself and
 contributes a single element.  The identity index 0 is never selectable.
 Connectivity is checked before the eigenvalue bound (the definition of a
 Ramanujan graph requires it), and every emitted hit carries the full
-spectrum-based certificate.
+spectrum-based certificate.  Encodings are handled in chunks, as rows of
+arrays: the filters are array operations and the survivors' spectra come
+from one FFT per chunk, so no graph object is built.
 """
 
 from __future__ import annotations
@@ -13,19 +15,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CayleyGraph, ConnectionSet
-from .groups import cyclic
-from .spectral import RamanujanVerdict, ramanujan_check, spectrum_by_characters
+from .spectral import RamanujanVerdict, _group_eigenvalues, ramanujan_check
 
 __all__ = ["SearchHit", "search_ramanujan_circulant", "degree_of_encoding",
            "connection_from_encoding"]
 
 MAX_N = 32
+# Encodings per batch.  Each survivor's n character sums become Python
+# floats for the certificate; small chunks keep those lists, and the peak
+# RSS, small.
+SCAN_CHUNK = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -75,47 +78,54 @@ def degree_of_encoding(n, s):
 
 def search_ramanujan_circulant(n, min_degree=2):
     """Yield SearchHit for every encoding whose circulant certifies Ramanujan,
-    in increasing encoding order."""
+    in increasing encoding order.
+
+    Encodings are scanned in chunks of ``SCAN_CHUNK`` as the rows of a bit
+    matrix B (column i-1 selects pair i).  Degree, connectivity (gcd of n and
+    the selected residues) and the eigenvalue pre-filter (B @ P.T, P[a, i-1]
+    the contribution of pair i to character a) are array operations; the
+    survivors' character sums come from one row-wise FFT of their indicator
+    rows, and each survivor is certified by :func:`ramanujan_check` on its
+    snapped spectrum.
+    """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
     half = _pair_count(n)
-    group = cyclic(n)
-    # eigenvalue contribution of pair i at character a
-    P = np.zeros((n, half))
-    a = np.arange(n)
-    for i in range(1, half + 1):
-        if 2 * i == n:
-            P[:, i - 1] = (-1.0) ** a
-        else:
-            P[:, i - 1] = 2.0 * np.cos(2.0 * np.pi * a * i / n)
+    pairs = np.arange(1, half + 1)
+    a = np.arange(n)[:, None]
+    P = np.where(2 * pairs == n, (-1.0) ** a, 2.0 * np.cos(2.0 * np.pi * a * pairs / n))
+    weight = np.where(2 * pairs == n, 1, 2)  # elements per pair
     bound_tol = 1e-9
-    for s in range(1, 1 << half):
-        C = connection_from_encoding(n, s)
-        k = len(C)
-        if k < min_degree:
-            continue
-        if math.gcd(n, *C) != 1:
-            continue  # proper subgroup generated: disconnected
-        idx = [i - 1 for i in range(1, half + 1) if (s >> (i - 1)) & 1]
-        vals = P[:, idx].sum(axis=1)
-        mids = np.abs(vals[1:])
-        mids = mids[np.abs(mids - k) > 1e-9]
-        if mids.size and mids.max() > 2.0 * math.sqrt(k - 1) + bound_tol:
-            continue
-        # survivor: confirm with the exact snapped-spectrum certificate
-        # (connected: the gcd test above passed)
-        graph = CayleyGraph(ConnectionSet(group, np.asarray(C)))  # Z_n: c is its flat index
-        spec = spectrum_by_characters(graph)
-        verdict = ramanujan_check(spec, k, connected=True)
-        if verdict.is_ramanujan:
-            yield SearchHit(
-                n=n,
-                encoding=s,
-                C=C,
-                degree=k,
-                second_largest_abs=verdict.second_largest_abs,
-                verdict=verdict,
-            )
+    for start in range(1, 1 << half, SCAN_CHUNK):
+        s = np.arange(start, min(start + SCAN_CHUNK, 1 << half))
+        B = (s[:, None] >> (pairs - 1)) & 1
+        k = B @ weight
+        # a proper subgroup is generated (disconnected) iff gcd(n, C) > 1
+        keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
+        s, B, k = s[keep], B[keep], k[keep]
+        mids = np.abs(B @ P[1:].T)
+        mids[np.abs(mids - k[:, None]) <= 1e-9] = 0.0  # +-k is exempt
+        keep = mids.max(axis=1) <= 2.0 * np.sqrt(k - 1) + bound_tol
+        s, B, k = s[keep], B[keep], k[keep]
+        # survivors: the exact snapped-spectrum certificate (connected by
+        # the gcd test above); the real parts of row r of ``sums`` are the
+        # chi_a(C) of encoding s[r]
+        ind = np.zeros((s.size, n))
+        ind[:, pairs] = ind[:, n - pairs] = B
+        sums = np.fft.fft(ind, axis=1)
+        if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
+            raise ArithmeticError("character sums of a symmetric set must be real")
+        for enc, deg, row in zip(s.tolist(), k.tolist(), sums.real.tolist()):
+            verdict = ramanujan_check(_group_eigenvalues(row, n), deg, connected=True)
+            if verdict.is_ramanujan:
+                yield SearchHit(
+                    n=n,
+                    encoding=enc,
+                    C=connection_from_encoding(n, enc),
+                    degree=deg,
+                    second_largest_abs=verdict.second_largest_abs,
+                    verdict=verdict,
+                )
 
 
 def hits_to_csv(hits):

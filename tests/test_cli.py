@@ -64,6 +64,16 @@ def test_analyze_product_graph(tmp_path, capsys):
     assert verdict["crossing_checks"]["violations"] == 0
 
 
+def test_analyze_reports_skipped_oracle(tmp_path, capsys):
+    """Above ORACLE_MAX_N no oracle runs, and the verdict says so."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"factors": [5000], "connection_set": [[1], [4999]]}))
+    out = tmp_path / "out"
+    assert run(["analyze", str(gpath), "--out", str(out)]) == 0
+    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] == "skipped"
+    assert "oracle_agrees=skipped" in capsys.readouterr().out
+
+
 def test_analyze_disconnected_gds(tmp_path):
     graph = CayleyGraph.build(cyclic(20), [(4,), (8,), (12,), (16,)])
     gpath = tmp_path / "g.json"

@@ -1,5 +1,6 @@
 """Difference counts, GDS certificates, and the exhaustive cyclic search."""
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from cayleyx import (
     verify_difference_set,
     verify_gds,
 )
+from cayleyx import groupring
 from cayleyx.groupring import check_group_ring_identity
 
 
@@ -33,6 +35,42 @@ def multiplier_minus_one_by_translates(group, C):
     C = {group.element(c) for c in C}
     negC = {group.neg(c) for c in C}
     return any({group.add(c, t) for c in C} == negC for t in group.elements())
+
+
+def _rotl(mask, g, n):
+    return ((mask << g) | (mask >> (n - g))) & ((1 << n) - 1)
+
+
+def _two_valued_fast(mask, n):
+    """Exact difference counts [mu_1, ..., mu_{n-1}] of the bitmask subset if
+    they take <= 2 values, else None, with an early exit at a third value."""
+    mu, seen = [], set()
+    for g in range(1, n):
+        mu.append((mask & _rotl(mask, g, n)).bit_count())
+        seen.add(mu[-1])
+        if len(seen) > 2:
+            return None
+    return mu
+
+
+def search_gds_by_masks(n):
+    """One Python popcount scan per mask: the reference for the chunked
+    search_gds.  Yields (C, certificate) in increasing mask order."""
+    group = cyclic(n)
+    for mask in range(3, (1 << n) - 1):
+        if mask.bit_count() < 2:
+            continue
+        mu = _two_valued_fast(mask, n)
+        if mu is not None:
+            cert = groupring._certificate(group, [i for i in range(n) if (mask >> i) & 1], mu)
+            yield cert.C, cert
+
+
+def gds_lines(n, hits):
+    """hits.jsonl lines as `cayleyx search gds` writes them."""
+    return [json.dumps({"n": n, "C": sorted(c[0] for c in C), "certificate": cert.to_json()},
+                       sort_keys=True) for C, cert in hits]
+
 
 Z20 = cyclic(20)
 SUBGROUP_SET = [(4,), (8,), (12,), (16,)]
@@ -203,6 +241,16 @@ def test_search_certificates_match_fft_route():
             assert C == cert.C
             hits += 1
     assert hits > 1000
+
+
+def test_search_matches_mask_by_mask_scan():
+    for n in range(2, 15):
+        assert gds_lines(n, search_gds(n)) == gds_lines(n, search_gds_by_masks(n)), n
+
+
+def test_search_hits_straddle_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(groupring, "SCAN_CHUNK", 7)
+    assert gds_lines(11, search_gds(11)) == gds_lines(11, search_gds_by_masks(11))
 
 
 def test_search_budget():
