@@ -8,6 +8,7 @@ spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -178,12 +179,13 @@ def cmd_search(args):
     try:
         with open(path, "w") as f:
             if args.mode == "ramanujan":
-                hits = []
-                for hit in search.search_ramanujan_circulant(args.n, args.minDegree):
-                    f.write(hit.to_json_line() + "\n")
-                    hits.append(hit)
-                    count += 1
-                _write(outdir, "hits.csv", search.hits_to_csv(hits))
+                with open(os.path.join(outdir, "hits.csv"), "w") as g:
+                    rows = csv.writer(g)
+                    rows.writerow(search.CSV_HEADER)
+                    for hit in search.search_ramanujan_circulant(args.n, args.minDegree):
+                        f.write(hit.to_json_line() + "\n")
+                        rows.writerow(hit.csv_row())
+                        count += 1
             else:
                 for C, cert in search_gds(args.n):
                     line = {"n": args.n, "C": sorted(c[0] for c in C),

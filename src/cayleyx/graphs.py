@@ -5,8 +5,10 @@ is simple, undirected and k-regular with k = |C|.  Vertices are the group's
 flat indices (see :mod:`cayleyx.groups`); coordinate tuples appear only in
 the tuple API and in JSON/DOT.  Each graph builds the indicator array of its
 connection set once; statistics and srg parameters are read off its
-convolutions, and the dense adjacency matrix, the input of the eigensolver
-oracle, is its group matrix.
+convolutions, and the dense adjacency matrix is its group matrix.  The
+eigensolver oracle (:func:`cayleyx.spectral.spectrum_oracle`) builds that
+group matrix itself, on a reordered grid when n is even, to split it at a
+translation of order 2; it reads the indicator and no character values.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class CayleyGraph:
         return self.group.add_indices(i, self.connection.indices).tolist()
 
     def adjacency_matrix(self):
-        """Dense float A[u, v] = 1_C[v - u], built afresh per call (oracle input)."""
+        """Dense float A[u, v] = 1_C[v - u], built afresh per call (the unsplit
+        oracle input for odd n)."""
         return self.group.group_matrix(self.indicator)
 
     def stats(self):

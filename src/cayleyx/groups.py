@@ -26,7 +26,6 @@ import operator
 from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["AbelianGroup", "cyclic"]
 
@@ -189,19 +188,32 @@ class AbelianGroup:
         return ind.reshape(self.factors)
 
     def group_matrix(self, x):
-        """The n x n matrix ``M[u, v] = x[v - u]`` (flat indices) of a grid array,
-        as one broadcast gather: coordinate i of ``v - u`` is read from a strided
-        d_i x d_i circulant view on axes i (u) and t + i (v), so the result is
-        the only array of its size that is allocated."""
-        t = len(self.factors)
-        index = []
-        for i, d in enumerate(self.factors):
-            r = np.arange(d)
-            table = sliding_window_view(np.concatenate((r, r)), d)[d:0:-1]  # (v - u) % d
-            shape = [1] * (2 * t)
-            shape[i] = shape[t + i] = d
-            index.append(table.reshape(shape))
-        return np.asarray(x)[tuple(index)].reshape(self.order, self.order)
+        """The n x n matrix ``M[u, v] = x[v - u]`` (flat indices) of a grid array.
+
+        Row 0 is ``x``.  Factors are filled last to first by doubling: with
+        the later factors' rows done and rows ``u_i < s`` of factor i done,
+        rows ``u_i`` in ``[s, 2s)`` are those rows with the columns rolled by
+        s along factor i, two block copies.  The rows done so far are always
+        a leading block, so nothing but the result is allocated; on a run of
+        size-2 factors this is ``M[s:2s] = M[:s]`` with column blocks of
+        width s swapped (v - u is XOR there).
+        """
+        n = self.order
+        M = np.empty((n, n))
+        M[0] = np.ravel(x)
+        post = 1  # rows per step of u_i: the product of the later factors
+        for d in reversed(self.factors):
+            pre = n // (d * post)
+            s = 1
+            while s < d:
+                w = min(s, d - s)
+                src = M[:w * post].reshape(w * post, pre, d, post)
+                dst = M[s * post:(s + w) * post].reshape(w * post, pre, d, post)
+                dst[:, :, s:] = src[:, :, :d - s]
+                dst[:, :, :s] = src[:, :, d - s:]
+                s += w
+            post *= d
+        return M
 
     def convolve(self, x, y):
         """Integer counts ``(x * y)[g] = sum_{a + b = g} x[a] y[b]``.

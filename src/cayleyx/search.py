@@ -12,8 +12,6 @@ from one FFT per chunk, so no graph object is built.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -25,6 +23,7 @@ __all__ = ["SearchHit", "search_ramanujan_circulant", "degree_of_encoding",
            "connection_from_encoding"]
 
 MAX_N = 32
+CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one SearchHit.csv_row each
 # Encodings per batch.  Each survivor's n character sums become Python
 # floats for the certificate; small chunks keep those lists, and the peak
 # RSS, small.
@@ -52,6 +51,10 @@ class SearchHit:
 
     def to_json_line(self):
         return json.dumps(self.to_json(), sort_keys=True)
+
+    def csv_row(self):
+        return [self.n, self.encoding, self.degree, self.second_largest_abs,
+                int(self.verdict.is_ramanujan)]
 
 
 def _pair_count(n):
@@ -126,13 +129,3 @@ def search_ramanujan_circulant(n, min_degree=2):
                     second_largest_abs=verdict.second_largest_abs,
                     verdict=verdict,
                 )
-
-
-def hits_to_csv(hits):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "s", "k", "lambda2_abs", "ramanujan"])
-    for h in hits:
-        w.writerow([h.n, h.encoding, h.degree, h.second_largest_abs,
-                    int(h.verdict.is_ramanujan)])
-    return buf.getvalue()

@@ -144,7 +144,9 @@ def test_search_ramanujan_cli(tmp_path, capsys):
     assert run(["search", "ramanujan", "--n", "3", "--out", str(out)]) == 0
     lines = (out / "hits.jsonl").read_text().strip().splitlines()
     assert json.loads(lines[0])["C"] == [1, 2]
-    assert (out / "hits.csv").exists()
+    rows = (out / "hits.csv").read_text().splitlines()
+    assert rows[0] == "n,s,k,lambda2_abs,ramanujan"
+    assert [r.split(",")[1] for r in rows[1:]] == [str(json.loads(l)["s"]) for l in lines]
 
 
 def test_search_gds_cli(tmp_path):

@@ -74,11 +74,12 @@ def test_indices_reject_bad_elements(bad, words):
 
 
 def test_group_matrix_is_a_gather():
-    g = AbelianGroup([3, 2, 4])
-    x = np.arange(g.order, dtype=float).reshape(g.factors)
-    M = g.group_matrix(x)
-    want = [[x.ravel()[g.index_of(g.sub(v, u))] for v in g.elements()] for u in g.elements()]
-    assert M.dtype == np.float64 and M.tolist() == want
+    for factors in ([3, 2, 4], [2] * 5, [2, 3, 2, 2], [4, 2, 2]):
+        g = AbelianGroup(factors)
+        x = np.arange(g.order, dtype=float).reshape(g.factors)
+        M = g.group_matrix(x)
+        want = [[x.ravel()[g.index_of(g.sub(v, u))] for v in g.elements()] for u in g.elements()]
+        assert M.dtype == np.float64 and M.tolist() == want, factors
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):

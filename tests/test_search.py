@@ -1,5 +1,7 @@
 """Exhaustive Ramanujan-circulant search."""
 
+import csv
+import io
 import json
 import math
 
@@ -19,7 +21,7 @@ from cayleyx import (
     search_ramanujan_circulant,
     spectrum_by_characters,
 )
-from cayleyx.search import connection_from_encoding, hits_to_csv
+from cayleyx.search import CSV_HEADER, connection_from_encoding
 
 
 def search_by_rebuilding_graphs(n, min_degree=2):
@@ -127,6 +129,11 @@ def test_serialization():
     hit = next(iter(search_ramanujan_circulant(5)))
     payload = json.loads(hit.to_json_line())
     assert set(payload) == {"n", "s", "C", "k", "lambda2_abs", "verdict"}
-    csv_text = hits_to_csv([hit])
-    assert csv_text.splitlines()[0] == "n,s,k,lambda2_abs,ramanujan"
+    buf = io.StringIO()
+    rows = csv.writer(buf)
+    rows.writerow(CSV_HEADER)
+    rows.writerow(hit.csv_row())
+    header, row = buf.getvalue().splitlines()
+    assert header == "n,s,k,lambda2_abs,ramanujan"
+    assert row == f"5,{hit.encoding},{hit.degree},{hit.second_largest_abs},1"
     assert isinstance(hit, SearchHit)

@@ -9,6 +9,7 @@ from cayleyx import (
     cyclic,
     gds_predicted_eigenvalues,
     gds_sufficient_filters,
+    spectral,
     spectral_gap,
     spectrum_by_characters,
     spectrum_oracle,
@@ -17,11 +18,13 @@ from cayleyx import (
     vertex_expansion,
 )
 from cayleyx.spectral import (
+    _group_eigenvalues,
     certify_ramanujan,
     crossing_counts_batch,
     crossing_lemma_bound,
     spectra_agree,
 )
+from test_cayley import _random_symmetric
 
 
 def _circulant(n, C):
@@ -52,6 +55,55 @@ def test_spectrum_product_set():
 def test_oracle_small_graphs():
     assert _multiset(spectrum_oracle(_circulant(4, [1, 3]))) == {2: 1, 0: 2, -2: 1}
     assert _multiset(spectrum_oracle(_circulant(5, [1, 2, 3, 4]))) == {4: 1, -1: 4}
+
+
+def oracle_by_one_solve(graph):
+    """Sorted eigenvalues of one unsplit dense solve: the oracle's reference."""
+    return np.linalg.eigvalsh(graph.adjacency_matrix())
+
+
+@pytest.mark.parametrize("factors", [[5], [9], [3, 4], [2] * 6, [8, 4, 2]])
+def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
+    raw = []
+
+    def record(values, n):
+        raw.append(sorted(values))
+        return _group_eigenvalues(values, n)
+
+    monkeypatch.setattr(spectral, "_group_eigenvalues", record)
+    for size in (2, 3, 4):
+        graph = _random_symmetric(factors, size, seed=size)
+        spectrum_oracle(graph)
+        got = raw.pop()
+        assert len(got) == graph.n
+        assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
+
+
+def test_oracle_refuses_a_matrix_that_is_not_translation_invariant(monkeypatch):
+    gather = AbelianGroup.group_matrix
+
+    def tampered(self, x):
+        M = gather(self, x)
+        M[0, 1] = M[1, 0] = 1 - M[0, 1]  # toggles one edge, not its translate
+        return M
+
+    graph = _circulant(12, [1, 11, 4, 8])
+    monkeypatch.setattr(AbelianGroup, "group_matrix", tampered)
+    with pytest.raises(ArithmeticError):
+        spectrum_oracle(graph)
+
+
+def test_oracle_uses_no_character_values(monkeypatch):
+    """The oracle checks the character route, so it must not share it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the character route")
+
+    graphs = [_circulant(9, [1, 8, 3, 6]), theorem33_set(4, 6).graph,
+              CayleyGraph.build(AbelianGroup([3, 4]), [(1, 0), (2, 0), (0, 2)])]
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", refuse)
+    monkeypatch.setattr(AbelianGroup, "convolve", refuse)
+    for graph in graphs:
+        assert spectrum_oracle(graph).n == graph.n
 
 
 def test_oracle_budget():
