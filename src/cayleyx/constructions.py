@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import Gf2Field, KloostermanTable, _sign_tables, kloosterman
+from .gf2 import KLOOSTERMAN_MAX_DEGREE, Gf2Field, _kloosterman_values, _sign_tables, kloosterman
 from .graphs import CayleyGraph, ConnectionSet, GraphStats
 from .groups import AbelianGroup
 from .spectral import (
@@ -158,18 +158,16 @@ def kloosterman_trace_set(m):
     sufficient-only, so the prediction and the spectrum verdict can disagree
     in the other direction.
     """
-    if not 1 <= m <= 20:
-        raise ValueError(f"m must be in [1, 20], got {m}")
+    if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
+        raise ValueError(f"m must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
     fld = Gf2Field(m)
     D_field = _trace_pair_set(fld, 1, 1)
-    k1 = kloosterman(m, 1, fld)
+    table = _kloosterman_values(fld)
+    k1 = int(table[1])
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
-    predicted = {-degree}
-    if m <= 12:
-        table = KloostermanTable.compute(m)
-        for a in range(2, fld.order):
-            predicted.add((-table[a] + table[a ^ 1]) // 4)
+    a = np.arange(2, fld.order)
+    predicted = {-degree, *((table[a ^ 1] - table[a]) // 4).tolist()}
     report = _certify(
         _field_connection(m, D_field),
         predicted_degree=degree,

@@ -8,7 +8,10 @@ found by sieve, so field construction is deterministic.
 The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` is
 computed by three independent routes (direct evaluation, the three-term
 recursion for ``k_m(1)``, and the Carlitz closed form) so each can check the
-others.  Full value tables (m <= 12) are computed from the log tables.
+others.  The full value table ``a -> k_m(a)`` (m <= 20) is one Walsh-Hadamard
+transform: ``a -> Tr(a*x)`` is the character of ``Z_2^m`` at the trace-dual
+label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so ``k_m(a)`` is the transform of
+``x -> (-1)^Tr(1/x)`` at ``b(a)``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .groups import AbelianGroup
 
 __all__ = [
     "Gf2Field",
@@ -32,8 +37,8 @@ __all__ = [
     "embed_subfield",
 ]
 
-MAX_DEGREE = 24          # budget for direct sums
-MAX_TABLE_DEGREE = 12    # budget for full value tables
+MAX_DEGREE = 24                # budget for direct sums
+KLOOSTERMAN_MAX_DEGREE = 20    # budget for full value tables and the trace set
 
 
 # -- polynomial arithmetic over GF(2), ints as coefficient bitstrings --------
@@ -45,15 +50,26 @@ def _poly_reduce(a, modulus, m):
 
 
 def _poly_mul_mod(a, b, modulus, m):
+    """``a * b`` modulo the degree-m ``modulus``, for a reduced ``a`` (an int,
+    or an int64 array multiplied elementwise) and an int ``b``."""
     r = 0
-    a = _poly_reduce(a, modulus, m)
     while b:
         if b & 1:
             r ^= a
         b >>= 1
-        a <<= 1
-        if (a >> m) & 1:
-            a ^= modulus
+        a = a << 1
+        a ^= ((a >> m) & 1) * modulus
+    return r
+
+
+def _poly_pow(a, e, modulus, m):
+    """``a^e`` modulo the degree-m ``modulus`` for a reduced ``a`` and e >= 0."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mul_mod(r, a, modulus, m)
+        a = _poly_mul_mod(a, a, modulus, m)
+        e >>= 1
     return r
 
 
@@ -83,20 +99,11 @@ def is_irreducible(p, m):
     if p.bit_length() != m + 1:
         return False
 
-    def pow_x(e):
-        r, base = 1, _poly_reduce(2, p, m)
-        while e:
-            if e & 1:
-                r = _poly_mul_mod(r, base, p, m)
-            base = _poly_mul_mod(base, base, p, m)
-            e >>= 1
-        return r
-
     x_red = _poly_reduce(2, p, m)
-    if pow_x(1 << m) != x_red:
+    if _poly_pow(x_red, 1 << m, p, m) != x_red:
         return False
     for d in _prime_divisors(m):
-        if _poly_gcd(pow_x(1 << (m // d)) ^ x_red, p) != 1:
+        if _poly_gcd(_poly_pow(x_red, 1 << (m // d), p, m) ^ x_red, p) != 1:
             return False
     return True
 
@@ -147,13 +154,7 @@ class Gf2Field:
         self._chk(a)
         if e < 0:
             a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return _poly_pow(a, e, self.modulus, self.m)
 
     def inv(self, a):
         if self._chk(a) == 0:
@@ -228,19 +229,25 @@ class Gf2Field:
 
     def _dlog_tables(self):
         """(exp, log): exp[i] = g^i for the smallest primitive element g, and
-        log[exp[i]] = i (log[0] = 0 is a placeholder)."""
+        log[exp[i]] = i (log[0] = 0 is a placeholder).
+
+        g is the first element with g^((q-1)/p) != 1 for every prime p
+        dividing q - 1.  The table is filled by doubling, ``exp[k:2k] =
+        exp[:k] * g^k``, each step one carry-less multiply of an array.
+        """
         if self._log is None:
-            q = self.order
-            exp = np.zeros(q - 1, dtype=np.int64)
-            for g in range(1, q):
-                e = 1
-                for i in range(q - 1):
-                    exp[i] = e
-                    e = self.mul(e, g)
-                    if e == 1:
-                        break
-                if i == q - 2:  # g has order q - 1
-                    break
+            q, modulus, m = self.order, self.modulus, self.m
+            g = next(c for c in range(1, q)
+                     if all(_poly_pow(c, (q - 1) // p, modulus, m) != 1
+                            for p in _prime_divisors(q - 1)))
+            exp = np.empty(q - 1, dtype=np.int64)
+            exp[0] = 1
+            k, g_k = 1, g
+            while k < q - 1:
+                w = min(k, q - 1 - k)
+                exp[k:k + w] = _poly_mul_mod(exp[:w], g_k, modulus, m)
+                k += w
+                g_k = _poly_mul_mod(g_k, g_k, modulus, m)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             self._exp, self._log = exp, log
@@ -357,6 +364,31 @@ def embed_subfield(sub, big):
     return table
 
 
+def _kloosterman_values(fld):
+    """int64 array of ``k_m(a)`` for every a in the field, by one transform.
+
+    ``Tr(a*x) = <x, b(a)>`` over the polynomial-basis bits of x, where
+    ``b(a)_i = Tr(a*x^i)``, so ``k_m(a) = W[f](b(a))`` for the Walsh-Hadamard
+    transform ``W`` of ``f(x) = (-1)^Tr(1/x)`` (``f(0) = 0``).  ``b`` is
+    F_2-linear: the image of ``x^j`` has bits ``Tr(x^(i+j))``.
+    """
+    m = fld.m
+    group = AbelianGroup([2] * m)
+    *_, inv_signs = _sign_tables(fld)
+    f = np.concatenate(([0], inv_signs))
+    transform = group.character_sum_table(f.reshape(group.factors)).ravel()
+    traces, e = [], 1  # Tr(x^k) for k < 2m - 1
+    for _ in range(2 * m - 1):
+        traces.append(bin(e & fld._trace_mask).count("1") & 1)
+        e = _poly_mul_mod(e, 2, fld.modulus, m)
+    labels = np.zeros(1, dtype=np.int64)
+    for j in range(m):  # b(a + x^j) = b(a) + b(x^j) for a < 2^j
+        labels = np.concatenate((labels, labels ^ sum(traces[i + j] << i for i in range(m))))
+    values = transform[labels]
+    assert (values * values <= 4 * fld.order).all(), "Weil bound"
+    return values
+
+
 class KloostermanTable:
     """The map a -> k_m(a) over all of GF(2^m)."""
 
@@ -367,25 +399,17 @@ class KloostermanTable:
 
     @classmethod
     def compute(cls, m):
-        if not 1 <= m <= MAX_TABLE_DEGREE:
-            raise ValueError(f"table degree must be in [1, {MAX_TABLE_DEGREE}], got {m}")
+        if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
+            raise ValueError(f"table degree must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
         fld = Gf2Field(m)
-        q = fld.order
-        signs, exp, log, inv_signs = _sign_tables(fld)
-        values = {0: int(inv_signs.sum())}
-        for a in range(1, q):
-            ax = exp[(log[a] + log[1:]) % (q - 1)]
-            values[a] = int((signs[ax] * inv_signs).sum())
-        weil = 2 * math.sqrt(q)
-        assert all(abs(v) <= weil for v in values.values())
-        return cls(m, values, fld.modulus)
+        return cls(m, enumerate(_kloosterman_values(fld).tolist()), fld.modulus)
 
     def __getitem__(self, a):
         return self.values[a]
 
 
 def kloosterman_value_set(m):
-    """The set ``{k_m(lambda) : lambda in GF(2^m)}`` (enumerated, m <= 12)."""
-    if not 2 <= m <= MAX_TABLE_DEGREE:
-        raise ValueError(f"m must be in [2, {MAX_TABLE_DEGREE}] for the value set")
-    return set(KloostermanTable.compute(m).values.values())
+    """The set ``{k_m(lambda) : lambda in GF(2^m)}`` (enumerated, m <= 20)."""
+    if not 2 <= m <= KLOOSTERMAN_MAX_DEGREE:
+        raise ValueError(f"m must be in [2, {KLOOSTERMAN_MAX_DEGREE}] for the value set")
+    return set(_kloosterman_values(Gf2Field(m)).tolist())

@@ -115,7 +115,11 @@ def _certificate(group, C, mu):
 def verify_gds(group, C):
     """Certificate iff the difference counts take at most two values
     (presentation as in :func:`_certificate`)."""
-    C = group.indices(C)
+    return _verify_gds(group, group.indices(C))
+
+
+def _verify_gds(group, C):
+    """:func:`verify_gds` of sorted distinct flat indices ``C``."""
     if not C.size:
         raise ValueError("C must be nonempty")
     if C.size >= group.order:

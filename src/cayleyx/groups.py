@@ -14,7 +14,11 @@ Character sums are the workhorse of everything downstream: the eigenvalues of
 a Cayley graph on ``G`` with connection set ``C`` are the values ``chi(C)``
 over all characters ``chi``.  Group-ring products (difference counts,
 neighbourhoods of vertex sets) are convolutions of indicator arrays on the
-same grid, computed through the same DFT by :meth:`AbelianGroup.convolve`.
+same grid, computed through the same transform by
+:meth:`AbelianGroup.convolve`.  On ``Z_2^m`` (every factor 2) the flat index
+is the bit pattern of the coordinates and every character is ``+-1``, so the
+transform is the Walsh-Hadamard transform: an int64 butterfly, exact by
+construction.  Every other group goes through the multidimensional FFT.
 """
 
 from __future__ import annotations
@@ -36,6 +40,27 @@ IMAG_TOL_PER_TERM = 1e-9
 # Fourth roots of unity, exact.
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# Butterfly sums must stay below this (2^62 leaves room for the float
+# rounding of the bound that is checked against it).
+_INT64_SAFE = 2.0 ** 62
+
+
+def _butterfly(w):
+    """The unnormalised Walsh-Hadamard transform of a C-ordered int64 array
+    along its last axis (a power of two long), in place, returning ``w``:
+    at each bit, ``(u, v) -> (u + v, u - v)`` on the pairs of flat indices
+    that differ in that bit only."""
+    n = w.shape[-1]
+    h = 1
+    while h < n:
+        pairs = w.reshape(-1, n // (2 * h), 2, h)
+        u, v = pairs[:, :, 0], pairs[:, :, 1]
+        u += v
+        v *= -2
+        v += u  # (u + v) - 2v
+        h *= 2
+    return w
+
 
 class AbelianGroup:
     """``Z_{d_1} x ... x Z_{d_t}``, written additively.
@@ -53,6 +78,8 @@ class AbelianGroup:
         self.zero = (0,) * len(factors)
         # lcm of the factors; phases are multiples of 2*pi/lcm
         self._lcm = reduce(math.lcm, factors)
+        # Z_2^m: the characters are +-1 and the transform is the butterfly
+        self._binary = self._lcm == 2
 
     # -- basic structure -------------------------------------------------
 
@@ -219,10 +246,21 @@ class AbelianGroup:
         """Integer counts ``(x * y)[g] = sum_{a + b = g} x[a] y[b]``.
 
         ``x`` and ``y`` are integer-valued arrays whose trailing axes are the
-        factor grid (leading axes broadcast).  Computed as
-        ``ifftn(fftn(x) * fftn(y))`` and rounded; a value more than 0.25 from
-        an integer raises ArithmeticError instead of being snapped.
+        factor grid (leading axes broadcast).  On ``Z_2^m`` this is
+        ``W(W x * W y) / n`` with the int64 Walsh-Hadamard butterfly ``W``:
+        a non-integral input, a sum that could overflow int64 or a remainder
+        of the division raises ArithmeticError.  Otherwise it is
+        ``ifftn(fftn(x) * fftn(y))``, rounded; a value more than 0.25 from an
+        integer raises ArithmeticError instead of being snapped.
         """
+        if self._binary:
+            (wx, sx), (wy, sy) = self._integer_rows(x), self._integer_rows(y)
+            if self.order * sx * sy >= _INT64_SAFE:
+                raise ArithmeticError("convolution would overflow int64")
+            z = _butterfly(_butterfly(wx) * _butterfly(wy))
+            if (z & (self.order - 1)).any():
+                raise ArithmeticError("convolution of integer arrays is not integral")
+            return (z >> len(self.factors)).reshape(z.shape[:-1] + self.factors)
         axes = tuple(range(-len(self.factors), 0))
         z = np.fft.ifftn(np.fft.fftn(x, axes=axes) * np.fft.fftn(y, axes=axes), axes=axes)
         counts = np.rint(z.real)
@@ -232,9 +270,30 @@ class AbelianGroup:
 
     def character_sum_table(self, indicator):
         """``chi_a(C)`` for every character index ``a`` from the grid array of
-        ``C``, on the same grid: a multidimensional DFT, conjugated to match
-        :meth:`character_value`.  For symmetric ``C`` every entry is real."""
-        return np.conj(np.fft.fftn(indicator))  # fftn uses exp(-2*pi*i...); we want +
+        ``C``, on the same grid (leading axes broadcast).  On ``Z_2^m`` it is
+        the Walsh-Hadamard transform, an exact int64 table (a non-integral
+        input raises ArithmeticError); otherwise a multidimensional DFT,
+        conjugated to match :meth:`character_value`.  For symmetric ``C``
+        every entry is real."""
+        if self._binary:
+            w, bound = self._integer_rows(indicator)
+            if bound >= _INT64_SAFE:
+                raise ArithmeticError("character sums would overflow int64")
+            return _butterfly(w).reshape(np.shape(indicator))
+        axes = tuple(range(-len(self.factors), 0))
+        return np.conj(np.fft.fftn(indicator, axes=axes))  # fftn uses exp(-2*pi*i...); we want +
+
+    def _integer_rows(self, x):
+        """A grid array (leading axes broadcast) as a fresh C-ordered int64
+        array of shape (..., n), with the largest row sum of its absolute
+        values, which bounds every partial sum of its butterfly.  A
+        non-integral entry raises ArithmeticError."""
+        x = np.asarray(x)
+        shape = x.shape[:x.ndim - len(self.factors)] + (self.order,)
+        w = np.array(x, dtype=np.int64, order="C").reshape(shape)
+        if x.dtype.kind not in "biu" and (w != x.reshape(shape)).any():
+            raise ArithmeticError("Walsh-Hadamard transform of a non-integral array")
+        return w, float(np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0))
 
     def subgroup_generated(self, gens):
         """Closure of ``gens`` under addition and negation (contains 0)."""

@@ -4,9 +4,11 @@ The character route gives one eigenvalue per character of the group.  The
 oracle, its independent check, diagonalizes the dense adjacency matrix with
 a symmetric eigensolver (the only place an n x n matrix is built), split
 once at one group element of order 2, never through character values.
-Eigenvalues within 1e-6 of an integer are snapped and stored exact, which is
-what makes Ramanujan comparisons (lambda^2 <= 4(k-1)) exact integer tests in
-every construction this package ships.
+On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
+transform, so every eigenvalue there is exact by construction.  On every
+other group, eigenvalues within 1e-6 of an integer are snapped and stored
+exact.  Either way Ramanujan comparisons (lambda^2 <= 4(k-1)) are exact
+integer tests in every construction this package ships.
 """
 
 from __future__ import annotations
@@ -126,8 +128,18 @@ def _group_eigenvalues(raw, n):
 
 
 def spectrum_by_characters(graph):
-    """One eigenvalue chi(C) per character, via the group's DFT table."""
+    """One eigenvalue chi(C) per character, via the group's character table.
+
+    An integer table (``Z_2^m``) is grouped exactly, by counting each value
+    in [-k, k] (``|chi(C)| <= k``); a complex one goes through the snapping
+    of :func:`_group_eigenvalues`.
+    """
     table = graph.group.character_sum_table(graph.indicator)
+    if table.dtype.kind == "i":
+        counts = np.bincount(graph.k - table.ravel())  # index i counts the value k - i
+        at = np.flatnonzero(counts)
+        return Spectrum(tuple((v, c, True) for v, c in
+                              zip((graph.k - at).tolist(), counts[at].tolist())))
     if np.abs(table.imag).max() > 1e-9 * max(graph.k, 1):
         raise ArithmeticError("character sums of a symmetric set must be real")
     return _group_eigenvalues(table.real.ravel().tolist(), graph.n)

@@ -195,6 +195,14 @@ def test_trace_set_eigenvalue_formula_pointwise():
                 assert ev == (-table[a] + table[a ^ 1]) // 4
 
 
+def test_trace_set_predicts_every_eigenvalue_beyond_m12():
+    """The predicted set covers the spectrum past the old m <= 12 table cap."""
+    for m in (13, 14):
+        rep = kloosterman_trace_set(m)
+        assert not any("outside predicted set" in d for d in rep.discrepancies), m
+        assert set(rep.spectrum.values()) <= rep.predicted_eigenvalues | {rep.graph.k}
+
+
 def test_trace_set_budget():
     with pytest.raises(ValueError):
         kloosterman_trace_set(21)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cayleyx import (
@@ -139,6 +140,19 @@ def test_weil_bound():
         assert all(abs(v) <= bound for v in table.values.values())
 
 
+def test_table_matches_direct_sums():
+    """The one-transform table against the direct log-table sum, pointwise."""
+    for m in (3, 6, 10):
+        f = Gf2Field(m)
+        table = KloostermanTable.compute(m)
+        assert len(table.values) == f.order
+        assert all(table[a] == kloosterman(m, a, f) for a in range(f.order))
+    f = Gf2Field(16)
+    table = KloostermanTable.compute(16)
+    sample = np.random.default_rng(16).choice(f.order, 64, replace=False).tolist()
+    assert all(table[a] == kloosterman(16, a, f) for a in [0, 1] + sample)
+
+
 def test_two_parameter_sum_reduces_to_product():
     for m in range(1, 5):
         f = Gf2Field(m)
@@ -170,9 +184,11 @@ def test_budget_errors():
     with pytest.raises(ValueError):
         Gf2Field(25)
     with pytest.raises(ValueError):
-        KloostermanTable.compute(13)
+        KloostermanTable.compute(21)
     with pytest.raises(ValueError):
         kloosterman_value_set(1)
+    with pytest.raises(ValueError):
+        kloosterman_value_set(21)
 
 
 def test_custom_modulus():

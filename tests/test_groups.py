@@ -1,6 +1,7 @@
 """Group arithmetic, characters, and character sums."""
 
 import cmath
+import json
 import re
 
 import numpy as np
@@ -9,15 +10,18 @@ import pytest
 from cayleyx import (
     AbelianGroup,
     CayleyGraph,
+    bent_hadamard_set,
     cyclic,
     has_multiplier_minus_one,
     kloosterman_trace_set,
+    polar_trace_set,
     search_gds,
     search_ramanujan_circulant,
     spectrum_by_characters,
     spectrum_oracle,
     verify_gds,
 )
+from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
 from cayleyx.spectral import crossing_counts_batch
 
@@ -175,9 +179,77 @@ def test_convolve_counts_sums():
 
 
 def test_convolve_rejects_non_integral_result():
-    g = cyclic(8)
+    for g in (cyclic(8), AbelianGroup([2] * 3)):
+        with pytest.raises(ArithmeticError):
+            g.convolve(np.full(g.factors, 0.5), g.indicator([1]))
+
+
+def test_butterfly_refuses_int64_overflow():
+    g = AbelianGroup([2] * 3)
+    big = np.full(g.factors, 1 << 60)  # row sum 2^63
     with pytest.raises(ArithmeticError):
-        g.convolve(np.full(g.factors, 0.5), g.indicator([1]))
+        g.character_sum_table(big)
+    with pytest.raises(ArithmeticError):
+        g.convolve(big, g.indicator([1]))
+
+
+# -- the Walsh-Hadamard butterfly on Z_2^m against the FFT route ----------------
+
+def _grid_axes(group):
+    return tuple(range(-len(group.factors), 0))
+
+
+def fft_convolve(group, x, y):
+    """``ifftn(fftn(x) * fftn(y))``, rounded: the convolution that the
+    butterfly replaced on Z_2^m and that every other group still uses."""
+    axes = _grid_axes(group)
+    z = np.fft.ifftn(np.fft.fftn(x, axes=axes) * np.fft.fftn(y, axes=axes), axes=axes)
+    counts = np.rint(z.real)
+    assert np.abs(z - counts).max() <= 0.25
+    return counts.astype(np.int64)
+
+
+def fft_character_sum_table(group, x):
+    """The conjugated multidimensional DFT over the grid axes."""
+    return np.conj(np.fft.fftn(x, axes=_grid_axes(group)))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["grid", "batch"])
+@pytest.mark.parametrize("m", [1, 5, 11])
+def test_butterfly_matches_fft_route(m, batch):
+    g = AbelianGroup([2] * m)
+    rng = np.random.default_rng(m)
+    x = rng.integers(-4, 5, batch + g.factors)
+    y = (rng.random(g.factors) < 0.5).astype(float)  # an indicator, as the pipeline passes
+    x_before, y_before = x.copy(), y.copy()
+    for got, want in ((g.convolve(x, y), fft_convolve(g, x, y)),
+                      (g.convolve(y, x), fft_convolve(g, y, x))):
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    table, want = g.character_sum_table(x), fft_character_sum_table(g, x)
+    assert table.dtype == np.int64 and table.shape == want.shape
+    assert np.abs(table - want).max() < 1e-6
+    assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+
+
+def test_binary_groups_never_call_the_fft(monkeypatch, tmp_path):
+    """On Z_2^m the constructions and ``cayleyx analyze`` run on the butterfly."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT called on an elementary abelian 2-group")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    kloosterman_trace_set(6)
+    polar_trace_set(3)
+    bent_hadamard_set(3)
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    graph = CayleyGraph.build(AbelianGroup([2] * 5), units + [(1,) * 5])
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph.to_json_str())
+    out = tmp_path / "out"
+    assert main(["analyze", str(gpath), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["oracle_agrees"] is True and verdict["components"] == 1
 
 
 def test_subgroup_generated():
