@@ -41,7 +41,7 @@ from .constructions import (
     theorem33_condition,
     theorem33_set,
 )
-from .search import SearchHit, degree_of_encoding, search_ramanujan_circulant
+from .search import SearchHit, search_ramanujan_circulant
 
 __version__ = "0.1.0"
 
@@ -85,6 +85,5 @@ __all__ = [
     "theorem33_condition",
     "theorem33_set",
     "SearchHit",
-    "degree_of_encoding",
     "search_ramanujan_circulant",
 ]

@@ -188,7 +188,7 @@ def cmd_search(args):
                         count += 1
             else:
                 for C, cert in search_gds(args.n):
-                    line = {"n": args.n, "C": sorted(c[0] for c in C),
+                    line = {"n": args.n, "C": C.tolist(),
                             "certificate": cert.to_json()}
                     f.write(json.dumps(line, sort_keys=True) + "\n")
                     count += 1

@@ -34,7 +34,6 @@ __all__ = [
     "dij_cardinality",
     "polar_trace_set",
     "bent_hadamard_set",
-    "additive_character_sum",
 ]
 
 
@@ -106,17 +105,15 @@ def theorem33_set(s, r):
     """Symmetric difference of (C0 x K) and (E x C1) in Z_s x Z_r, where C0
     and C1 are the punctured even-index subgroups.  Degree sr/2 - 2."""
     _check_even(s, r)
-    group = AbelianGroup([s, r])
-    a_block = {(x, y) for x in range(2, s, 2) for y in range(r)}
-    b_block = {(x, y) for x in range(s) for y in range(2, r, 2)}
-    D = frozenset(a_block ^ b_block)
+    x, y = np.indices((s, r))  # the first mask is C0 x K, the second E x C1
+    D = np.flatnonzero(((x % 2 == 0) & (x >= 2)) ^ ((y % 2 == 0) & (y >= 2)))
     # the fifth eigenvalue class: -(s-2)(r-2)/2.  The printed closed form has
     # /4, which its own worked (4,4) example (spectrum 6, 2, -2) contradicts.
     case5 = -(s - 2) * (r - 2) // 2
     predicted = {s * r // 2 - 2, r - 2, s - 2, -2, case5}
     criterion_holds = theorem33_condition(s, r)
     return _certify(
-        ConnectionSet(group, group.indices(D)),
+        ConnectionSet(AbelianGroup([s, r]), D),
         predicted_degree=s * r // 2 - 2,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=criterion_holds,
@@ -141,12 +138,6 @@ def _trace_pair_set(fld, i, j):
     """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j."""
     signs, _, _, inv_signs = _sign_tables(fld)
     return np.flatnonzero((signs[1:] == 1 - 2 * i) & (inv_signs == 1 - 2 * j)) + 1
-
-
-def additive_character_sum(fld, a, elements):
-    """sum over D of (-1)^Tr(a*z): the additive character chi_a under the
-    trace pairing (the labeling the closed forms are stated in)."""
-    return sum(1 - 2 * fld.trace(fld.mul(a, z)) for z in elements)
 
 
 def kloosterman_trace_set(m):
@@ -250,15 +241,14 @@ def bent_hadamard_set(u):
     Cayley graph has spectrum {k, +-2^{u-1}}."""
     if not 1 <= u <= 6:
         raise ValueError(f"u must be in [1, 6], got {u}")
-    group = AbelianGroup([2] * (2 * u))
-    D = frozenset(
-        g for g in group.elements()
-        if sum(g[i] & g[u + i] for i in range(u)) % 2 == 1
-    )
+    # flat index x holds coordinate i at bit 2u-1-i, so the pairs g_i g_{u+i}
+    # are the low u bits of x & (x >> u)
+    x = np.arange(1 << (2 * u))
+    D = np.flatnonzero(np.bitwise_count(x & (x >> u) & ((1 << u) - 1)) & 1)
     k = (1 << (2 * u - 1)) - (1 << (u - 1))
     predicted = {k, 1 << (u - 1), -(1 << (u - 1))}
     return _certify(
-        ConnectionSet(group, group.indices(D)),
+        ConnectionSet(AbelianGroup([2] * (2 * u)), D),
         predicted_degree=k,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=True,

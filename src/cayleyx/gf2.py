@@ -29,12 +29,10 @@ __all__ = [
     "smallest_irreducible",
     "is_irreducible",
     "kloosterman",
-    "kloosterman_pair",
     "kloosterman_one_recursive",
     "kloosterman_one_carlitz",
     "kloosterman_lifted",
     "kloosterman_value_set",
-    "embed_subfield",
 ]
 
 MAX_DEGREE = 24                # budget for direct sums
@@ -161,12 +159,6 @@ class Gf2Field:
             raise ZeroDivisionError("inversion of zero in GF(2^m)")
         return self.pow(a, self.order - 2)
 
-    def frobenius(self, e, i=1):
-        """e^(2^i)."""
-        for _ in range(i % self.m):
-            e = self.mul(e, e)
-        return e
-
     def trace(self, e):
         """Absolute trace onto GF(2), as an int in {0, 1}."""
         return bin(self._chk(e) & self._trace_mask).count("1") & 1
@@ -178,52 +170,6 @@ class Gf2Field:
             x = _poly_mul_mod(x, x, self.modulus, self.m)
         assert t in (0, 1)
         return t
-
-    # -- GF(2^{2m}) machinery: subfield fixed by x -> x^(2^m) ---------------
-
-    def in_subfield(self, e):
-        """Whether e lies in the index-2 subfield GF(2^(m/2)); m must be even."""
-        if self.m % 2:
-            raise ValueError("field degree must be even to have an index-2 subfield")
-        return self.frobenius(e, self.m // 2) == e
-
-    def conj(self, e):
-        """x -> x^(2^(m/2)), the subfield conjugation; m must be even."""
-        if self.m % 2:
-            raise ValueError("field degree must be even")
-        return self.frobenius(e, self.m // 2)
-
-    def subfield_trace(self, e):
-        """Trace of a subfield element onto GF(2): sum_{i < m/2} e^(2^i).
-
-        Requires m even and e fixed by the conjugation x -> x^(2^(m/2)).
-        """
-        if self.m % 2:
-            raise ValueError("field degree must be even")
-        if not self.in_subfield(e):
-            raise ValueError(f"{e} does not lie in the subfield GF(2^{self.m // 2})")
-        t, x = 0, e
-        for _ in range(self.m // 2):
-            t ^= x
-            x = self.mul(x, x)
-        assert t in (0, 1)
-        return t
-
-    def polar_decompose(self, x):
-        """Unique (y, z) with x = y*z, y in GF(2^(m/2))*, z^(2^(m/2)+1) = 1.
-
-        The norm x^(2^(m/2)+1) equals y^2, and squaring is a bijection in
-        characteristic 2, so y is the unique square root of the norm.
-        """
-        if self.m % 2:
-            raise ValueError("field degree must be even")
-        if self._chk(x) == 0:
-            raise ZeroDivisionError("polar decomposition of zero")
-        h = self.m // 2
-        norm = self.mul(x, self.frobenius(x, h))   # = y^2
-        y = self.frobenius(norm, self.m - 1)       # square root
-        z = self.mul(x, self.inv(y))
-        return y, z
 
     # -- discrete-log tables for vectorized sums ----------------------------
 
@@ -283,16 +229,6 @@ def kloosterman(m, a, field=None):
     return int(inv_signs.sum())
 
 
-def kloosterman_pair(m, a, b, field=None):
-    """Two-parameter sum ``k_m(a, b) = sum_{x != 0} (-1)^{Tr(a*x + b*x^{-1})}``."""
-    fld = field if field is not None else Gf2Field(m)
-    total = 0
-    for x in range(1, fld.order):
-        e = fld.mul(a, x) ^ fld.mul(b, fld.inv(x))
-        total += 1 - 2 * fld.trace(e)
-    return total
-
-
 def kloosterman_one_recursive(m):
     """``k_m(1)`` from the recursion k_{m+2} = -k_{m+1} - 2*k_m, seeds 1, 3."""
     if m < 1:
@@ -334,36 +270,6 @@ def kloosterman_lifted(m, s, a, field=None):
     return cur
 
 
-def embed_subfield(sub, big):
-    """Embedding GF(2^m) -> GF(2^(m*s)) as a lookup list, via a root of the
-    small modulus in the big field (smallest root, for determinism)."""
-    if big.m % sub.m:
-        raise ValueError("no subfield embedding: degree does not divide")
-    root = None
-    for cand in range(big.order):
-        # evaluate sub.modulus at cand by Horner
-        acc = 0
-        for bit in range(sub.m, -1, -1):
-            acc = big.mul(acc, cand)
-            if (sub.modulus >> bit) & 1:
-                acc ^= 1
-        if acc == 0:
-            root = cand
-            break
-    assert root is not None
-    powers = [1]
-    for _ in range(sub.m - 1):
-        powers.append(big.mul(powers[-1], root))
-    table = []
-    for e in range(sub.order):
-        img = 0
-        for i in range(sub.m):
-            if (e >> i) & 1:
-                img ^= powers[i]
-        table.append(img)
-    return table
-
-
 def _kloosterman_values(fld):
     """int64 array of ``k_m(a)`` for every a in the field, by one transform.
 
@@ -390,11 +296,13 @@ def _kloosterman_values(fld):
 
 
 class KloostermanTable:
-    """The map a -> k_m(a) over all of GF(2^m)."""
+    """The map a -> k_m(a) over all of GF(2^m): ``values[a]`` is k_m(a), a
+    read-only int64 array."""
 
     def __init__(self, m, values, modulus):
         self.m = m
-        self.values = dict(values)
+        self.values = values
+        self.values.flags.writeable = False
         self.modulus = modulus
 
     @classmethod
@@ -402,10 +310,12 @@ class KloostermanTable:
         if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
             raise ValueError(f"table degree must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
         fld = Gf2Field(m)
-        return cls(m, enumerate(_kloosterman_values(fld).tolist()), fld.modulus)
+        return cls(m, _kloosterman_values(fld), fld.modulus)
 
     def __getitem__(self, a):
-        return self.values[a]
+        if not 0 <= a < self.values.size:
+            raise KeyError(a)
+        return int(self.values[a])
 
 
 def kloosterman_value_set(m):

@@ -1,9 +1,11 @@
 """Cayley graphs on finite abelian groups and their combinatorial queries.
 
 A connection set must be symmetric (C = -C) and identity-free, so the graph
-is simple, undirected and k-regular with k = |C|.  Vertices are the group's
-flat indices (see :mod:`cayleyx.groups`); coordinate tuples appear only in
-the tuple API and in JSON/DOT.  Each graph builds the indicator array of its
+is simple, undirected and k-regular with k = |C|.  Vertices and connection
+sets are the group's flat indices (see :mod:`cayleyx.groups`); coordinate
+tuples appear only at the edges: ``CayleyGraph.build`` and ``from_json``
+parse them, ``ConnectionSet.elements``, ``CayleyGraph.vertices`` and the
+JSON/DOT exports produce them.  Each graph builds the indicator array of its
 connection set once; statistics and srg parameters are read off its
 convolutions, and the dense adjacency matrix is its group matrix.  The
 eigensolver oracle (:func:`cayleyx.spectral.spectrum_oracle`) builds that
@@ -111,10 +113,6 @@ class CayleyGraph:
     def vertices(self):
         return self.group.elements()
 
-    def neighbors(self, v):
-        g = self.group
-        return [g.add(v, c) for c in self.connection]
-
     def neighbor_indices(self, i):
         return self.group.add_indices(i, self.connection.indices).tolist()
 
@@ -165,11 +163,6 @@ class CayleyGraph:
         return self.components() == 1
 
     # -- strong regularity ----------------------------------------------------
-
-    def common_neighbors(self, u, v):
-        nu = set(self.neighbors(u))
-        nv = set(self.neighbors(v))
-        return len(nu & nv)
 
     def srg_check(self):
         """(v, k, lambda, mu) iff common-neighbor counts are constant over

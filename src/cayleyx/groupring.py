@@ -46,17 +46,35 @@ def difference_counts(group, C):
     return dict(zip(group.elements_at(np.arange(1, group.order)), counts[1:].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GdsCertificate:
-    """Verified (n, |S|, k, mu1, mu2) structure of a GDS, with its set S."""
+    """Verified (n, |S|, k, mu1, mu2) structure of a GDS, with its set S.
+    ``C`` and ``S`` are held as sorted read-only int64 arrays of flat
+    indices; tuples appear only in the JSON form."""
 
     group: AbelianGroup
-    C: frozenset
-    S: frozenset
+    C: np.ndarray
+    S: np.ndarray
     k: int
     mu1: int
     mu2: int
     identity_in_S: bool
+
+    def __post_init__(self):
+        for name in ("C", "S"):
+            idx = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
+            idx.flags.writeable = False
+            object.__setattr__(self, name, idx)
+
+    def _key(self):
+        return (self.group, self.C.tobytes(), self.S.tobytes(),
+                self.k, self.mu1, self.mu2, self.identity_in_S)
+
+    def __eq__(self, other):
+        return isinstance(other, GdsCertificate) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self):
@@ -76,9 +94,9 @@ class GdsCertificate:
             "k": self.k,
             "mu1": self.mu1,
             "mu2": self.mu2,
-            "S": sorted(list(s) for s in self.S),
+            "S": [list(s) for s in self.group.elements_at(self.S)],
             "identity_in_S": self.identity_in_S,
-            "C": sorted(list(c) for c in self.C),
+            "C": [list(c) for c in self.group.elements_at(self.C)],
         }
 
     @classmethod
@@ -86,8 +104,8 @@ class GdsCertificate:
         group = AbelianGroup(obj["factors"])
         return cls(
             group=group,
-            C=frozenset(tuple(c) for c in obj["C"]),
-            S=frozenset(tuple(s) for s in obj["S"]),
+            C=group.indices(obj["C"]),
+            S=group.indices(obj["S"]),
             k=obj["k"],
             mu1=obj["mu1"],
             mu2=obj["mu2"],
@@ -106,10 +124,8 @@ def _certificate(group, C, mu):
     mu1, mu2 = values[0], values[-1]
     # mu1 < mu2 <= k = mu_0, so the identity is added by hand
     S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
-    return GdsCertificate(
-        group=group, C=frozenset(group.elements_at(C)), S=frozenset(group.elements_at(S)),
-        k=len(C), mu1=mu1, mu2=mu2, identity_in_S=True,
-    )
+    return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
+                          identity_in_S=True)
 
 
 def verify_gds(group, C):
@@ -156,9 +172,9 @@ def check_group_ring_identity(cert):
     identity coefficient is (k - mu2) instead.
     """
     group = cert.group
-    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(group.indices(cert.S)).ravel()
+    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S).ravel()
     expected[0] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
-    return bool(np.array_equal(_difference_array(group, group.indices(cert.C)), expected))
+    return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
 # Masks per batch of :func:`search_gds`: 64 KiB uint64 arrays, enough masks
@@ -192,7 +208,7 @@ def _two_valued(masks, n):
 def search_gds(n):
     """Exhaustively scan subsets of Z_n with at least two elements (bitmask
     encoding, bit i <-> i in C) and yield (C, certificate) for every GDS, in
-    increasing encoding order.
+    increasing encoding order; C is the certificate's index array.
 
     Masks are scanned in increasing order in uint64 chunks of
     ``SCAN_CHUNK``.  Within a chunk the popcount pre-check of

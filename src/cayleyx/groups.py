@@ -23,22 +23,13 @@ construction.  Every other group goes through the multidimensional FFT.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
-from functools import reduce
 
 import numpy as np
 
 __all__ = ["AbelianGroup", "cyclic"]
-
-# Tolerance factor for "this character sum is real" decisions; the absolute
-# tolerance used is IMAG_TOL_PER_TERM * |C|.
-IMAG_TOL_PER_TERM = 1e-9
-
-# Fourth roots of unity, exact.
-_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # Butterfly sums must stay below this (2^62 leaves room for the float
 # rounding of the bound that is checked against it).
@@ -65,21 +56,23 @@ def _butterfly(w):
 class AbelianGroup:
     """``Z_{d_1} x ... x Z_{d_t}``, written additively.
 
-    Elements are tuples of ints with ``0 <= x_i < d_i``; the identity is the
-    all-zero tuple.  Instances are immutable and safe to share.
+    At the API and JSON edges an element is a tuple of ints with
+    ``0 <= x_i < d_i`` and the identity is ``zero``; everywhere else it is
+    its flat index.  Instances are immutable and safe to share.
     """
 
     def __init__(self, factors):
-        factors = tuple(int(d) for d in factors)
+        try:
+            factors = tuple(operator.index(d) for d in factors)
+        except TypeError:
+            raise ValueError(f"factors must be integers, got {factors!r}") from None
         if not factors or any(d < 2 for d in factors):
             raise ValueError(f"every factor must be >= 2, got {factors}")
         self.factors = factors
         self.order = math.prod(factors)
         self.zero = (0,) * len(factors)
-        # lcm of the factors; phases are multiples of 2*pi/lcm
-        self._lcm = reduce(math.lcm, factors)
         # Z_2^m: the characters are +-1 and the transform is the butterfly
-        self._binary = self._lcm == 2
+        self._binary = set(factors) == {2}
 
     # -- basic structure -------------------------------------------------
 
@@ -92,40 +85,6 @@ class AbelianGroup:
     def __repr__(self):
         return f"AbelianGroup({list(self.factors)})"
 
-    def __contains__(self, g):
-        return (
-            isinstance(g, tuple)
-            and len(g) == len(self.factors)
-            and all(0 <= x < d for x, d in zip(g, self.factors))
-        )
-
-    def _check(self, g):
-        if len(g) != len(self.factors):
-            raise ValueError(
-                f"element {g!r} has {len(g)} coordinates, group has {len(self.factors)} factors"
-            )
-        return g
-
-    def element(self, coords):
-        """Reduce an arbitrary integer tuple coordinate-wise into the group."""
-        coords = tuple(coords)
-        self._check(coords)
-        return tuple(x % d for x, d in zip(coords, self.factors))
-
-    def add(self, g, h):
-        self._check(g)
-        self._check(h)
-        return tuple((x + y) % d for x, y, d in zip(g, h, self.factors))
-
-    def sub(self, g, h):
-        self._check(g)
-        self._check(h)
-        return tuple((x - y) % d for x, y, d in zip(g, h, self.factors))
-
-    def neg(self, g):
-        self._check(g)
-        return tuple((-x) % d for x, d in zip(g, self.factors))
-
     def elements(self):
         """All elements in lexicographic order on coords."""
         return [tuple(t) for t in itertools.product(*(range(d) for d in self.factors))]
@@ -137,48 +96,18 @@ class AbelianGroup:
     def element_at(self, idx):
         return self.elements_at([idx])[0]
 
-    # -- characters -------------------------------------------------------
-
-    def character_value(self, a, x):
-        """Value of the character with index ``a`` at the element ``x``.
-
-        Exact fourth roots of unity are returned exactly; everything else is
-        evaluated with double-precision cos/sin.
-        """
-        self._check(a)
-        self._check(x)
-        # phase numerator over the common denominator lcm(factors)
-        t = sum(ai * xi * (self._lcm // d) for ai, xi, d in zip(a, x, self.factors)) % self._lcm
-        if (4 * t) % self._lcm == 0:
-            return _QUARTER_TURNS[(4 * t // self._lcm) % 4]
-        return cmath.exp(2j * cmath.pi * t / self._lcm)
-
-    def character_sum(self, a, C):
-        """``chi_a(C) = sum_{c in C} chi_a(c)``.
-
-        For symmetric ``C`` (``C = -C``) the sum is real; the imaginary part
-        is checked against tolerance and dropped, and a float is returned.
-        Otherwise the full complex value is returned.
-        """
-        C = list(C)
-        total = sum(self.character_value(a, c) for c in C)
-        if self.is_symmetric(C):
-            if abs(total.imag) > IMAG_TOL_PER_TERM * max(len(C), 1):
-                raise ArithmeticError(
-                    f"character sum over symmetric set has imaginary part {total.imag}"
-                )
-            return total.real
-        return total
-
     # -- flat indices -------------------------------------------------------
 
     def indices(self, elements):
-        """Sorted distinct flat indices (int64) of coordinate tuples, reduced
-        as by :meth:`element`; a bad arity or a non-integer raises ValueError."""
+        """Sorted distinct flat indices (int64) of coordinate tuples, each
+        coordinate reduced modulo its factor; a bad arity or a non-integer
+        raises ValueError."""
         found = set()
         for g in elements:
             g = tuple(g)
-            self._check(g)
+            if len(g) != len(self.factors):
+                raise ValueError(f"element {g!r} has {len(g)} coordinates, "
+                                 f"group has {len(self.factors)} factors")
             idx = 0
             for x, d in zip(g, self.factors):
                 try:
@@ -273,8 +202,8 @@ class AbelianGroup:
         ``C``, on the same grid (leading axes broadcast).  On ``Z_2^m`` it is
         the Walsh-Hadamard transform, an exact int64 table (a non-integral
         input raises ArithmeticError); otherwise a multidimensional DFT,
-        conjugated to match :meth:`character_value`.  For symmetric ``C``
-        every entry is real."""
+        conjugated to the characters of the module docstring.  For
+        symmetric ``C`` every entry is real."""
         if self._binary:
             w, bound = self._integer_rows(indicator)
             if bound >= _INT64_SAFE:
@@ -305,10 +234,6 @@ class AbelianGroup:
             if nxt.sum() == closure.sum():
                 return frozenset(self.elements_at(np.flatnonzero(nxt)))
             closure = nxt
-
-    def is_symmetric(self, C):
-        Cset = set(C)
-        return all(self.neg(c) in Cset for c in Cset)
 
     # -- serialization ----------------------------------------------------
 

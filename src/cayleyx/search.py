@@ -19,8 +19,7 @@ import numpy as np
 
 from .spectral import RamanujanVerdict, _group_eigenvalues, ramanujan_check
 
-__all__ = ["SearchHit", "search_ramanujan_circulant", "degree_of_encoding",
-           "connection_from_encoding"]
+__all__ = ["SearchHit", "search_ramanujan_circulant"]
 
 MAX_N = 32
 CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one SearchHit.csv_row each
@@ -57,28 +56,6 @@ class SearchHit:
                 int(self.verdict.is_ramanujan)]
 
 
-def _pair_count(n):
-    return n // 2
-
-
-def connection_from_encoding(n, s):
-    """The symmetric subset selected by the encoding bits."""
-    C = set()
-    for i in range(1, _pair_count(n) + 1):
-        if (s >> (i - 1)) & 1:
-            C.add(i)
-            C.add(n - i)
-    return tuple(sorted(C))
-
-
-def degree_of_encoding(n, s):
-    deg = 0
-    for i in range(1, _pair_count(n) + 1):
-        if (s >> (i - 1)) & 1:
-            deg += 1 if 2 * i == n else 2
-    return deg
-
-
 def search_ramanujan_circulant(n, min_degree=2):
     """Yield SearchHit for every encoding whose circulant certifies Ramanujan,
     in increasing encoding order.
@@ -93,7 +70,7 @@ def search_ramanujan_circulant(n, min_degree=2):
     """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
-    half = _pair_count(n)
+    half = n // 2
     pairs = np.arange(1, half + 1)
     a = np.arange(n)[:, None]
     P = np.where(2 * pairs == n, (-1.0) ** a, 2.0 * np.cos(2.0 * np.pi * a * pairs / n))
@@ -118,13 +95,13 @@ def search_ramanujan_circulant(n, min_degree=2):
         sums = np.fft.fft(ind, axis=1)
         if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
             raise ArithmeticError("character sums of a symmetric set must be real")
-        for enc, deg, row in zip(s.tolist(), k.tolist(), sums.real.tolist()):
+        for enc, deg, row, mask in zip(s.tolist(), k.tolist(), sums.real.tolist(), ind):
             verdict = ramanujan_check(_group_eigenvalues(row, n), deg, connected=True)
             if verdict.is_ramanujan:
                 yield SearchHit(
                     n=n,
                     encoding=enc,
-                    C=connection_from_encoding(n, enc),
+                    C=tuple(np.flatnonzero(mask).tolist()),
                     degree=deg,
                     second_largest_abs=verdict.second_largest_abs,
                     verdict=verdict,

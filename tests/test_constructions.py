@@ -3,6 +3,7 @@
 import pytest
 
 from cayleyx import (
+    AbelianGroup,
     Gf2Field,
     bent_hadamard_set,
     dij_cardinality,
@@ -14,7 +15,13 @@ from cayleyx import (
     theorem33_set,
     verify_difference_set,
 )
-from cayleyx.constructions import additive_character_sum
+from reference import (
+    additive_character_sum,
+    bent_tuples,
+    frobenius,
+    subfield_trace,
+    theorem33_tuples,
+)
 
 
 # -- scalar references for the array enumeration of the GF(2) sets -------------
@@ -45,9 +52,9 @@ def polar_reference(m):
     fld = Gf2Field(2 * m)
     D = []
     for x in range(1, fld.order):
-        xbar = fld.frobenius(x, m)
-        if (fld.subfield_trace(x ^ xbar) == 1
-                and fld.subfield_trace(fld.mul(x, xbar)) == 1):
+        xbar = frobenius(fld, x, m)
+        if (subfield_trace(fld, x ^ xbar) == 1
+                and subfield_trace(fld, fld.mul(x, xbar)) == 1):
             D.append(x)
     return D
 
@@ -91,12 +98,11 @@ def test_polar_set_matches_scalar_reference():
 
 def test_gf2_sets_never_call_scalar_field_methods(monkeypatch):
     """The GF(2) sets are enumerated on the log/exp tables; the scalar field
-    methods are public API and test reference only (``mul`` builds the
-    tables)."""
+    methods are public API and test reference only."""
     def refuse(*args, **kwargs):
         raise AssertionError("scalar field method called by a construction")
 
-    for name in ("inv", "pow", "frobenius", "trace", "subfield_trace", "in_subfield"):
+    for name in ("add", "mul", "inv", "pow", "trace"):
         monkeypatch.setattr(Gf2Field, name, refuse)
     kloosterman_trace_set(6)
     for i in (0, 1):
@@ -134,6 +140,13 @@ def test_product_66_criterion_vs_spectrum():
     assert rep.predicted_ramanujan
     assert not rep.verdict.is_ramanujan
     assert any("criterion" in d for d in rep.discrepancies)
+
+
+def test_product_set_matches_tuple_reference():
+    for s in range(4, 19, 2):
+        for r in range(4, 19, 2):
+            want = AbelianGroup([s, r]).indices(theorem33_tuples(s, r))
+            assert theorem33_set(s, r).connection.indices.tolist() == want.tolist()
 
 
 def test_product_sweep_spectrum_containment():
@@ -273,7 +286,7 @@ def test_polar_case_table():
         for a in range(2, fld.order):
             ev = additive_character_sum(fld, a, D)
             tr_a = fld.trace(a)
-            tr_norm = fld.subfield_trace(fld.mul(a, fld.frobenius(a, m)))
+            tr_norm = subfield_trace(fld, fld.mul(a, frobenius(fld, a, m)))
             trigger = 1 if m % 2 == 0 else 0
             if tr_a == trigger:
                 assert ev == (-half if tr_norm == 1 else half)
@@ -311,6 +324,13 @@ def test_bent_u3_u4():
         assert verify_difference_set(rep.graph.group, rep.connection.elements) == (n, k, lam)
         assert set(rep.spectrum.values()) == {k, 1 << (u - 1), -(1 << (u - 1))}
         assert rep.verdict.is_ramanujan
+
+
+def test_bent_set_matches_tuple_reference():
+    for u in range(1, 7):
+        group = AbelianGroup([2] * (2 * u))
+        want = group.indices(bent_tuples(group, u))
+        assert bent_hadamard_set(u).connection.indices.tolist() == want.tolist()
 
 
 def test_bent_budget():

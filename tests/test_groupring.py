@@ -17,6 +17,7 @@ from cayleyx import (
 )
 from cayleyx import groupring
 from cayleyx.groupring import check_group_ring_identity
+from reference import add, element, neg
 
 
 def hall_polynomial_difference(C, n):
@@ -32,9 +33,9 @@ def hall_polynomial_difference(C, n):
 
 def multiplier_minus_one_by_translates(group, C):
     """Whether -C equals some translate C + t, tried for all n translates."""
-    C = {group.element(c) for c in C}
-    negC = {group.neg(c) for c in C}
-    return any({group.add(c, t) for c in C} == negC for t in group.elements())
+    C = {element(group, c) for c in C}
+    negC = {neg(group, c) for c in C}
+    return any({add(group, c, t) for c in C} == negC for t in group.elements())
 
 
 def _rotl(mask, g, n):
@@ -68,7 +69,7 @@ def search_gds_by_masks(n):
 
 def gds_lines(n, hits):
     """hits.jsonl lines as `cayleyx search gds` writes them."""
-    return [json.dumps({"n": n, "C": sorted(c[0] for c in C), "certificate": cert.to_json()},
+    return [json.dumps({"n": n, "C": C.tolist(), "certificate": cert.to_json()},
                        sort_keys=True) for C, cert in hits]
 
 
@@ -100,14 +101,15 @@ def test_difference_counts_total_and_symmetry():
     counts = difference_counts(g, C)
     assert sum(counts.values()) == len(C) ** 2 - len(C)
     for e, mu in counts.items():
-        assert counts[g.neg(e)] == mu
+        assert counts[neg(g, e)] == mu
 
 
 def test_verify_gds_canonical_certificate():
     cert = verify_gds(Z20, SUBGROUP_SET)
     assert cert.parameters == (20, 16, 4, 0, 3)
-    assert cert.identity_in_S and (0,) in cert.S
-    assert cert.S == frozenset(Z20.elements()) - frozenset(SUBGROUP_SET)
+    assert cert.identity_in_S and cert.S[0] == 0
+    assert cert.S.tolist() == Z20.indices(set(Z20.elements()) - set(SUBGROUP_SET)).tolist()
+    assert cert.C.tolist() == [4, 8, 12, 16]
     assert not cert.is_difference_set()
 
 
@@ -123,7 +125,7 @@ def test_verify_gds_rejects_three_values():
 def test_verify_gds_degenerate_difference_set():
     cert = verify_gds(cyclic(4), [(1,), (2,), (3,)])
     assert cert.is_difference_set()
-    assert cert.S == frozenset({(0,)})
+    assert cert.S.tolist() == [0]
     assert cert.parameters == (4, 1, 3, 2, 2)
 
 
@@ -152,6 +154,10 @@ def test_certificate_json_roundtrip():
     cert = verify_gds(Z20, SUBGROUP_SET)
     back = GdsCertificate.from_json(cert.to_json())
     assert back == cert
+    assert hash(back) == hash(cert)
+    assert back.to_json() == cert.to_json()
+    assert cert.to_json()["S"] == sorted(cert.to_json()["S"])
+    assert not cert.C.flags.writeable and not cert.S.flags.writeable
 
 
 def test_translation_invariance():
@@ -162,7 +168,7 @@ def test_translation_invariance():
             C = [(c,) for c in rng.sample(range(n), 4)]
             cert = verify_gds(group, C)
             for t in range(n):
-                shifted = [group.add(c, (t,)) for c in C]
+                shifted = [add(group, c, (t,)) for c in C]
                 cert_t = verify_gds(group, shifted)
                 if cert is None:
                     assert cert_t is None
@@ -173,8 +179,8 @@ def test_translation_invariance():
 
 def test_negation_invariance():
     counts = difference_counts(Z20, SUBGROUP_SET)
-    neg = difference_counts(Z20, [Z20.neg(c) for c in SUBGROUP_SET])
-    assert counts == neg
+    negated = difference_counts(Z20, [neg(Z20, c) for c in SUBGROUP_SET])
+    assert counts == negated
 
 
 def test_hall_polynomial_oracle():
@@ -207,7 +213,7 @@ def test_multiplier_minus_one_matches_translates():
             C = rng.sample(elems, rng.randrange(1, group.order))
             # a translate of a symmetric set always has the multiplier
             t = rng.choice(elems)
-            D = [group.add(c, t) for c in set(C) | {group.neg(c) for c in C}]
+            D = [add(group, c, t) for c in set(C) | {neg(group, c) for c in C}]
             for S in (C, D):
                 want = multiplier_minus_one_by_translates(group, S)
                 assert has_multiplier_minus_one(group, S) == want
@@ -216,16 +222,16 @@ def test_multiplier_minus_one_matches_translates():
 
 
 def test_search_small_n():
-    hits4 = {tuple(sorted(c[0] for c in C)) for C, _ in search_gds(4)}
+    hits4 = {tuple(C.tolist()) for C, _ in search_gds(4)}
     assert (1, 2, 3) in hits4
-    hits7 = {tuple(sorted(c[0] for c in C)): cert for C, cert in search_gds(7)}
+    hits7 = {tuple(C.tolist()): cert for C, cert in search_gds(7)}
     assert (1, 2, 4) in hits7
 
 
 def test_search_emits_all_certified_subsets_in_order():
     last = -1
     for C, cert in search_gds(8):
-        mask = sum(1 << c[0] for c in C)
+        mask = sum(1 << c for c in C.tolist())
         assert mask > last
         last = mask
         assert check_group_ring_identity(cert)
@@ -237,8 +243,8 @@ def test_search_certificates_match_fft_route():
     hits = 0
     for n in range(2, 13):
         for C, cert in search_gds(n):
-            assert cert == verify_gds(cyclic(n), C)
-            assert C == cert.C
+            assert cert == verify_gds(cyclic(n), [(c,) for c in C.tolist()])
+            assert C is cert.C
             hits += 1
     assert hits > 1000
 

@@ -1,12 +1,15 @@
 """Group arithmetic, characters, and character sums."""
 
 import cmath
+import importlib
 import json
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import cayleyx
 from cayleyx import (
     AbelianGroup,
     CayleyGraph,
@@ -19,11 +22,22 @@ from cayleyx import (
     search_ramanujan_circulant,
     spectrum_by_characters,
     spectrum_oracle,
+    theorem33_set,
     verify_gds,
 )
 from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
 from cayleyx.spectral import crossing_counts_batch
+from reference import (
+    add,
+    character_sum,
+    character_value,
+    contains,
+    element,
+    is_symmetric,
+    neg,
+    sub,
+)
 
 
 def test_factor_validation():
@@ -31,17 +45,21 @@ def test_factor_validation():
         AbelianGroup([])
     with pytest.raises(ValueError):
         AbelianGroup([4, 1])
+    for bad in ([10.9], ["7"], [4, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
+            AbelianGroup(bad)
+    assert AbelianGroup([np.int64(4), 6]).factors == (4, 6)
 
 
 def test_basic_arithmetic():
     g = AbelianGroup([4, 6])
     assert g.order == 24
     assert g.zero == (0, 0)
-    assert g.add((3, 5), (2, 2)) == (1, 1)
-    assert g.sub((0, 0), (1, 2)) == (3, 4)
-    assert g.neg((1, 2)) == (3, 4)
-    assert g.element((7, -1)) == (3, 5)
-    assert (3, 5) in g and (4, 0) not in g and (1,) not in g
+    assert add(g, (3, 5), (2, 2)) == (1, 1)
+    assert sub(g, (0, 0), (1, 2)) == (3, 4)
+    assert neg(g, (1, 2)) == (3, 4)
+    assert element(g, (7, -1)) == (3, 5)
+    assert contains(g, (3, 5)) and not contains(g, (4, 0)) and not contains(g, (1,))
 
 
 def test_element_indexing_roundtrip():
@@ -59,12 +77,12 @@ def test_flat_indices_match_tuple_api():
     elems = g.elements()
     idx = g.indices(reversed(elems + [(3, 4, 2)]))  # duplicates, unreduced
     assert idx.dtype == np.int64 and idx.tolist() == list(range(g.order))
-    assert g.indices([(4, -1, 7)]).tolist() == [g.index_of(g.element((4, -1, 7)))]
+    assert g.indices([(4, -1, 7)]).tolist() == [g.index_of(element(g, (4, -1, 7)))]
     back = g.elements_at(idx)
     assert back == elems and all(type(x) is int for e in back for x in e)
-    assert g.neg_indices(idx).tolist() == [g.index_of(g.neg(e)) for e in elems]
+    assert g.neg_indices(idx).tolist() == [g.index_of(neg(g, e)) for e in elems]
     total = g.add_indices(idx[:, None], idx[None, :])
-    assert total.tolist() == [[g.index_of(g.add(a, b)) for b in elems] for a in elems]
+    assert total.tolist() == [[g.index_of(add(g, a, b)) for b in elems] for a in elems]
 
 
 @pytest.mark.parametrize("bad, words", [
@@ -82,38 +100,44 @@ def test_group_matrix_is_a_gather():
         g = AbelianGroup(factors)
         x = np.arange(g.order, dtype=float).reshape(g.factors)
         M = g.group_matrix(x)
-        want = [[x.ravel()[g.index_of(g.sub(v, u))] for v in g.elements()] for u in g.elements()]
+        want = [[x.ravel()[g.index_of(sub(g, v, u))] for v in g.elements()] for u in g.elements()]
         assert M.dtype == np.float64 and M.tolist() == want, factors
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):
-    """Pipeline paths run on flat indices: the tuple API is for callers only."""
+    """Pipeline paths run on flat indices: tuples are parsed at the API edge
+    only, and nothing past it converts indices back to tuples."""
     def refuse(*args, **kwargs):
         raise AssertionError("tuple API called by the pipeline")
 
-    for name in ("add", "sub", "neg", "element", "index_of", "element_at"):
+    for name in ("index_of", "element_at"):
         monkeypatch.setattr(AbelianGroup, name, refuse)
     graph = CayleyGraph.build(AbelianGroup([4, 6]), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)])
+    cert = verify_gds(cyclic(20), [(4,), (8,), (12,), (16,)])
+    assert has_multiplier_minus_one(cyclic(20), [(1,), (3,), (4,)]) is False
+    # past the edge: no tuple is parsed or produced
+    for name in ("elements", "elements_at", "indices"):
+        monkeypatch.setattr(AbelianGroup, name, refuse)
     graph.stats()
     spectrum_by_characters(graph)
     spectrum_oracle(graph)
     graph.srg_check()
     crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
-    cert = verify_gds(cyclic(20), [(4,), (8,), (12,), (16,)])
     assert check_group_ring_identity(cert)
-    assert has_multiplier_minus_one(cyclic(20), [(1,), (3,), (4,)]) is False
     assert sum(1 for _ in search_gds(8)) > 0
     assert sum(1 for _ in search_ramanujan_circulant(12)) > 0
     kloosterman_trace_set(4)
+    theorem33_set(4, 6)
+    bent_hadamard_set(2)
 
 
 def test_character_values_are_exact_fourth_roots():
     g = cyclic(20)
-    assert g.character_value((5,), (1,)) == 1j
-    assert g.character_value((10,), (1,)) == -1
-    assert g.character_value((0,), (7,)) == 1
+    assert character_value(g, (5,), (1,)) == 1j
+    assert character_value(g, (10,), (1,)) == -1
+    assert character_value(g, (0,), (7,)) == 1
     # a generic 20th root comes from cmath
-    v = g.character_value((1,), (1,))
+    v = character_value(g, (1,), (1,))
     assert abs(v - cmath.exp(2j * cmath.pi / 20)) < 1e-15
 
 
@@ -122,15 +146,15 @@ def test_characters_are_homomorphisms():
     for a in g.elements():
         for x in g.elements()[:6]:
             for y in g.elements()[:6]:
-                lhs = g.character_value(a, g.add(x, y))
-                rhs = g.character_value(a, x) * g.character_value(a, y)
+                lhs = character_value(g, a, add(g, x, y))
+                rhs = character_value(g, a, x) * character_value(g, a, y)
                 assert abs(lhs - rhs) < 1e-12
 
 
 def test_character_orthogonality():
     g = cyclic(12)
     for a in g.elements():
-        total = sum(g.character_value(a, x) for x in g.elements())
+        total = sum(character_value(g, a, x) for x in g.elements())
         expected = g.order if a == g.zero else 0
         assert abs(total - expected) < 1e-9
 
@@ -139,13 +163,13 @@ def test_character_sum_real_for_symmetric_sets():
     g = cyclic(20)
     C = [(3,), (17,), (4,), (16,)]
     for a in g.elements():
-        v = g.character_sum(a, C)
+        v = character_sum(g, a, C)
         assert isinstance(v, float)
 
 
 def test_character_sum_complex_for_asymmetric_sets():
     g = cyclic(5)
-    v = g.character_sum((1,), [(1,)])
+    v = character_sum(g, (1,), [(1,)])
     assert isinstance(v, complex)
     assert abs(v - cmath.exp(2j * cmath.pi / 5)) < 1e-15
 
@@ -155,7 +179,7 @@ def test_character_sum_table_matches_pointwise():
     C = [(1, 2), (3, 3), (0, 1), (0, 4)]
     table = g.character_sum_table(g.indicator(g.indices(C)))
     for a in g.elements():
-        direct = sum(g.character_value(a, c) for c in C)
+        direct = sum(character_value(g, a, c) for c in C)
         assert abs(table[a] - direct) < 1e-9
 
 
@@ -173,7 +197,7 @@ def test_convolve_counts_sums():
     want = np.zeros(g.factors, dtype=np.int64)
     for a in A:
         for b in B:
-            want[g.add(a, b)] += 1
+            want[add(g, a, b)] += 1
     got = g.convolve(g.indicator(g.indices(A)), g.indicator(g.indices(B)))
     assert got.dtype == np.int64 and (got == want).all()
 
@@ -265,10 +289,21 @@ def test_subgroup_generated():
 
 def test_is_symmetric():
     g = cyclic(7)
-    assert g.is_symmetric([(1,), (6,)])
-    assert not g.is_symmetric([(1,), (2,), (4,)])
+    assert is_symmetric(g, [(1,), (6,)])
+    assert not is_symmetric(g, [(1,), (2,), (4,)])
 
 
 def test_json_roundtrip():
     g = AbelianGroup([4, 6, 2])
     assert AbelianGroup.from_json(g.to_json()) == g
+
+
+def test_every_name_in_all_exists():
+    """``from cayleyx.<module> import *`` binds every name its __all__ lists."""
+    modules = ["cayleyx"] + [f"cayleyx.{m.name}" for m in pkgutil.iter_modules(cayleyx.__path__)]
+    assert len(modules) == 9
+    for name in modules:
+        namespace = {}
+        exec(f"from {name} import *", namespace)  # a stale __all__ entry raises here
+        listed = getattr(importlib.import_module(name), "__all__", ())  # cli has none
+        assert set(listed) <= set(namespace), name

@@ -14,14 +14,14 @@ from cayleyx import (
     ConnectionSet,
     SearchHit,
     cyclic,
-    degree_of_encoding,
     ramanujan_check,
     search,
     search_gds,
     search_ramanujan_circulant,
     spectrum_by_characters,
 )
-from cayleyx.search import CSV_HEADER, connection_from_encoding
+from cayleyx.search import CSV_HEADER
+from reference import connection_from_encoding, degree_of_encoding
 
 
 def search_by_rebuilding_graphs(n, min_degree=2):

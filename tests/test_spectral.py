@@ -24,6 +24,7 @@ from cayleyx.spectral import (
     crossing_lemma_bound,
     spectra_agree,
 )
+from reference import is_symmetric_about_zero
 from test_cayley import _random_symmetric
 
 
@@ -44,7 +45,7 @@ def test_spectrum_subgroup_set():
 def test_spectrum_shifted_set():
     spec = spectrum_by_characters(_circulant(20, [2, 6, 14, 18]))
     assert _multiset(spec) == {4: 2, -4: 2, 1: 8, -1: 8}
-    assert spec.is_symmetric_about_zero()
+    assert is_symmetric_about_zero(spec)
 
 
 def test_spectrum_product_set():
