@@ -16,7 +16,7 @@ import time
 
 from . import constructions, search
 from .graphs import CayleyGraph, InvariantError
-from .groupring import _verify_gds, search_gds
+from .groupring import _certificate, search_gds
 from .spectral import (
     ORACLE_MAX_N,
     ramanujan_check,
@@ -145,7 +145,9 @@ def cmd_analyze(args):
         oracle_ok = spectra_agree(spec, spectrum_oracle(graph))
     st = graph.stats()
     verdict = ramanujan_check(spec, graph.k, st.component_count == 1)
-    cert = _verify_gds(graph.group, graph.connection.indices)
+    # C = -C, so the common-neighbour counts are the difference counts
+    cert = _certificate(graph.group, graph.connection.indices,
+                        graph.common_neighbor_counts().ravel()[1:].tolist())
     srg = None
     if st.component_count == 1:
         srg = graph.srg_check()

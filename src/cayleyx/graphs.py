@@ -5,12 +5,12 @@ is simple, undirected and k-regular with k = |C|.  Vertices and connection
 sets are the group's flat indices (see :mod:`cayleyx.groups`); coordinate
 tuples appear only at the edges: ``CayleyGraph.build`` and ``from_json``
 parse them, ``ConnectionSet.elements``, ``CayleyGraph.vertices`` and the
-JSON/DOT exports produce them.  Each graph builds the indicator array of its
-connection set once; statistics and srg parameters are read off its
-convolutions, and the dense adjacency matrix is its group matrix.  The
-eigensolver oracle (:func:`cayleyx.spectral.spectrum_oracle`) builds that
-group matrix itself, on a reordered grid when n is even, to split it at a
-translation of order 2; it reads the indicator and no character values.
+JSON/DOT exports produce them.  Each graph transforms the indicator of its
+connection set once, to ``characters``; statistics and common-neighbour
+counts are products of that table with transforms, inverted by ``counts``.
+The dense adjacency is the indicator's group matrix, which the oracle
+(:func:`cayleyx.spectral.spectrum_oracle`) builds itself, split at a
+translation of order 2 when n is even; it reads no character values.
 """
 
 from __future__ import annotations
@@ -103,11 +103,13 @@ class CayleyGraph:
         self.n = self.group.order
         self.k = len(connection)
         self.indicator = self.group.indicator(connection.indices)
+        self.characters = self.group.character_sum_table(self.indicator)
         self._stats = None
 
     @classmethod
     def build(cls, group, elements):
-        return cls(ConnectionSet(group, group.indices(elements)))
+        """The graph of coordinate tuples, which must differ after reduction."""
+        return cls(ConnectionSet(group, group.indices(elements, distinct=True)))
 
     @property
     def vertices(self):
@@ -132,13 +134,12 @@ class CayleyGraph:
         if self._stats is not None:
             return self._stats
         g = self.group
-        conn = self.indicator
         frontier = g.indicator([0]).astype(bool)
         reached = frontier.copy()
         bipartite = True
         steps = 0
         while True:
-            nxt = g.convolve(frontier, conn) > 0
+            nxt = g.counts(g.character_sum_table(frontier), self.characters) > 0
             bipartite = bipartite and not (nxt & frontier).any()
             frontier = nxt & ~reached
             if not frontier.any():
@@ -164,6 +165,11 @@ class CayleyGraph:
 
     # -- strong regularity ----------------------------------------------------
 
+    def common_neighbor_counts(self):
+        """The grid array of ``(C * C)[g]``, the common neighbours of 0 and g:
+        A^2(0, g) = #{(c, c') in C x C : c - c' = g}, as C = -C."""
+        return self.group.counts(self.characters, self.characters)
+
     def srg_check(self):
         """(v, k, lambda, mu) iff common-neighbor counts are constant over
         adjacent and over distinct nonadjacent pairs; None otherwise.
@@ -173,10 +179,8 @@ class CayleyGraph:
         """
         if not self.is_connected():
             raise DisconnectedGraphError("srg check requires a connected graph")
-        # A^2(0, g) = #{(c, c') in C x C : c - c' = g} and C = -C
-        ind = self.indicator
-        counts = self.group.convolve(ind, ind).ravel()
-        adj = ind.ravel().astype(bool)
+        counts = self.common_neighbor_counts().ravel()
+        adj = self.indicator.ravel().astype(bool)
         nonadj = ~adj
         nonadj[0] = False  # index 0 is the identity: the diagonal of A^2
         lam_values = set(counts[adj].tolist())

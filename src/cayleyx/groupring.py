@@ -36,8 +36,8 @@ def _difference_array(group, C):
     #{(c1, c2) : c1 - c2 = g}.  ``C`` holds flat indices."""
     if not C.size:
         raise ValueError("difference counts of the empty set are undefined")
-    ind, neg = group.indicator(C), group.indicator(group.neg_indices(C))
-    return group.convolve(ind, neg).ravel()
+    table = group.character_sum_table(group.indicator(C))
+    return group.counts(table, np.conj(table)).ravel()  # the table of -C is conj
 
 
 def difference_counts(group, C):
@@ -131,11 +131,7 @@ def _certificate(group, C, mu):
 def verify_gds(group, C):
     """Certificate iff the difference counts take at most two values
     (presentation as in :func:`_certificate`)."""
-    return _verify_gds(group, group.indices(C))
-
-
-def _verify_gds(group, C):
-    """:func:`verify_gds` of sorted distinct flat indices ``C``."""
+    C = group.indices(C)
     if not C.size:
         raise ValueError("C must be nonempty")
     if C.size >= group.order:
@@ -160,8 +156,8 @@ def has_multiplier_minus_one(group, C):
     C = group.indices(C)
     if not C.size:
         raise ValueError("C must be nonempty")
-    ind = group.indicator(C)
-    return bool(group.convolve(ind, ind).max() == C.size)
+    table = group.character_sum_table(group.indicator(C))
+    return bool(group.counts(table, table).max() == C.size)
 
 
 def check_group_ring_identity(cert):

@@ -13,12 +13,13 @@ and the dual group is indexed exactly like the group itself.
 Character sums are the workhorse of everything downstream: the eigenvalues of
 a Cayley graph on ``G`` with connection set ``C`` are the values ``chi(C)``
 over all characters ``chi``.  Group-ring products (difference counts,
-neighbourhoods of vertex sets) are convolutions of indicator arrays on the
-same grid, computed through the same transform by
-:meth:`AbelianGroup.convolve`.  On ``Z_2^m`` (every factor 2) the flat index
-is the bit pattern of the coordinates and every character is ``+-1``, so the
-transform is the Walsh-Hadamard transform: an int64 butterfly, exact by
-construction.  Every other group goes through the multidimensional FFT.
+neighbourhoods of vertex sets) multiply character tables, and
+:meth:`AbelianGroup.counts`, the one exact inverse of
+:meth:`AbelianGroup.character_sum_table`, turns a product of tables back
+into integer counts on the grid.  On ``Z_2^m`` (every factor 2) the flat
+index is the bit pattern of the coordinates and every character is ``+-1``,
+so the transform is the Walsh-Hadamard transform: an int64 butterfly, exact
+by construction.  Every other group goes through the multidimensional FFT.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ class AbelianGroup:
 
     # -- flat indices -------------------------------------------------------
 
-    def indices(self, elements):
+    def indices(self, elements, distinct=False):
         """Sorted distinct flat indices (int64) of coordinate tuples, each
         coordinate reduced modulo its factor; a bad arity or a non-integer
-        raises ValueError."""
+        (a bool included) raises ValueError, and so, with ``distinct``, does
+        an element that coincides with an earlier one after reduction."""
         found = set()
         for g in elements:
             g = tuple(g)
@@ -111,9 +113,14 @@ class AbelianGroup:
             idx = 0
             for x, d in zip(g, self.factors):
                 try:
+                    if isinstance(x, bool):
+                        raise TypeError
                     idx = idx * d + operator.index(x) % d
                 except TypeError:
                     raise ValueError(f"element {g!r} has a non-integer coordinate") from None
+            if distinct and idx in found:
+                raise ValueError(f"element {g!r} coincides with an earlier element "
+                                 f"modulo the factors")
             found.add(idx)
         return np.array(sorted(found), dtype=np.int64)
 
@@ -171,66 +178,65 @@ class AbelianGroup:
             post *= d
         return M
 
-    def convolve(self, x, y):
-        """Integer counts ``(x * y)[g] = sum_{a + b = g} x[a] y[b]``.
-
-        ``x`` and ``y`` are integer-valued arrays whose trailing axes are the
-        factor grid (leading axes broadcast).  On ``Z_2^m`` this is
-        ``W(W x * W y) / n`` with the int64 Walsh-Hadamard butterfly ``W``:
-        a non-integral input, a sum that could overflow int64 or a remainder
-        of the division raises ArithmeticError.  Otherwise it is
-        ``ifftn(fftn(x) * fftn(y))``, rounded; a value more than 0.25 from an
-        integer raises ArithmeticError instead of being snapped.
-        """
-        if self._binary:
-            (wx, sx), (wy, sy) = self._integer_rows(x), self._integer_rows(y)
-            if self.order * sx * sy >= _INT64_SAFE:
-                raise ArithmeticError("convolution would overflow int64")
-            z = _butterfly(_butterfly(wx) * _butterfly(wy))
-            if (z & (self.order - 1)).any():
-                raise ArithmeticError("convolution of integer arrays is not integral")
-            return (z >> len(self.factors)).reshape(z.shape[:-1] + self.factors)
-        axes = tuple(range(-len(self.factors), 0))
-        z = np.fft.ifftn(np.fft.fftn(x, axes=axes) * np.fft.fftn(y, axes=axes), axes=axes)
-        counts = np.rint(z.real)
-        if np.abs(z - counts).max() > 0.25:
-            raise ArithmeticError("convolution of integer arrays is not integral")
-        return counts.astype(np.int64)
-
     def character_sum_table(self, indicator):
         """``chi_a(C)`` for every character index ``a`` from the grid array of
         ``C``, on the same grid (leading axes broadcast).  On ``Z_2^m`` it is
         the Walsh-Hadamard transform, an exact int64 table (a non-integral
-        input raises ArithmeticError); otherwise a multidimensional DFT,
-        conjugated to the characters of the module docstring.  For
-        symmetric ``C`` every entry is real."""
+        input or an int64 overflow raises ArithmeticError); otherwise a
+        multidimensional DFT, conjugated to the characters of the module
+        docstring.  For symmetric ``C`` every entry is real."""
         if self._binary:
-            w, bound = self._integer_rows(indicator)
-            if bound >= _INT64_SAFE:
-                raise ArithmeticError("character sums would overflow int64")
-            return _butterfly(w).reshape(np.shape(indicator))
+            return _butterfly(self._int64_rows(indicator)).reshape(np.shape(indicator))
         axes = tuple(range(-len(self.factors), 0))
         return np.conj(np.fft.fftn(indicator, axes=axes))  # fftn uses exp(-2*pi*i...); we want +
 
-    def _integer_rows(self, x):
+    def counts(self, a, b):
+        """The integer grid array whose character table is ``a * b`` (leading
+        axes broadcast): ``counts(T(x), T(y))`` is the convolution ``x * y``
+        for the transform ``T`` of :meth:`character_sum_table`.  On ``Z_2^m``
+        it is ``W(a * b) / n`` with the butterfly ``W``: a product that could
+        overflow int64, a non-integral entry or a remainder of the division
+        raises ArithmeticError.  Otherwise it is ``fftn(a * b) / n``, rounded;
+        a value more than 0.25 from an integer raises ArithmeticError."""
+        if self._binary:
+            if float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0)) >= _INT64_SAFE:
+                raise ArithmeticError("product of character tables would overflow int64")
+            z = _butterfly(self._int64_rows(np.multiply(a, b)))
+            if (z & (self.order - 1)).any():
+                raise ArithmeticError("character tables of a non-integral array")
+            return (z >> len(self.factors)).reshape(z.shape[:-1] + self.factors)
+        axes = tuple(range(-len(self.factors), 0))
+        z = np.fft.fftn(np.multiply(a, b), axes=axes) / self.order
+        counts = np.rint(z.real)
+        if np.abs(z - counts).max() > 0.25:
+            raise ArithmeticError("character tables of a non-integral array")
+        return counts.astype(np.int64)
+
+    def convolve(self, x, y):
+        """``(x * y)[g] = sum_{a + b = g} x[a] y[b]`` of integer grid arrays."""
+        return self.counts(self.character_sum_table(x), self.character_sum_table(y))
+
+    def _int64_rows(self, x):
         """A grid array (leading axes broadcast) as a fresh C-ordered int64
-        array of shape (..., n), with the largest row sum of its absolute
-        values, which bounds every partial sum of its butterfly.  A
-        non-integral entry raises ArithmeticError."""
+        array of shape (..., n) for the butterfly.  A non-integral entry, or a
+        row whose absolute values sum to 2^62 or more (that sum bounds every
+        partial sum of the butterfly), raises ArithmeticError."""
         x = np.asarray(x)
         shape = x.shape[:x.ndim - len(self.factors)] + (self.order,)
         w = np.array(x, dtype=np.int64, order="C").reshape(shape)
         if x.dtype.kind not in "biu" and (w != x.reshape(shape)).any():
             raise ArithmeticError("Walsh-Hadamard transform of a non-integral array")
-        return w, float(np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0))
+        if np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0) >= _INT64_SAFE:
+            raise ArithmeticError("Walsh-Hadamard transform would overflow int64")
+        return w
 
     def subgroup_generated(self, gens):
         """Closure of ``gens`` under addition and negation (contains 0)."""
-        gens = self.indices(gens)
-        step = self.indicator(np.concatenate(([0], gens, self.neg_indices(gens))))
+        gens, T = self.indices(gens), self.character_sum_table
+        step = T(self.indicator(np.concatenate(([0], gens, self.neg_indices(gens)))))
         closure = self.indicator([0])
         while True:
-            nxt = self.convolve(closure, step) > 0
+            nxt = self.counts(T(closure), step) > 0
             if nxt.sum() == closure.sum():
                 return frozenset(self.elements_at(np.flatnonzero(nxt)))
             closure = nxt

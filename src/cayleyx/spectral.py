@@ -121,13 +121,13 @@ def _group_eigenvalues(raw, n):
 
 
 def spectrum_by_characters(graph):
-    """One eigenvalue chi(C) per character, via the group's character table.
+    """One eigenvalue chi(C) per character: the graph's character table.
 
     An integer table (``Z_2^m``) is grouped exactly, by counting each value
     in [-k, k] (``|chi(C)| <= k``); a complex one goes through the snapping
     of :func:`_group_eigenvalues`.
     """
-    table = graph.group.character_sum_table(graph.indicator)
+    table = graph.characters
     if table.dtype.kind == "i":
         counts = np.bincount(graph.k - table.ravel())  # index i counts the value k - i
         at = np.flatnonzero(counts)
@@ -243,13 +243,13 @@ def crossing_counts_batch(graph, indicators):
     """Edge counts between Omega1 and its complement for a batch of 0/1
     indicator columns (n x batch).
 
-    Column x gives (A x)[v] = sum_{c in C} x[v + c] = (x * 1_C)[v] (C = -C),
-    one convolution per column on the group's factor grid.
+    Column x gives (A x)[v] = sum_{c in C} x[v + c] = (x * 1_C)[v] (C = -C):
+    one batched transform of the columns times the graph's character table.
     """
     group = graph.group
     X = np.asarray(indicators, dtype=float)
     grids = X.T.reshape(-1, *group.factors)
-    AX = group.convolve(grids, graph.indicator)
+    AX = group.counts(group.character_sum_table(grids), graph.characters)
     AX = AX.reshape(X.shape[1], -1).T
     sizes = X.sum(axis=0)
     inside_twice = np.einsum("ij,ij->j", X, AX)

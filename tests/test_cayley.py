@@ -314,6 +314,8 @@ def test_json_roundtrip_identical():
 def test_from_json_validates():
     with pytest.raises(InvariantError):
         CayleyGraph.from_json({"factors": [10], "connection_set": [[1], [2]]})
+    with pytest.raises(ValueError, match=r"element \(-1,\) coincides with an earlier element"):
+        CayleyGraph.build(cyclic(8), [(1,), (7,), (-1,)])
 
 
 def test_dot_export():

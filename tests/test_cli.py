@@ -105,6 +105,21 @@ def test_analyze_non_integer_coordinates(conn, bad, tmp_path, capsys):
     assert f"element {bad} has a non-integer coordinate" in err
 
 
+@pytest.mark.parametrize("conn, words", [
+    ([[1], [1], [7], [9]], "element (1,) coincides with an earlier element"),
+    ([[1], [7], [9]], "element (9,) coincides with an earlier element"),
+    ([[True], [7]], "element (True,) has a non-integer coordinate"),
+])
+def test_analyze_refuses_elements_it_would_normalise(conn, words, tmp_path, capsys):
+    """Z_8 elements that coincide after reduction, or a bool read as 1, are
+    refused instead of analysing a smaller set than the file lists."""
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"factors": [8], "connection_set": conn}))
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    assert f"malformed graph JSON: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("factors", [[10.9], ["7"]])
 def test_analyze_non_integer_factors(factors, tmp_path, capsys):
     gpath = tmp_path / "bad.json"

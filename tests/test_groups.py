@@ -13,6 +13,7 @@ import cayleyx
 from cayleyx import (
     AbelianGroup,
     CayleyGraph,
+    ConnectionSet,
     bent_hadamard_set,
     cyclic,
     has_multiplier_minus_one,
@@ -89,6 +90,7 @@ def test_flat_indices_match_tuple_api():
     ([(1, 2)], "2 coordinates"),
     ([(1.5,)], "(1.5,) has a non-integer coordinate"),
     ([("a",)], "('a',) has a non-integer coordinate"),
+    ([(True,)], "(True,) has a non-integer coordinate"),
 ])
 def test_indices_reject_bad_elements(bad, words):
     with pytest.raises(ValueError, match=re.escape(words)):
@@ -200,6 +202,13 @@ def test_convolve_counts_sums():
             want[add(g, a, b)] += 1
     got = g.convolve(g.indicator(g.indices(A)), g.indicator(g.indices(B)))
     assert got.dtype == np.int64 and (got == want).all()
+    # a product of character tables with a leading batch axis, on a mixed group
+    h = AbelianGroup([4, 2, 3])
+    rng = np.random.default_rng(3)
+    x = rng.integers(-3, 4, (5,) + h.factors)
+    y = (rng.random(h.factors) < 0.5).astype(float)
+    got = h.counts(h.character_sum_table(x), h.character_sum_table(y))
+    assert got.dtype == np.int64 and np.array_equal(got, fft_convolve(h, x, y))
 
 
 def test_convolve_rejects_non_integral_result():
@@ -215,6 +224,9 @@ def test_butterfly_refuses_int64_overflow():
         g.character_sum_table(big)
     with pytest.raises(ArithmeticError):
         g.convolve(big, g.indicator([1]))
+    table = np.full(g.factors, 1 << 32)  # each in range; their product is 2^64
+    with pytest.raises(ArithmeticError):
+        g.counts(table, table)
 
 
 # -- the Walsh-Hadamard butterfly on Z_2^m against the FFT route ----------------
@@ -274,6 +286,44 @@ def test_binary_groups_never_call_the_fft(monkeypatch, tmp_path):
     assert main(["analyze", str(gpath), "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["oracle_agrees"] is True and verdict["components"] == 1
+
+
+@pytest.mark.parametrize("make_set", [
+    pytest.param(lambda: ConnectionSet(AbelianGroup([2] * 4), np.array([1, 2, 4, 8, 15])),
+                 id="Clebsch"),
+    pytest.param(lambda: theorem33_set(4, 4).connection, id="product(4,4)"),
+])
+def test_graph_transforms_its_connection_set_once(make_set, monkeypatch, tmp_path):
+    """Every query of a graph reads the character table that its constructor
+    stores, so the float indicator of the connection set is transformed once
+    per graph.  (The frontier search transforms its own bool frontiers.)"""
+    conn = make_set()
+    group, C = conn.group, conn.elements
+    indicator = group.indicator(conn.indices)
+    seen = []
+
+    def counting(method):
+        def wrapper(self, *arrays):
+            seen.extend(a for a in arrays if isinstance(a, np.ndarray)
+                        and a.dtype == indicator.dtype and np.array_equal(a, indicator))
+            return method(self, *arrays)
+        return wrapper
+
+    for name in ("character_sum_table", "convolve"):
+        monkeypatch.setattr(AbelianGroup, name, counting(getattr(AbelianGroup, name)))
+    graph = CayleyGraph.build(group, C)
+    spectrum_by_characters(graph)
+    graph.stats()
+    assert graph.srg_check() is not None
+    crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
+    assert len(seen) == 1
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph.to_json_str())
+    seen.clear()
+    assert main(["analyze", str(gpath), "--out", str(tmp_path / "out")]) == 0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert verdict["gds"] is not None and verdict["srg"] is not None
+    assert len(seen) == 1
 
 
 def test_subgroup_generated():
