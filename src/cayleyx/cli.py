@@ -8,15 +8,17 @@ spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 import time
 
-from . import constructions, search
+import numpy as np
+
+from . import constructions, groupring, search
 from .graphs import CayleyGraph, InvariantError
-from .groupring import _certificate, search_gds
+from .groupring import _certificate
 from .spectral import (
     ORACLE_MAX_N,
     ramanujan_check,
@@ -111,8 +113,6 @@ def _require(args, *names):
 def _seeded_crossing_check(graph, spec, seed):
     """Crossing-edge bound (k - lambda2)|O1||O2|/n versus exact counts on
     seeded random partitions; deterministic per seed."""
-    import numpy as np
-
     from .spectral import crossing_counts_batch, second_largest_by_index
 
     rng = np.random.default_rng(seed)
@@ -172,31 +172,72 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _ramanujan_text(n, chunk, tokens):
+    """hits.jsonl lines and hits.csv rows of a chunk of circulant hits (see
+    :func:`cayleyx.search._chunks`), byte for byte ``json.dumps(..., sort_keys=True)``
+    of a hit's JSON form and ``csv.writer`` rows: ints print as themselves and
+    floats by ``repr``, as both do."""
+    s, k, ind, second, boundary = chunk
+    cols = np.nonzero(ind)[1].tolist()  # each row's C, ascending
+    lines, rows, at = [], [], 0
+    for enc, deg, lam, flag in zip(s.tolist(), k.tolist(), second, boundary.tolist()):
+        C = ", ".join([tokens[c] for c in cols[at:at + deg]])
+        at += deg
+        lam = repr(lam)
+        lines.append(f'{{"C": [{C}], "k": {deg}, "lambda2_abs": {lam}, "n": {n}, '
+                     f'"s": {enc}, "verdict": {{"bound": {2.0 * math.sqrt(deg - 1)!r}, '
+                     f'"boundary_flag": {"true" if flag else "false"}, "connected": true, '
+                     f'"is_ramanujan": true, "reason": "", "second_largest_abs": {lam}}}}}\n')
+        rows.append(f"{n},{enc},{deg},{lam},1\r\n")
+    return "".join(lines), "".join(rows)
+
+
+def _gds_text(n, chunk, tokens):
+    """hits.jsonl lines of a chunk of GDS hits (see
+    :func:`cayleyx.groupring._chunks`), byte for byte
+    ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit;
+    the certificate lists its elements as 1-tuples."""
+    bits, counts = chunk
+    mu1, mu2, in_S = groupring._presentation(counts)
+    C_cols, S_cols = np.nonzero(bits)[1].tolist(), np.nonzero(in_S)[1].tolist()
+    lines, c, s = [], 0, 0
+    for k, size, m1, m2 in zip(bits.sum(axis=1).tolist(), in_S.sum(axis=1).tolist(),
+                               mu1.tolist(), mu2.tolist()):
+        C = ", ".join([tokens[i] for i in C_cols[c:c + k]])
+        S = "], [".join([tokens[g] for g in S_cols[s:s + size]])
+        c, s = c + k, s + size
+        lines.append(f'{{"C": [{C}], "certificate": {{"C": [[{C.replace(", ", "], [")}]], '
+                     f'"S": [[{S}]], "factors": [{n}], "identity_in_S": true, '
+                     f'"k": {k}, "mu1": {m1}, "mu2": {m2}, "n": {n}}}, "n": {n}}}\n')
+    return "".join(lines)
+
+
 def cmd_search(args):
+    """Write the hits of one search to hits.jsonl (and hits.csv for
+    circulants), one write per file per scanned chunk."""
     t0 = time.time()
-    outdir = args.out
+    n, outdir = args.n, args.out
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "hits.jsonl")
+    tokens = [str(i) for i in range(n)]
     count = 0
     try:
         with open(path, "w") as f:
             if args.mode == "ramanujan":
                 with open(os.path.join(outdir, "hits.csv"), "w") as g:
-                    rows = csv.writer(g)
-                    rows.writerow(search.CSV_HEADER)
-                    for hit in search.search_ramanujan_circulant(args.n, args.minDegree):
-                        f.write(hit.to_json_line() + "\n")
-                        rows.writerow(hit.csv_row())
-                        count += 1
+                    g.write(",".join(search.CSV_HEADER) + "\r\n")
+                    for chunk in search._chunks(n, args.minDegree):
+                        lines, rows = _ramanujan_text(n, chunk, tokens)
+                        f.write(lines)
+                        g.write(rows)
+                        count += len(chunk[0])
             else:
-                for C, cert in search_gds(args.n):
-                    line = {"n": args.n, "C": C.tolist(),
-                            "certificate": cert.to_json()}
-                    f.write(json.dumps(line, sort_keys=True) + "\n")
-                    count += 1
+                for chunk in groupring._chunks(n):
+                    f.write(_gds_text(n, chunk, tokens))
+                    count += len(chunk[0])
     except ValueError as e:
         raise ParameterError(str(e))
-    print(f"search {args.mode} n={args.n}: {count} hits in {time.time() - t0:.2f}s "
+    print(f"search {args.mode} n={n}: {count} hits in {time.time() - t0:.2f}s "
           f"-> {path}")
     return EXIT_OK
 

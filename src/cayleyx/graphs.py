@@ -105,6 +105,7 @@ class CayleyGraph:
         self.indicator = self.group.indicator(connection.indices)
         self.characters = self.group.character_sum_table(self.indicator)
         self._stats = None
+        self._common = None
 
     @classmethod
     def build(cls, group, elements):
@@ -167,8 +168,12 @@ class CayleyGraph:
 
     def common_neighbor_counts(self):
         """The grid array of ``(C * C)[g]``, the common neighbours of 0 and g:
-        A^2(0, g) = #{(c, c') in C x C : c - c' = g}, as C = -C."""
-        return self.group.counts(self.characters, self.characters)
+        A^2(0, g) = #{(c, c') in C x C : c - c' = g}, as C = -C.  Computed
+        once per graph and returned read-only."""
+        if self._common is None:
+            self._common = self.group.counts(self.characters, self.characters)
+            self._common.flags.writeable = False
+        return self._common
 
     def srg_check(self):
         """(v, k, lambda, mu) iff common-neighbor counts are constant over

@@ -9,7 +9,11 @@ records the two-value structure (n, |S|, k, mu1, mu2).
 The exhaustive cyclic search scans bitmask-encoded subsets in uint64 chunks:
 the difference counts are popcounts of rotated intersections, computed for a
 whole chunk at once, and a mask leaves the chunk at its third distinct count.
-It emits every verifying subset (not just orbit representatives).
+The chunk is the unit up to the output: each yields the 0/1 rows of its GDS
+and their counts, whose row-wise sums, minima, maxima and masks are the
+certificates' k, mu1, mu2 and S.  The CLI writes hits from those arrays;
+:func:`search_gds` builds a certificate per row for API callers.  Every
+verifying subset is emitted (not just orbit representatives).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _difference_array(group, C):
 
 def difference_counts(group, C):
     """Ordered difference counts mu_g for every nonidentity g (zeros included)."""
-    counts = _difference_array(group, group.indices(C))
+    counts = _difference_array(group, group.indices(C, distinct=True))
     return dict(zip(group.elements_at(np.arange(1, group.order)), counts[1:].tolist()))
 
 
@@ -131,7 +135,7 @@ def _certificate(group, C, mu):
 def verify_gds(group, C):
     """Certificate iff the difference counts take at most two values
     (presentation as in :func:`_certificate`)."""
-    C = group.indices(C)
+    C = group.indices(C, distinct=True)
     if not C.size:
         raise ValueError("C must be nonempty")
     if C.size >= group.order:
@@ -153,7 +157,7 @@ def has_multiplier_minus_one(group, C):
     (C * C)[g] = |C intersect (g - C)|, which reaches |C| exactly when
     C = g - C, i.e. -C = C - g.
     """
-    C = group.indices(C)
+    C = group.indices(C, distinct=True)
     if not C.size:
         raise ValueError("C must be nonempty")
     table = group.character_sum_table(group.indicator(C))
@@ -201,28 +205,50 @@ def _two_valued(masks, n):
     return masks
 
 
-def search_gds(n):
-    """Exhaustively scan subsets of Z_n with at least two elements (bitmask
-    encoding, bit i <-> i in C) and yield (C, certificate) for every GDS, in
-    increasing encoding order; C is the certificate's index array.
+def _chunks(n):
+    """Yield ``(bits, counts)`` for the GDS among each chunk of ``SCAN_CHUNK``
+    masks of Z_n with at least two elements, in increasing mask order: the
+    0/1 rows (bit i <-> i in C) and each row's difference counts
+    mu_1..mu_{n-1}, which take at most two values.  A row's k is its sum
+    in ``bits``; :func:`_presentation` gives the rest of its certificate.
 
-    Masks are scanned in increasing order in uint64 chunks of
-    ``SCAN_CHUNK``.  Within a chunk the popcount pre-check of
-    :func:`_two_valued` drops a mask as soon as a third distinct difference
-    count appears; the survivors' full counts mu_1..mu_{n-1} are then
-    computed in one batch and each certificate is built from them.  Every
-    verifying subset is emitted (not just one orbit representative), so any
-    particular set of interest appears verbatim.
+    Within a chunk the popcount pre-check of :func:`_two_valued` drops a
+    mask as soon as a third distinct difference count appears; the
+    survivors' full counts are then computed in one batch.
     """
     if not 2 <= n <= 24:
         raise ValueError(f"n must be in [2, 24], got {n}")
-    group = cyclic(n)
     full = (1 << n) - 1  # C = Z_n is no GDS candidate
     shifts = np.arange(n, dtype=np.uint64)
     for start in range(0, full, SCAN_CHUNK):
         masks = np.arange(start, min(start + SCAN_CHUNK, full), dtype=np.uint64)
         masks = _two_valued(masks[np.bitwise_count(masks) >= 2], n)[:, None]
-        counts = np.bitwise_count(masks & _rotl(masks, shifts[1:], n)).tolist()
-        for bits, mu in zip((masks >> shifts) & 1, counts):
-            cert = _certificate(group, np.flatnonzero(bits), mu)
+        yield (masks >> shifts) & 1, np.bitwise_count(masks & _rotl(masks, shifts[1:], n))
+
+
+def _presentation(counts):
+    """Row-wise :func:`_certificate` of two-valued rows of counts
+    mu_1..mu_{n-1}: the arrays mu1 (row min) and mu2 (row max) and the
+    n-column mask of S (0, and the g with mu_g = mu1 when mu1 < mu2)."""
+    mu1, mu2 = counts.min(axis=1), counts.max(axis=1)
+    in_S = np.ones((len(counts), counts.shape[1] + 1), dtype=bool)
+    in_S[:, 1:] = (counts == mu1[:, None]) & (mu1 != mu2)[:, None]
+    return mu1, mu2, in_S
+
+
+def search_gds(n):
+    """Exhaustively scan subsets of Z_n with at least two elements (bitmask
+    encoding, bit i <-> i in C) and yield (C, certificate) for every GDS, in
+    increasing encoding order; C is the certificate's index array.  Every
+    verifying subset is emitted (not just one orbit representative), so any
+    particular set of interest appears verbatim.  The rows of
+    :func:`_chunks` and their :func:`_presentation` become the certificates.
+    """
+    for bits, counts in _chunks(n):
+        group = cyclic(n)
+        mu1, mu2, in_S = _presentation(counts)
+        for row, S, m1, m2 in zip(bits, in_S, mu1.tolist(), mu2.tolist()):
+            C = np.flatnonzero(row)
+            cert = GdsCertificate(group=group, C=C, S=np.flatnonzero(S), k=C.size,
+                                  mu1=m1, mu2=m2, identity_in_S=True)
             yield cert.C, cert

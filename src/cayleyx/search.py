@@ -4,29 +4,31 @@ Encodings: bit i-1 of s selects the symmetric pair {i, n-i}, for
 i = 1..floor(n/2); when n is even the midpoint n/2 pairs with itself and
 contributes a single element.  The identity index 0 is never selectable.
 Connectivity is checked before the eigenvalue bound (the definition of a
-Ramanujan graph requires it), and every emitted hit carries the full
-spectrum-based certificate.  Encodings are handled in chunks, as rows of
-arrays: degree and connectivity are array operations, and one FFT per chunk
-gives the character sums that both the eigenvalue pre-filter and the
-survivors' certificates read, so no graph object is built.
+Ramanujan graph requires it).  The chunk of encodings is the unit of work
+from the scan to the verdict: degree and connectivity are array operations,
+one FFT per chunk gives the character sums, and the eigenvalue pre-filter
+and the Ramanujan verdict (:func:`cayleyx.spectral._ramanujan_rows`) read
+them row-wise, so no graph and no per-candidate spectrum is built.
+:func:`search_ramanujan_circulant` turns the hits of each chunk into
+:class:`SearchHit` objects; the CLI writes them from the arrays.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import RamanujanVerdict, _group_eigenvalues, ramanujan_check
+from .spectral import RamanujanVerdict, _ramanujan_rows
 
 __all__ = ["SearchHit", "search_ramanujan_circulant"]
 
 MAX_N = 32
-CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one SearchHit.csv_row each
-# Encodings per batch.  Each survivor's n character sums become Python
-# floats for the certificate; small chunks keep those lists, and the peak
-# RSS, small.
+CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one hit per row
+# Encodings per batch.  The verdict sorts and sums each chunk's surviving
+# rows of n sums column by column; 256 rows keep those arrays, and the peak
+# RSS, small (1024 raised the peak by about 2.5 MB).
 SCAN_CHUNK = 1 << 8
 
 
@@ -39,35 +41,19 @@ class SearchHit:
     second_largest_abs: float
     verdict: RamanujanVerdict
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "s": self.encoding,
-            "C": list(self.C),
-            "k": self.degree,
-            "lambda2_abs": self.second_largest_abs,
-            "verdict": self.verdict.to_json(),
-        }
 
-    def to_json_line(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+def _chunks(n, min_degree):
+    """Yield ``(s, k, ind, second, boundary)`` for the hits among each chunk
+    of ``SCAN_CHUNK`` encodings, in increasing encoding order: the encodings,
+    degrees, 0/1 indicator rows of C, and the ``second_largest_abs`` list and
+    ``boundary_flag`` array of their verdicts.
 
-    def csv_row(self):
-        return [self.n, self.encoding, self.degree, self.second_largest_abs,
-                int(self.verdict.is_ramanujan)]
-
-
-def search_ramanujan_circulant(n, min_degree=2):
-    """Yield SearchHit for every encoding whose circulant certifies Ramanujan,
-    in increasing encoding order.
-
-    Encodings are scanned in chunks of ``SCAN_CHUNK`` as the rows of a bit
-    matrix B (column i-1 selects pair i) and of the indicator rows it
-    selects.  Degree and connectivity (gcd of n and the selected residues)
-    are array operations.  The rows that pass them get their character sums
-    from one row-wise FFT; the eigenvalue pre-filter reads those sums, and
-    each survivor is certified by :func:`ramanujan_check` on the snapped
-    spectrum of its row.
+    Encodings are the rows of a bit matrix B (column i-1 selects pair i) and
+    of the indicator rows it selects.  Degree and connectivity (gcd of n and
+    the selected residues) are array operations.  The rows that pass them
+    get their character sums from one row-wise FFT; the pre-filter drops the
+    rows with a |lambda| above the bound, and the survivors are decided
+    exactly as :func:`cayleyx.spectral.ramanujan_check` decides them.
     """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
@@ -90,17 +76,19 @@ def search_ramanujan_circulant(n, min_degree=2):
         mids = np.abs(sums.real[:, 1:])
         mids[np.abs(mids - k[:, None]) <= 1e-9] = 0.0  # +-k is exempt
         keep = mids.max(axis=1) <= 2.0 * np.sqrt(k - 1) + bound_tol
-        # survivors: the exact snapped-spectrum certificate (connected by
-        # the gcd test above)
-        for enc, deg, row, mask in zip(s[keep].tolist(), k[keep].tolist(),
-                                       sums.real[keep].tolist(), ind[keep]):
-            verdict = ramanujan_check(_group_eigenvalues(row, n), deg, connected=True)
-            if verdict.is_ramanujan:
-                yield SearchHit(
-                    n=n,
-                    encoding=enc,
-                    C=tuple(np.flatnonzero(mask).tolist()),
-                    degree=deg,
-                    second_largest_abs=verdict.second_largest_abs,
-                    verdict=verdict,
-                )
+        s, k, ind = s[keep], k[keep], ind[keep]
+        # survivors: the snapped-spectrum verdict (connected by the gcd test)
+        ok, second, boundary = _ramanujan_rows(sums.real[keep], k, n)
+        yield (s[ok], k[ok], ind[ok], [x for x, o in zip(second, ok.tolist()) if o],
+               boundary[ok])
+
+
+def search_ramanujan_circulant(n, min_degree=2):
+    """Yield SearchHit for every encoding whose circulant certifies Ramanujan,
+    in increasing encoding order (see :func:`_chunks`)."""
+    for s, k, ind, second, boundary in _chunks(n, min_degree):
+        for enc, deg, mask, lam, flag in zip(s.tolist(), k.tolist(), ind, second,
+                                             boundary.tolist()):
+            verdict = RamanujanVerdict(True, lam, 2.0 * math.sqrt(deg - 1), True, flag)
+            yield SearchHit(n=n, encoding=enc, C=tuple(np.flatnonzero(mask).tolist()),
+                            degree=deg, second_largest_abs=lam, verdict=verdict)

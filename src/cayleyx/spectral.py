@@ -205,6 +205,54 @@ def ramanujan_check(spectrum, k, connected):
     return RamanujanVerdict(not failure, second, bound, True, boundary, failure)
 
 
+def _ramanujan_rows(raw, k, n):
+    """Row-wise ``ramanujan_check(_group_eigenvalues(row, n), k, connected=True)``
+    for the eigenvalue rows of ``raw`` (an m-row float array; n is the order
+    that scales the clustering gap) and their degrees ``k`` (m ints, each
+    >= 1): the bool arrays ``is_ramanujan`` and ``boundary_flag`` and the
+    list of ``second_largest_abs``, each float bit for bit the scalar one.
+
+    The snapped values are compared as integers.  The others are sorted and
+    cut at gaps above 1e-8*n; each cluster mean is summed left to right, as
+    ``sum`` does.  The largest |lambda| stays a Python int when a snapped
+    value gives it (0.0 when nothing is counted), and an integer that ties a
+    cluster mean for it raises ArithmeticError, since the scalar result
+    would then depend on the order of the spectrum.
+    """
+    raw = np.asarray(raw, dtype=float)
+    k = np.asarray(k, dtype=np.int64)[:, None]
+    bound = 2.0 * np.sqrt(k - 1)
+    r = np.round(raw)
+    exact = np.abs(raw - r) < SNAP_TOL
+    counted = exact & (np.abs(r) != k)
+    fail = (counted & (r * r > 4 * (k - 1))).any(axis=1)
+    top_exact = np.where(counted, np.abs(r), -1.0).max(axis=1)
+    # clusters of the unsnapped values: NaN sorts last and never starts one
+    v = np.sort(np.where(exact, np.nan, raw), axis=1)
+    valid = ~np.isnan(v)
+    start = np.ones_like(valid)
+    start[:, 1:] = np.diff(v, axis=1) > 1e-8 * n
+    end = valid.copy()
+    end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
+    means = np.empty_like(v)
+    total = count = np.zeros(len(v))
+    for j in range(v.shape[1]):
+        total = np.where(start[:, j], v[:, j], total + v[:, j])
+        count = np.where(start[:, j], 1.0, count + 1.0)
+        means[:, j] = total / count
+    a = np.abs(means)
+    counted = end & (np.abs(a - k) > SNAP_TOL)
+    boundary = (counted & (np.abs(a - bound) <= BOUNDARY_TOL)).any(axis=1)
+    fail |= (counted & (a > bound + BOUNDARY_TOL)).any(axis=1)
+    top_cluster = np.where(counted, a, -1.0).max(axis=1)
+    if ((top_exact == top_cluster) & (top_exact >= 0)).any():
+        raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
+    second = np.maximum(np.maximum(top_exact, top_cluster), 0.0).tolist()
+    integral = (top_exact > np.maximum(top_cluster, 0.0)).tolist()
+    second = [int(x) if i else x for x, i in zip(second, integral)]
+    return ~fail, second, boundary
+
+
 def certify_ramanujan(graph):
     return ramanujan_check(spectrum_by_characters(graph), graph.k, graph.is_connected())
 

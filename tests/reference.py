@@ -11,10 +11,15 @@ tests can compare the array routes against them:
 * GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar decomposition, subfield embeddings, the two-parameter
   Kloosterman sum and additive character sums;
 * the circulant-search encodings, and the tuple sets of the product and bent
-  constructions.
+  constructions;
+* the lines of hits.jsonl and hits.csv, one hit at a time through
+  ``json.dumps`` and ``csv.writer``.
 """
 
 import cmath
+import csv
+import io
+import json
 import math
 from functools import reduce
 
@@ -262,3 +267,33 @@ def bent_tuples(group, u):
         g for g in group.elements()
         if sum(g[i] & g[u + i] for i in range(u)) % 2 == 1
     )
+
+
+# -- search hits as json.dumps and csv.writer write them ---------------------------
+
+def ramanujan_hit_line(hit):
+    """The hits.jsonl line of a circulant-search hit (a ``SearchHit``),
+    without its newline."""
+    return json.dumps({
+        "n": hit.n,
+        "s": hit.encoding,
+        "C": list(hit.C),
+        "k": hit.degree,
+        "lambda2_abs": hit.second_largest_abs,
+        "verdict": hit.verdict.to_json(),
+    }, sort_keys=True)
+
+
+def ramanujan_csv_row(hit):
+    """The hits.csv row of a circulant-search hit, as ``csv.writer`` ends it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([hit.n, hit.encoding, hit.degree, hit.second_largest_abs,
+                              int(hit.verdict.is_ramanujan)])
+    return buf.getvalue()
+
+
+def gds_hit_line(n, C, cert):
+    """The hits.jsonl line of a GDS-search hit ``(C, cert)``, without its
+    newline."""
+    return json.dumps({"n": n, "C": C.tolist(), "certificate": cert.to_json()},
+                      sort_keys=True)

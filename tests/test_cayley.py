@@ -284,6 +284,19 @@ def test_srg_matches_dense_square(make_graph):
     assert graph.srg_check() == srg_by_dense_square(graph)
 
 
+def test_common_neighbor_counts_computed_once(monkeypatch):
+    graph = theorem33_set(4, 4).graph
+    calls = []
+    counts = AbelianGroup.counts
+    monkeypatch.setattr(AbelianGroup, "counts",
+                        lambda self, a, b: calls.append(1) or counts(self, a, b))
+    first = graph.common_neighbor_counts()
+    assert graph.srg_check() == (16, 6, 2, 2)
+    assert graph.common_neighbor_counts() is first
+    assert len(calls) == 1
+    assert not first.flags.writeable
+
+
 def test_srg_requires_connected():
     with pytest.raises(DisconnectedGraphError):
         _circulant(20, [4, 8, 12, 16]).srg_check()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cayleyx import CayleyGraph, cyclic, theorem33_set
+from cayleyx import AbelianGroup, CayleyGraph, cyclic, theorem33_set
 from cayleyx.cli import main
 
 
@@ -62,6 +62,29 @@ def test_analyze_product_graph(tmp_path, capsys):
     assert verdict["srg"] == [16, 6, 2, 2]
     assert verdict["oracle_agrees"] is True
     assert verdict["crossing_checks"]["violations"] == 0
+
+
+def test_analyze_computes_common_neighbours_once(tmp_path, monkeypatch):
+    """The GDS certificate and the srg check share one common-neighbour
+    table: an analyze op makes one inverse transform fewer than it does when
+    every call recomputes it, and writes the same verdict."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(theorem33_set(4, 6).graph.to_json()))
+    calls = []
+    counts = AbelianGroup.counts
+    monkeypatch.setattr(AbelianGroup, "counts",
+                        lambda self, a, b: calls.append(1) or counts(self, a, b))
+
+    def analyze(out):
+        calls.clear()
+        assert run(["analyze", str(gpath), "--out", str(tmp_path / out)]) == 0
+        return len(calls), (tmp_path / out / "verdict.json").read_text()
+
+    once = analyze("once")
+    monkeypatch.setattr(CayleyGraph, "common_neighbor_counts",
+                        lambda self: self.group.counts(self.characters, self.characters))
+    recomputed = analyze("recomputed")
+    assert once == (recomputed[0] - 1, recomputed[1])
 
 
 def test_analyze_reports_skipped_oracle(tmp_path, capsys):

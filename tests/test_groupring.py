@@ -1,6 +1,5 @@
 """Difference counts, GDS certificates, and the exhaustive cyclic search."""
 
-import json
 import random
 
 import pytest
@@ -17,7 +16,7 @@ from cayleyx import (
 )
 from cayleyx import groupring
 from cayleyx.groupring import check_group_ring_identity
-from reference import add, element, neg
+from reference import add, element, gds_hit_line, neg
 
 
 def hall_polynomial_difference(C, n):
@@ -69,8 +68,7 @@ def search_gds_by_masks(n):
 
 def gds_lines(n, hits):
     """hits.jsonl lines as `cayleyx search gds` writes them."""
-    return [json.dumps({"n": n, "C": C.tolist(), "certificate": cert.to_json()},
-                       sort_keys=True) for C, cert in hits]
+    return [gds_hit_line(n, C, cert) for C, cert in hits]
 
 
 Z20 = cyclic(20)
@@ -262,6 +260,14 @@ def test_search_hits_straddle_chunk_boundaries(monkeypatch):
 def test_search_budget():
     with pytest.raises(ValueError):
         next(search_gds(25))
+
+
+@pytest.mark.parametrize("check", [verify_gds, difference_counts, has_multiplier_minus_one])
+def test_elements_that_coincide_after_reduction_are_refused(check):
+    """(9,) is (1,) in Z_8: the set lists three elements but holds two, so
+    it is refused instead of certified with k = 2."""
+    with pytest.raises(ValueError, match=r"element \(9,\) coincides with an earlier element"):
+        check(cyclic(8), [(1,), (9,), (3,)])
 
 
 def test_empty_set_rejected():

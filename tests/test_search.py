@@ -1,7 +1,5 @@
-"""Exhaustive Ramanujan-circulant search."""
+"""Exhaustive Ramanujan-circulant search, and the hit files of both searches."""
 
-import csv
-import io
 import json
 import math
 
@@ -12,16 +10,26 @@ from cayleyx import (
     AbelianGroup,
     CayleyGraph,
     ConnectionSet,
+    GdsCertificate,
     SearchHit,
     cyclic,
+    groupring,
     ramanujan_check,
     search,
     search_gds,
     search_ramanujan_circulant,
     spectrum_by_characters,
 )
+from cayleyx.cli import main
 from cayleyx.search import CSV_HEADER
-from reference import connection_from_encoding, degree_of_encoding
+from cayleyx.spectral import _group_eigenvalues, _ramanujan_rows
+from reference import (
+    connection_from_encoding,
+    degree_of_encoding,
+    gds_hit_line,
+    ramanujan_csv_row,
+    ramanujan_hit_line,
+)
 
 
 def search_by_rebuilding_graphs(n, min_degree=2):
@@ -52,7 +60,7 @@ def search_by_rebuilding_graphs(n, min_degree=2):
 
 
 def _lines(hits):
-    return [h.to_json_line() for h in hits]
+    return [ramanujan_hit_line(h) for h in hits]
 
 
 def test_encoding_decoding():
@@ -105,17 +113,131 @@ def test_hits_straddle_chunk_boundaries(monkeypatch):
     assert _lines(search_ramanujan_circulant(17)) == _lines(search_by_rebuilding_graphs(17))
 
 
-def test_searches_build_no_graph(monkeypatch):
+def test_searches_build_no_graph(monkeypatch, tmp_path):
     """Both searches certify from their own batched counts and sums: no
-    ConnectionSet, no per-graph character table, no verify_gds call."""
+    ConnectionSet, no per-graph character table, no verify_gds call, no
+    per-candidate spectrum or verdict.  The CLI writes its hits from the
+    arrays and builds no certificate either."""
     def refuse(*args, **kwargs):
         raise AssertionError("per-candidate certification route called by a search")
 
     monkeypatch.setattr(ConnectionSet, "__post_init__", refuse)
     monkeypatch.setattr(AbelianGroup, "character_sum_table", refuse)
     monkeypatch.setattr("cayleyx.groupring.verify_gds", refuse)
+    monkeypatch.setattr("cayleyx.spectral._group_eigenvalues", refuse)
+    monkeypatch.setattr("cayleyx.spectral.ramanujan_check", refuse)
+    monkeypatch.setattr("cayleyx.cli.ramanujan_check", refuse)
     assert sum(1 for _ in search_ramanujan_circulant(16)) > 0
     assert sum(1 for _ in search_gds(10)) > 0
+    monkeypatch.setattr(GdsCertificate, "__post_init__", refuse)
+    for mode, n in (("ramanujan", 16), ("gds", 10)):
+        assert main(["search", mode, "--n", str(n), "--out", str(tmp_path / mode)]) == 0
+        assert (tmp_path / mode / "hits.jsonl").read_text()
+
+
+def _expected_files(mode, n):
+    """hits.jsonl (and hits.csv) text built one hit at a time through
+    json.dumps and csv.writer from the API searches."""
+    if mode == "gds":
+        return {"hits.jsonl": "".join(gds_hit_line(n, C, cert) + "\n"
+                                      for C, cert in search_gds(n))}
+    hits = list(search_ramanujan_circulant(n))
+    return {"hits.jsonl": "".join(ramanujan_hit_line(h) + "\n" for h in hits),
+            "hits.csv": ",".join(CSV_HEADER) + "\r\n"
+                        + "".join(ramanujan_csv_row(h) for h in hits)}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+# n = 24 holds a hit with boundary_flag true
+@pytest.mark.parametrize("mode, n", [("ramanujan", 17), ("ramanujan", 24), ("gds", 11)])
+def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, capsys):
+    if chunk:
+        monkeypatch.setattr(search, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(groupring, "SCAN_CHUNK", chunk)
+    expected = _expected_files(mode, n)
+    assert expected["hits.jsonl"]
+    assert main(["search", mode, "--n", str(n), "--out", str(tmp_path)]) == 0
+    lines = expected["hits.jsonl"].count("\n")
+    assert f"{lines} hits" in capsys.readouterr().out
+    for name, text in expected.items():
+        with open(tmp_path / name, newline="") as f:
+            assert f.read() == text, name
+
+
+def _verdict_fields(verdict):
+    return (verdict.is_ramanujan, verdict.second_largest_abs,
+            type(verdict.second_largest_abs), verdict.boundary_flag)
+
+
+def _assert_rows_match_scalar(raw, k, n):
+    raw = np.asarray(raw, dtype=float)
+    ok, second, boundary = _ramanujan_rows(raw, k, n)
+    assert len(second) == len(raw)
+    for r, row in enumerate(raw.tolist()):
+        want = ramanujan_check(_group_eigenvalues(row, n), int(k[r]), connected=True)
+        assert (bool(ok[r]), second[r], type(second[r]), bool(boundary[r])) \
+            == _verdict_fields(want), (r, row)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_ramanujan_rows_match_scalar_verdict(n):
+    """Every connected encoding of Z_n (a superset of the pre-filter's
+    survivors, hits and non-hits alike) gets the scalar verdict field for
+    field, with the same Python type of second_largest_abs."""
+    encodings = [s for s in range(1, 1 << (n // 2))
+                 if math.gcd(n, *connection_from_encoding(n, s)) == 1]
+    ind = np.zeros((len(encodings), n))
+    for r, s in enumerate(encodings):
+        ind[r, list(connection_from_encoding(n, s))] = 1.0
+    raw = np.fft.fft(ind, axis=1).real
+    k = ind.sum(axis=1).astype(np.int64)
+    ok, _, _ = _ramanujan_rows(raw, k, n)
+    assert 0 < ok.sum() < len(ok)
+    _assert_rows_match_scalar(raw, k, n)
+
+
+def test_ramanujan_rows_hand_built():
+    """Rows that reach each branch: a cluster averaged from three unsnapped
+    values, a value at the boundary, an integer maximum, an all-zero
+    nontrivial spectrum (0.0, not 0) and a failing integer."""
+    n = 8
+    bound3 = 2.0 * math.sqrt(2)
+    a, b, c = 1.1000000002, 1.1000000359000002, 1.1000000588  # gaps below 1e-8 * n
+    rows = [
+        # one cluster, whose mean depends on the order of the sum and on the
+        # division by 3: ((a + b) + c) / 3 != (a + (b + c)) / 3 != (a + b + c) * (1 / 3)
+        [3.0, c, a, b, -1.0, -1.0, 0.5, -3.0],
+        # boundary: an unsnapped value 5e-7 above 2 sqrt(k - 1)
+        [3.0, bound3 + 5e-7, -bound3 - 5e-7, 1.0, 0.25, 0.25, -1.5, -1.0],
+        # integer maximum 2 above unsnapped values
+        [3.0, 2.0 + 1e-8, -2.0, 1.75, 0.5, 0.5, -1.0, -1.0],
+        # complete bipartite: only k, -k and 0
+        [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -4.0],
+        # integer 5 above 2 sqrt(5)
+        [6.0, 5.0, 1.0, 1.0, 0.5, -0.5, -1.0, 1.0],
+    ]
+    k = np.array([3, 3, 3, 4, 6])
+    _assert_rows_match_scalar(rows, k, n)
+    ok, second, boundary = _ramanujan_rows(np.array(rows), k, n)
+    assert ((a + b) + c) / 3 not in ((a + (b + c)) / 3, (a + b + c) * (1.0 / 3))
+    assert (((a + b) + c) / 3, 3, False) in _group_eigenvalues(rows[0], n).entries
+    assert ok.tolist() == [True, True, True, True, False]
+    assert boundary.tolist() == [False, True, False, False, False]
+    assert second[2] == 2 and type(second[2]) is int
+    assert second[3] == 0.0 and type(second[3]) is float
+
+
+def test_ramanujan_rows_refuse_a_tie():
+    """An integer and a cluster mean of the same |lambda| make the scalar
+    answer depend on spectrum order; the row-wise verdict refuses it.  Such a
+    cluster must straddle the snapped band around 2, so the clustering gap
+    1e-8 * n has to exceed 2e-6: n = 1000 here (no n <= 32 allows it)."""
+    eps = 2.0 ** -19  # above SNAP_TOL, and 2 - eps, 2 + eps average to 2 exactly
+    row = [5.0, 2.0, -(2.0 - eps), -(2.0 + eps), 0.0, 0.0, 0.0, -1.0]
+    scalar = _group_eigenvalues(row, 1000).entries
+    assert (2, 1, True) in scalar and (-2.0, 2, False) in scalar
+    with pytest.raises(ArithmeticError):
+        _ramanujan_rows(np.array([row]), np.array([5]), 1000)
 
 
 def test_budget():
@@ -127,13 +249,8 @@ def test_budget():
 
 def test_serialization():
     hit = next(iter(search_ramanujan_circulant(5)))
-    payload = json.loads(hit.to_json_line())
+    payload = json.loads(ramanujan_hit_line(hit))
     assert set(payload) == {"n", "s", "C", "k", "lambda2_abs", "verdict"}
-    buf = io.StringIO()
-    rows = csv.writer(buf)
-    rows.writerow(CSV_HEADER)
-    rows.writerow(hit.csv_row())
-    header, row = buf.getvalue().splitlines()
-    assert header == "n,s,k,lambda2_abs,ramanujan"
-    assert row == f"5,{hit.encoding},{hit.degree},{hit.second_largest_abs},1"
+    assert ",".join(CSV_HEADER) == "n,s,k,lambda2_abs,ramanujan"
+    assert ramanujan_csv_row(hit) == f"5,{hit.encoding},{hit.degree},{hit.second_largest_abs},1\r\n"
     assert isinstance(hit, SearchHit)
