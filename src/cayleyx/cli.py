@@ -21,6 +21,7 @@ from .graphs import CayleyGraph, InvariantError
 from .groupring import _certificate
 from .spectral import (
     ORACLE_MAX_N,
+    _crossings,
     ramanujan_check,
     spectra_agree,
     spectrum_by_characters,
@@ -113,13 +114,9 @@ def _require(args, *names):
 def _seeded_crossing_check(graph, spec, seed):
     """Crossing-edge bound (k - lambda2)|O1||O2|/n versus exact counts on
     seeded random partitions; deterministic per seed."""
-    from .spectral import crossing_counts_batch, second_largest_by_index
-
     rng = np.random.default_rng(seed)
     X = (rng.random((graph.n, CROSSING_TRIALS)) < 0.5).astype(float)
-    actual, sizes = crossing_counts_batch(graph, X)
-    gap = graph.k - second_largest_by_index(spec, graph.k)
-    bounds = gap * sizes * (graph.n - sizes) / graph.n
+    bounds, actual = _crossings(graph, spec, X)
     violations = int((actual < bounds - 1e-9).sum())
     return {"seed": seed, "trials": CROSSING_TRIALS, "violations": violations}
 
@@ -147,7 +144,7 @@ def cmd_analyze(args):
     verdict = ramanujan_check(spec, graph.k, st.component_count == 1)
     # C = -C, so the common-neighbour counts are the difference counts
     cert = _certificate(graph.group, graph.connection.indices,
-                        graph.common_neighbor_counts().ravel()[1:].tolist())
+                        graph.common_neighbor_counts().ravel()[1:])
     srg = None
     if st.component_count == 1:
         srg = graph.srg_check()

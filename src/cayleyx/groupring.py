@@ -118,29 +118,25 @@ class GdsCertificate:
 
 
 def _certificate(group, C, mu):
-    """Certificate of the flat-index set C from the list ``mu[g - 1]`` of its
-    counts at g = 1..n-1, or None beyond two values.  Canonical presentation:
-    0 in S and mu1 < mu2 (S = the rarer differences plus 0); when all counts
-    coincide C is a difference set, S = {0} and mu1 = mu2."""
-    values = sorted(set(mu))
-    if len(values) > 2:
+    """Certificate of the flat-index set C from the array ``mu[g - 1]`` of
+    its counts at g = 1..n-1, or None beyond two values; the presentation is
+    :func:`_presentation`'s on ``mu`` as one row."""
+    mu1, mu2, in_S = _presentation(mu[None])
+    if ((mu != mu1) & (mu != mu2)).any():
         return None
-    mu1, mu2 = values[0], values[-1]
-    # mu1 < mu2 <= k = mu_0, so the identity is added by hand
-    S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
-    return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
-                          identity_in_S=True)
+    return GdsCertificate(group=group, C=C, S=np.flatnonzero(in_S), k=len(C),
+                          mu1=mu1.item(), mu2=mu2.item(), identity_in_S=True)
 
 
 def verify_gds(group, C):
     """Certificate iff the difference counts take at most two values
-    (presentation as in :func:`_certificate`)."""
+    (presentation as in :func:`_presentation`)."""
     C = group.indices(C, distinct=True)
     if not C.size:
         raise ValueError("C must be nonempty")
     if C.size >= group.order:
         return None
-    return _certificate(group, C, _difference_array(group, C)[1:].tolist())
+    return _certificate(group, C, _difference_array(group, C)[1:])
 
 
 def verify_difference_set(group, C):
@@ -227,9 +223,10 @@ def _chunks(n):
 
 
 def _presentation(counts):
-    """Row-wise :func:`_certificate` of two-valued rows of counts
-    mu_1..mu_{n-1}: the arrays mu1 (row min) and mu2 (row max) and the
-    n-column mask of S (0, and the g with mu_g = mu1 when mu1 < mu2)."""
+    """The canonical presentation of two-valued rows of counts mu_1..mu_{n-1}:
+    the arrays mu1 (row min) and mu2 (row max), and the n-column mask of S,
+    which holds 0 and, when mu1 < mu2, the g with mu_g = mu1 (S = {0} for a
+    difference set, where mu1 = mu2)."""
     mu1, mu2 = counts.min(axis=1), counts.max(axis=1)
     in_S = np.ones((len(counts), counts.shape[1] + 1), dtype=bool)
     in_S[:, 1:] = (counts == mu1[:, None]) & (mu1 != mu2)[:, None]

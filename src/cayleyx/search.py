@@ -6,9 +6,10 @@ contributes a single element.  The identity index 0 is never selectable.
 Connectivity is checked before the eigenvalue bound (the definition of a
 Ramanujan graph requires it).  The chunk of encodings is the unit of work
 from the scan to the verdict: degree and connectivity are array operations,
-one FFT per chunk gives the character sums, and the eigenvalue pre-filter
-and the Ramanujan verdict (:func:`cayleyx.spectral._ramanujan_rows`) read
-them row-wise, so no graph and no per-candidate spectrum is built.
+one FFT per chunk gives the character sums, and every connected row goes to
+the package's one Ramanujan decision (:func:`cayleyx.spectral._ramanujan_rows`,
+the same snapping, clustering and verdict as :func:`cayleyx.ramanujan_check`),
+so no graph and no per-candidate spectrum is built.
 :func:`search_ramanujan_circulant` turns the hits of each chunk into
 :class:`SearchHit` objects; the CLI writes them from the arrays.
 """
@@ -26,9 +27,9 @@ __all__ = ["SearchHit", "search_ramanujan_circulant"]
 
 MAX_N = 32
 CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one hit per row
-# Encodings per batch.  The verdict sorts and sums each chunk's surviving
-# rows of n sums column by column; 256 rows keep those arrays, and the peak
-# RSS, small (1024 raised the peak by about 2.5 MB).
+# Encodings per batch.  The verdict sorts and clusters each chunk's
+# connected rows of n sums; 256 rows keep those arrays, and the peak RSS,
+# small (1024 raised the peak by about 2.5 MB).
 SCAN_CHUNK = 1 << 8
 
 
@@ -51,15 +52,14 @@ def _chunks(n, min_degree):
     Encodings are the rows of a bit matrix B (column i-1 selects pair i) and
     of the indicator rows it selects.  Degree and connectivity (gcd of n and
     the selected residues) are array operations.  The rows that pass them
-    get their character sums from one row-wise FFT; the pre-filter drops the
-    rows with a |lambda| above the bound, and the survivors are decided
-    exactly as :func:`cayleyx.spectral.ramanujan_check` decides them.
+    get their character sums from one row-wise FFT, and
+    :func:`cayleyx.spectral._ramanujan_rows` decides each of them exactly as
+    :func:`cayleyx.spectral.ramanujan_check` decides one graph.
     """
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
     half = n // 2
     pairs = np.arange(1, half + 1)
-    bound_tol = 1e-9
     for start in range(1, 1 << half, SCAN_CHUNK):
         s = np.arange(start, min(start + SCAN_CHUNK, 1 << half))
         B = (s[:, None] >> (pairs - 1)) & 1
@@ -73,12 +73,7 @@ def _chunks(n, min_degree):
         sums = np.fft.fft(ind, axis=1)
         if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
             raise ArithmeticError("character sums of a symmetric set must be real")
-        mids = np.abs(sums.real[:, 1:])
-        mids[np.abs(mids - k[:, None]) <= 1e-9] = 0.0  # +-k is exempt
-        keep = mids.max(axis=1) <= 2.0 * np.sqrt(k - 1) + bound_tol
-        s, k, ind = s[keep], k[keep], ind[keep]
-        # survivors: the snapped-spectrum verdict (connected by the gcd test)
-        ok, second, boundary = _ramanujan_rows(sums.real[keep], k, n)
+        ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test
         yield (s[ok], k[ok], ind[ok], [x for x, o in zip(second, ok.tolist()) if o],
                boundary[ok])
 

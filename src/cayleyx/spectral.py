@@ -5,10 +5,12 @@ oracle, its independent check, diagonalizes the dense adjacency matrix with
 a symmetric eigensolver (the only place an n x n matrix is built), split
 once at one group element of order 2, never through character values.
 On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
-transform, so every eigenvalue there is exact by construction.  On every
-other group, eigenvalues within 1e-6 of an integer are snapped and stored
-exact.  Either way Ramanujan comparisons (lambda^2 <= 4(k-1)) are exact
-integer tests in every construction this package ships.
+transform, so every eigenvalue there is exact by construction.  Every other
+spectrum, the oracle's included, is grouped by one row-wise rule
+(:func:`_groups`: values within 1e-6 of an integer are snapped and stored
+exact, the rest clustered), and one decision (:func:`_verdicts`) tests
+lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
+the integers of every construction this package ships.
 """
 
 from __future__ import annotations
@@ -96,26 +98,45 @@ class RamanujanVerdict:
         }
 
 
+def _groups(raw, n):
+    """Snap and cluster the eigenvalue rows of ``raw`` (m rows, or one; the
+    order n scales the clustering gap).  Returns three m-row arrays: the
+    values within ``SNAP_TOL`` of an integer, snapped (NaN elsewhere), and
+    the mean and size of each cluster of the others at its last position
+    (NaN and 0 elsewhere).  Clusters are runs of the sorted values cut at
+    gaps above 1e-8*n, summed left to right as ``sum`` does: a loop over the
+    position inside a cluster, across all clusters of all rows at once."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    r = np.round(raw)
+    exact = np.abs(raw - r) < SNAP_TOL
+    v = np.sort(np.where(exact, np.nan, raw), axis=1)  # NaN sorts last
+    valid = ~np.isnan(v)
+    start = valid.copy()
+    start[:, 1:] &= np.diff(v, axis=1) > 1e-8 * n
+    end = valid.copy()
+    end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
+    first, last = np.flatnonzero(start), np.flatnonzero(end)
+    sizes = last - first + 1
+    order = np.argsort(-sizes, kind="stable")  # clusters still summing form a prefix
+    first, sizes = first[order], sizes[order]
+    flat = v.ravel()
+    total = flat[first]
+    for p in range(1, sizes[0] if sizes.size else 0):
+        live = np.searchsorted(-sizes, -p, side="left")  # clusters of size > p
+        total[:live] += flat[first[:live] + p]
+    means, counts = np.full(v.shape, np.nan), np.zeros(v.shape, dtype=np.int64)
+    means.flat[last[order]], counts.flat[last[order]] = total / sizes, sizes
+    return np.where(exact, r, np.nan), means, counts
+
+
 def _group_eigenvalues(raw, n):
-    """Snap near-integers, then group equal/near-equal values."""
-    exact_counts = {}
-    real_values = []
-    for v in raw:
-        r = round(v)
-        if abs(v - r) < SNAP_TOL:
-            exact_counts[r] = exact_counts.get(r, 0) + 1
-        else:
-            real_values.append(v)
-    entries = [(int(v), m, True) for v, m in exact_counts.items()]
-    if real_values:
-        tol = 1e-8 * n
-        real_values.sort()
-        start = 0
-        for i in range(1, len(real_values) + 1):
-            if i == len(real_values) or real_values[i] - real_values[i - 1] > tol:
-                cluster = real_values[start:i]
-                entries.append((sum(cluster) / len(cluster), len(cluster), False))
-                start = i
+    """The :class:`Spectrum` of one row: the snapped integers of :func:`_groups`
+    counted, then its clusters, by descending value (integers first on ties)."""
+    ints, means, sizes = (a[0] for a in _groups(raw, n))
+    values, counts = np.unique(ints[~np.isnan(ints)], return_counts=True)
+    at = ~np.isnan(means)
+    entries = [(v, c, True) for v, c in zip(values.astype(np.int64).tolist(), counts.tolist())]
+    entries += [(v, c, False) for v, c in zip(means[at].tolist(), sizes[at].tolist())]
     entries.sort(key=lambda e: -e[0])
     return Spectrum(tuple(entries))
 
@@ -125,7 +146,7 @@ def spectrum_by_characters(graph):
 
     An integer table (``Z_2^m``) is grouped exactly, by counting each value
     in [-k, k] (``|chi(C)| <= k``); a complex one goes through the snapping
-    of :func:`_group_eigenvalues`.
+    and clustering of :func:`_groups`.
     """
     table = graph.characters
     if table.dtype.kind == "i":
@@ -135,7 +156,7 @@ def spectrum_by_characters(graph):
                               zip((graph.k - at).tolist(), counts[at].tolist())))
     if np.abs(table.imag).max() > 1e-9 * max(graph.k, 1):
         raise ArithmeticError("character sums of a symmetric set must be real")
-    return _group_eigenvalues(table.real.ravel().tolist(), graph.n)
+    return _group_eigenvalues(table.real.ravel(), graph.n)
 
 
 def _order_two_blocks(graph):
@@ -168,7 +189,7 @@ def spectrum_oracle(graph):
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {graph.n}")
     blocks = _order_two_blocks(graph) if graph.n % 2 == 0 else (graph.adjacency_matrix(),)
     eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
-    return _group_eigenvalues(eigs.tolist(), graph.n)
+    return _group_eigenvalues(eigs, graph.n)
 
 
 def spectra_agree(spec_a, spec_b):
@@ -182,75 +203,60 @@ def spectra_agree(spec_a, spec_b):
     )
 
 
+def _verdicts(ints, means, k):
+    """The Ramanujan decision for m rows of eigenvalues of degrees ``k``:
+    exact values in ``ints``, unsnapped ones in ``means`` (NaN-padded).
+
+    +-k is exempt (the -k of a bipartite graph; unsnapped: within
+    ``SNAP_TOL``).  Any other exact value fails when lambda^2 > 4(k-1)
+    (exact in floats for |lambda| < 2^26), an unsnapped one above
+    2*sqrt(k-1) + ``BOUNDARY_TOL``, within which it flags its row.  Returns
+    both failure masks, the ``second_largest_abs`` list (the largest counted
+    |lambda|: a Python int when exact, 0.0 when none) and the
+    ``boundary_flag`` array.  An integer that ties an unsnapped value for
+    the largest raises ArithmeticError: the choice would rest on order.
+    """
+    k = np.asarray(k, dtype=np.int64)[:, None]
+    bound = 2.0 * np.sqrt(np.maximum(k - 1, 0))
+    a = np.abs(ints)
+    counted = ~np.isnan(a) & (a != k)
+    bad_ints = counted & (ints * ints > 4 * (k - 1))
+    top_int = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
+    a = np.abs(means)
+    counted = np.abs(a - k) > SNAP_TOL  # False on NaN
+    bad_means = counted & (a > bound + BOUNDARY_TOL)
+    boundary = (counted & (np.abs(a - bound) <= BOUNDARY_TOL)).any(axis=1)
+    top_mean = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
+    if ((top_int == top_mean) & (top_int >= 0)).any():
+        raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
+    top = np.maximum(top_mean, 0.0).tolist()
+    second = [int(x) if x > y else y for x, y in zip(top_int.tolist(), top)]
+    return bad_ints, bad_means, second, boundary
+
+
 def ramanujan_check(spectrum, k, connected):
     """Def: connected and every eigenvalue with |lambda| != k has
-    lambda^2 <= 4(k-1).  Both +k and -k are exempt (the -k of a bipartite
-    graph does not break the bound)."""
+    lambda^2 <= 4(k-1), decided by :func:`_verdicts` on the spectrum as one
+    row.  The reason names the first failing entry, which for a spectrum in
+    descending order is the largest failing value."""
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
-    boundary = False
-    second = 0.0
-    failure = ""
-    for v, _, exact in spectrum.entries:
-        a = abs(v)
-        if (a == k) if exact else (abs(a - k) <= SNAP_TOL):
-            continue
-        second = max(second, a)
-        if not exact and abs(a - bound) <= BOUNDARY_TOL:
-            boundary = True
-        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + BOUNDARY_TOL)
-        if not ok and not failure:
-            failure = f"eigenvalue {v} exceeds bound"
-    if not connected:
-        return RamanujanVerdict(False, second, bound, False, boundary, "not connected")
-    return RamanujanVerdict(not failure, second, bound, True, boundary, failure)
+    values = np.array([v for v, _, _ in spectrum.entries], dtype=float)
+    exact = np.array([e for _, _, e in spectrum.entries], dtype=bool)
+    bad_ints, bad_means, (second,), (boundary,) = _verdicts(
+        np.where(exact, values, np.nan)[None], np.where(exact, np.nan, values)[None], [k])
+    bad = np.flatnonzero(bad_ints[0] | bad_means[0])
+    reason = f"eigenvalue {spectrum.entries[bad[0]][0]} exceeds bound" if bad.size else ""
+    connected = bool(connected)
+    reason = reason if connected else "not connected"
+    return RamanujanVerdict(not reason, second, bound, connected, bool(boundary), reason)
 
 
 def _ramanujan_rows(raw, k, n):
     """Row-wise ``ramanujan_check(_group_eigenvalues(row, n), k, connected=True)``
-    for the eigenvalue rows of ``raw`` (an m-row float array; n is the order
-    that scales the clustering gap) and their degrees ``k`` (m ints, each
-    >= 1): the bool arrays ``is_ramanujan`` and ``boundary_flag`` and the
-    list of ``second_largest_abs``, each float bit for bit the scalar one.
-
-    The snapped values are compared as integers.  The others are sorted and
-    cut at gaps above 1e-8*n; each cluster mean is summed left to right, as
-    ``sum`` does.  The largest |lambda| stays a Python int when a snapped
-    value gives it (0.0 when nothing is counted), and an integer that ties a
-    cluster mean for it raises ArithmeticError, since the scalar result
-    would then depend on the order of the spectrum.
-    """
-    raw = np.asarray(raw, dtype=float)
-    k = np.asarray(k, dtype=np.int64)[:, None]
-    bound = 2.0 * np.sqrt(k - 1)
-    r = np.round(raw)
-    exact = np.abs(raw - r) < SNAP_TOL
-    counted = exact & (np.abs(r) != k)
-    fail = (counted & (r * r > 4 * (k - 1))).any(axis=1)
-    top_exact = np.where(counted, np.abs(r), -1.0).max(axis=1)
-    # clusters of the unsnapped values: NaN sorts last and never starts one
-    v = np.sort(np.where(exact, np.nan, raw), axis=1)
-    valid = ~np.isnan(v)
-    start = np.ones_like(valid)
-    start[:, 1:] = np.diff(v, axis=1) > 1e-8 * n
-    end = valid.copy()
-    end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
-    means = np.empty_like(v)
-    total = count = np.zeros(len(v))
-    for j in range(v.shape[1]):
-        total = np.where(start[:, j], v[:, j], total + v[:, j])
-        count = np.where(start[:, j], 1.0, count + 1.0)
-        means[:, j] = total / count
-    a = np.abs(means)
-    counted = end & (np.abs(a - k) > SNAP_TOL)
-    boundary = (counted & (np.abs(a - bound) <= BOUNDARY_TOL)).any(axis=1)
-    fail |= (counted & (a > bound + BOUNDARY_TOL)).any(axis=1)
-    top_cluster = np.where(counted, a, -1.0).max(axis=1)
-    if ((top_exact == top_cluster) & (top_exact >= 0)).any():
-        raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
-    second = np.maximum(np.maximum(top_exact, top_cluster), 0.0).tolist()
-    integral = (top_exact > np.maximum(top_cluster, 0.0)).tolist()
-    second = [int(x) if i else x for x, i in zip(second, integral)]
-    return ~fail, second, boundary
+    for the rows of ``raw`` and their degrees ``k`` (each >= 1): the arrays
+    ``is_ramanujan`` and ``boundary_flag`` and the ``second_largest_abs`` list."""
+    bad_ints, bad_means, second, boundary = _verdicts(*_groups(raw, n)[:2], k)
+    return ~(bad_ints.any(axis=1) | bad_means.any(axis=1)), second, boundary
 
 
 def certify_ramanujan(graph):
@@ -275,16 +281,21 @@ def second_largest_by_index(spectrum, k):
     return max(below) if below else k
 
 
+def _crossings(graph, spec, indicators):
+    """The crossing bounds (k - lambda2)|Omega1||Omega2| / n and the exact
+    edge counts between Omega1 and its complement, for a batch of 0/1
+    indicator columns (n x batch) of Omega1."""
+    actual, sizes = crossing_counts_batch(graph, indicators)
+    gap = graph.k - second_largest_by_index(spec, graph.k)
+    return gap * sizes * (graph.n - sizes) / graph.n, actual
+
+
 def crossing_lemma_bound(graph, omega1):
     """Crossing bound (k - lambda2)|Omega1||Omega2| / n and the exact count
     of edges between the parts."""
-    omega1 = graph.group.indices(omega1)
-    spec = spectrum_by_characters(graph)
-    lam2 = second_largest_by_index(spec, graph.k)
-    size1 = omega1.size
-    bound = (graph.k - lam2) * size1 * (graph.n - size1) / graph.n
-    actual, _ = crossing_counts_batch(graph, graph.group.indicator(omega1).reshape(-1, 1))
-    return bound, int(actual[0])
+    x = graph.group.indicator(graph.group.indices(omega1)).reshape(-1, 1)
+    bound, actual = _crossings(graph, spectrum_by_characters(graph), x)
+    return bound.item(), actual.item()
 
 
 def crossing_counts_batch(graph, indicators):

@@ -8,6 +8,9 @@ tests can compare the array routes against them:
   membership, symmetry, characters and character sums;
 * neighbourhoods of a Cayley graph by tuple addition, and the symmetry of a
   spectrum about zero;
+* a spectrum grouped one value at a time (snapped integers, then clusters
+  of the other values), its Ramanujan verdict one entry at a time, and a
+  GDS certificate from one list of difference counts;
 * GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar decomposition, subfield embeddings, the two-parameter
   Kloosterman sum and additive character sums;
 * the circulant-search encodings, and the tuple sets of the product and bent
@@ -23,7 +26,8 @@ import json
 import math
 from functools import reduce
 
-from cayleyx import Gf2Field
+from cayleyx import GdsCertificate, Gf2Field
+from cayleyx.spectral import BOUNDARY_TOL, SNAP_TOL, RamanujanVerdict, Spectrum
 
 # Tolerance factor for "this character sum is real" decisions; the absolute
 # tolerance used is IMAG_TOL_PER_TERM * |C|.
@@ -133,6 +137,68 @@ def is_symmetric_about_zero(spectrum, tol=1e-9):
         any(abs(w + v) <= tol and mw == m for w, mw in ms.items())
         for v, m in ms.items()
     )
+
+
+def group_eigenvalues(raw, n):
+    """Snap near-integers, then group equal/near-equal values."""
+    exact_counts = {}
+    real_values = []
+    for v in raw:
+        r = round(v)
+        if abs(v - r) < SNAP_TOL:
+            exact_counts[r] = exact_counts.get(r, 0) + 1
+        else:
+            real_values.append(v)
+    entries = [(int(v), m, True) for v, m in exact_counts.items()]
+    if real_values:
+        tol = 1e-8 * n
+        real_values.sort()
+        start = 0
+        for i in range(1, len(real_values) + 1):
+            if i == len(real_values) or real_values[i] - real_values[i - 1] > tol:
+                cluster = real_values[start:i]
+                entries.append((sum(cluster) / len(cluster), len(cluster), False))
+                start = i
+    entries.sort(key=lambda e: -e[0])
+    return Spectrum(tuple(entries))
+
+
+def ramanujan_verdict(spectrum, k, connected):
+    """Def: connected and every eigenvalue with |lambda| != k has
+    lambda^2 <= 4(k-1).  Both +k and -k are exempt (the -k of a bipartite
+    graph does not break the bound)."""
+    bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
+    boundary = False
+    second = 0.0
+    failure = ""
+    for v, _, exact in spectrum.entries:
+        a = abs(v)
+        if (a == k) if exact else (abs(a - k) <= SNAP_TOL):
+            continue
+        second = max(second, a)
+        if not exact and abs(a - bound) <= BOUNDARY_TOL:
+            boundary = True
+        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + BOUNDARY_TOL)
+        if not ok and not failure:
+            failure = f"eigenvalue {v} exceeds bound"
+    if not connected:
+        return RamanujanVerdict(False, second, bound, False, boundary, "not connected")
+    return RamanujanVerdict(not failure, second, bound, True, boundary, failure)
+
+
+def gds_certificate(group, C, mu):
+    """Certificate of the flat-index set C from the list ``mu[g - 1]`` of its
+    counts at g = 1..n-1, or None beyond two values.  Canonical presentation:
+    0 in S and mu1 < mu2 (S = the rarer differences plus 0); when all counts
+    coincide C is a difference set, S = {0} and mu1 = mu2."""
+    values = sorted(set(mu))
+    if len(values) > 2:
+        return None
+    mu1, mu2 = values[0], values[-1]
+    # mu1 < mu2 <= k = mu_0, so the identity is added by hand
+    S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
+    return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
+                          identity_in_S=True)
 
 
 # -- GF(2^m) scalars ---------------------------------------------------------------

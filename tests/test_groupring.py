@@ -1,5 +1,6 @@
 """Difference counts, GDS certificates, and the exhaustive cyclic search."""
 
+import json
 import random
 
 import pytest
@@ -15,8 +16,9 @@ from cayleyx import (
     verify_gds,
 )
 from cayleyx import groupring
+from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
-from reference import add, element, gds_hit_line, neg
+from reference import add, element, gds_certificate, gds_hit_line, neg
 
 
 def hall_polynomial_difference(C, n):
@@ -62,7 +64,7 @@ def search_gds_by_masks(n):
             continue
         mu = _two_valued_fast(mask, n)
         if mu is not None:
-            cert = groupring._certificate(group, [i for i in range(n) if (mask >> i) & 1], mu)
+            cert = gds_certificate(group, [i for i in range(n) if (mask >> i) & 1], mu)
             yield cert.C, cert
 
 
@@ -277,3 +279,23 @@ def test_empty_set_rejected():
         verify_gds(Z20, [])
     with pytest.raises(ValueError):
         has_multiplier_minus_one(Z20, [])
+
+
+def test_every_gds_certificate_goes_through_the_one_presentation(monkeypatch, tmp_path):
+    """No second GDS presentation: verify_gds, the ``gds`` block of
+    ``cayleyx analyze`` and ``cayleyx search gds`` all reach
+    ``groupring._presentation``."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"factors": [20], "connection_set": [[1], [19]]}))
+    monkeypatch.setattr(groupring, "_presentation", reached)
+    for call in (lambda: verify_gds(Z20, SUBGROUP_SET),
+                 lambda: main(["analyze", str(path), "--out", str(tmp_path / "a")]),
+                 lambda: main(["search", "gds", "--n", "6", "--out", str(tmp_path / "s")])):
+        with pytest.raises(Reached):
+            call()

@@ -18,42 +18,34 @@ from cayleyx import (
     search,
     search_gds,
     search_ramanujan_circulant,
-    spectrum_by_characters,
 )
 from cayleyx.cli import main
 from cayleyx.search import CSV_HEADER
-from cayleyx.spectral import _group_eigenvalues, _ramanujan_rows
+from cayleyx.spectral import _ramanujan_rows
 from reference import (
     connection_from_encoding,
     degree_of_encoding,
     gds_hit_line,
+    group_eigenvalues,
     ramanujan_csv_row,
     ramanujan_hit_line,
+    ramanujan_verdict,
 )
 
 
 def search_by_rebuilding_graphs(n, min_degree=2):
-    """One encoding at a time, each survivor rebuilt as a CayleyGraph and
-    certified from spectrum_by_characters: the reference for the batched
-    search_ramanujan_circulant."""
-    half = n // 2
+    """One encoding at a time, each connected one rebuilt as a CayleyGraph
+    and decided by the scalar references from its character table: the
+    reference for the batched search_ramanujan_circulant."""
     group = cyclic(n)
-    P = np.zeros((n, half))
-    a = np.arange(n)
-    for i in range(1, half + 1):
-        P[:, i - 1] = (-1.0) ** a if 2 * i == n else 2.0 * np.cos(2.0 * np.pi * a * i / n)
-    for s in range(1, 1 << half):
+    for s in range(1, 1 << (n // 2)):
         C = connection_from_encoding(n, s)
         k = len(C)
         if k < min_degree or math.gcd(n, *C) != 1:
             continue
-        vals = P[:, [i - 1 for i in range(1, half + 1) if (s >> (i - 1)) & 1]].sum(axis=1)
-        mids = np.abs(vals[1:])
-        mids = mids[np.abs(mids - k) > 1e-9]
-        if mids.size and mids.max() > 2.0 * math.sqrt(k - 1) + 1e-9:
-            continue
         graph = CayleyGraph(ConnectionSet(group, np.asarray(C)))
-        verdict = ramanujan_check(spectrum_by_characters(graph), k, connected=True)
+        spectrum = group_eigenvalues(graph.characters.real.ravel().tolist(), n)
+        verdict = ramanujan_verdict(spectrum, k, connected=True)
         if verdict.is_ramanujan:
             yield SearchHit(n=n, encoding=s, C=C, degree=k,
                             second_largest_abs=verdict.second_largest_abs, verdict=verdict)
@@ -174,16 +166,16 @@ def _assert_rows_match_scalar(raw, k, n):
     ok, second, boundary = _ramanujan_rows(raw, k, n)
     assert len(second) == len(raw)
     for r, row in enumerate(raw.tolist()):
-        want = ramanujan_check(_group_eigenvalues(row, n), int(k[r]), connected=True)
+        want = ramanujan_verdict(group_eigenvalues(row, n), int(k[r]), connected=True)
         assert (bool(ok[r]), second[r], type(second[r]), bool(boundary[r])) \
             == _verdict_fields(want), (r, row)
 
 
 @pytest.mark.parametrize("n", [16, 20, 24])
 def test_ramanujan_rows_match_scalar_verdict(n):
-    """Every connected encoding of Z_n (a superset of the pre-filter's
-    survivors, hits and non-hits alike) gets the scalar verdict field for
-    field, with the same Python type of second_largest_abs."""
+    """Every connected encoding of Z_n, hits and non-hits alike, gets the
+    scalar reference verdict field for field, with the same Python type of
+    second_largest_abs."""
     encodings = [s for s in range(1, 1 << (n // 2))
                  if math.gcd(n, *connection_from_encoding(n, s)) == 1]
     ind = np.zeros((len(encodings), n))
@@ -220,7 +212,7 @@ def test_ramanujan_rows_hand_built():
     _assert_rows_match_scalar(rows, k, n)
     ok, second, boundary = _ramanujan_rows(np.array(rows), k, n)
     assert ((a + b) + c) / 3 not in ((a + (b + c)) / 3, (a + b + c) * (1.0 / 3))
-    assert (((a + b) + c) / 3, 3, False) in _group_eigenvalues(rows[0], n).entries
+    assert (((a + b) + c) / 3, 3, False) in group_eigenvalues(rows[0], n).entries
     assert ok.tolist() == [True, True, True, True, False]
     assert boundary.tolist() == [False, True, False, False, False]
     assert second[2] == 2 and type(second[2]) is int
@@ -229,15 +221,19 @@ def test_ramanujan_rows_hand_built():
 
 def test_ramanujan_rows_refuse_a_tie():
     """An integer and a cluster mean of the same |lambda| make the scalar
-    answer depend on spectrum order; the row-wise verdict refuses it.  Such a
-    cluster must straddle the snapped band around 2, so the clustering gap
-    1e-8 * n has to exceed 2e-6: n = 1000 here (no n <= 32 allows it)."""
+    reference's answer depend on spectrum order; the verdict refuses it, for
+    a chunk of rows and for one spectrum alike.  Such a cluster must
+    straddle the snapped band around 2, so the clustering gap 1e-8 * n has
+    to exceed 2e-6: n = 1000 here (no n <= 32 allows it)."""
     eps = 2.0 ** -19  # above SNAP_TOL, and 2 - eps, 2 + eps average to 2 exactly
     row = [5.0, 2.0, -(2.0 - eps), -(2.0 + eps), 0.0, 0.0, 0.0, -1.0]
-    scalar = _group_eigenvalues(row, 1000).entries
-    assert (2, 1, True) in scalar and (-2.0, 2, False) in scalar
+    scalar = group_eigenvalues(row, 1000)
+    assert (2, 1, True) in scalar.entries and (-2.0, 2, False) in scalar.entries
     with pytest.raises(ArithmeticError):
         _ramanujan_rows(np.array([row]), np.array([5]), 1000)
+    for connected in (True, False):
+        with pytest.raises(ArithmeticError):
+            ramanujan_check(scalar, 5, connected)
 
 
 def test_budget():

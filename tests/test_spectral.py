@@ -17,14 +17,16 @@ from cayleyx import (
     verify_gds,
     vertex_expansion,
 )
+from cayleyx.cli import main
 from cayleyx.spectral import (
     _group_eigenvalues,
     certify_ramanujan,
     crossing_counts_batch,
     crossing_lemma_bound,
+    ramanujan_check,
     spectra_agree,
 )
-from reference import is_symmetric_about_zero
+from reference import group_eigenvalues, is_symmetric_about_zero, ramanujan_verdict
 from test_cayley import _random_symmetric
 
 
@@ -78,6 +80,73 @@ def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
         got = raw.pop()
         assert len(got) == graph.n
         assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
+
+
+def _typed_entries(spectrum):
+    return [(v, type(v), m, type(m), exact) for v, m, exact in spectrum.entries]
+
+
+def _typed_verdict(verdict):
+    return (verdict.is_ramanujan, verdict.second_largest_abs, type(verdict.second_largest_abs),
+            verdict.bound, verdict.connected, verdict.boundary_flag, verdict.reason)
+
+
+MIXED_GRAPHS = [(factors, size) for factors in ([3, 4], [5, 6], [9], [8, 4, 2], [2] * 6)
+                for size in (2, 3, 5, 8)]
+
+
+def test_spectra_and_verdicts_match_the_scalar_references(monkeypatch):
+    """spectrum_by_characters and spectrum_oracle group their eigenvalues,
+    and ramanujan_check decides, as the one-value-at-a-time references do:
+    values, multiplicities, exact flags and their Python types, and every
+    verdict field with the reason.  The oracle runs on the mixed groups and
+    an odd C255 (it is capped at n <= 4096, and C4095 takes seconds)."""
+    graphs = [_random_symmetric(factors, size, seed=size) for factors, size in MIXED_GRAPHS]
+    rng = np.random.default_rng(4095)
+    pairs = rng.choice(np.arange(1, 2048), 6, replace=False)
+    graphs += [_circulant(4095, np.concatenate([pairs, 4095 - pairs]).tolist()),
+               _circulant(10000, [1, 9999]), _circulant(20, [1, 2, 18, 19]),
+               theorem33_set(6, 6).graph, _circulant(255, [1, 7, 248, 254])]
+    reasons = set()
+    for graph in graphs:
+        spec = spectrum_by_characters(graph)
+        table = graph.characters
+        want = group_eigenvalues(table.real.ravel().tolist(), graph.n)
+        assert _typed_entries(spec) == _typed_entries(want), graph.group.factors
+        for connected in (True, False):
+            got = ramanujan_check(spec, graph.k, connected)
+            assert _typed_verdict(got) == _typed_verdict(ramanujan_verdict(want, graph.k, connected))
+            reasons.add(got.reason.split()[0] if got.reason else "")
+    assert reasons == {"", "eigenvalue", "not"}
+
+    raw = []
+
+    def record(values, n):
+        raw.append(np.array(values).tolist())
+        return _group_eigenvalues(values, n)
+
+    monkeypatch.setattr(spectral, "_group_eigenvalues", record)
+    for graph in graphs:
+        if graph.n <= 255:
+            spec = spectrum_oracle(graph)
+            assert _typed_entries(spec) == _typed_entries(group_eigenvalues(raw.pop(), graph.n))
+
+
+def test_every_spectrum_and_verdict_goes_through_the_one_grouping(monkeypatch, tmp_path):
+    """No second snap-and-cluster route: a non-binary character spectrum,
+    the oracle and the circulant search all reach ``spectral._groups``."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    graph = _circulant(12, [1, 11, 4, 8])
+    monkeypatch.setattr(spectral, "_groups", reached)
+    for call in (lambda: spectrum_by_characters(graph), lambda: spectrum_oracle(graph),
+                 lambda: main(["search", "ramanujan", "--n", "8", "--out", str(tmp_path)])):
+        with pytest.raises(Reached):
+            call()
 
 
 def test_oracle_refuses_a_matrix_that_is_not_translation_invariant(monkeypatch):
