@@ -212,7 +212,7 @@ def _gds_text(n, chunk, tokens):
 def cmd_search(args):
     """Write the hits of one search to hits.jsonl (and hits.csv for
     circulants), one write per file per scanned chunk."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n, outdir = args.n, args.out
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "hits.jsonl")
@@ -234,7 +234,7 @@ def cmd_search(args):
                     count += len(chunk[0])
     except ValueError as e:
         raise ParameterError(str(e))
-    print(f"search {args.mode} n={n}: {count} hits in {time.time() - t0:.2f}s "
+    print(f"search {args.mode} n={n}: {count} hits in {time.perf_counter() - t0:.2f}s "
           f"-> {path}")
     return EXIT_OK
 

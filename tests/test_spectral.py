@@ -1,5 +1,7 @@
 """Character spectra, the eigensolver oracle, and certification primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,8 @@ def oracle_by_one_solve(graph):
     return np.linalg.eigvalsh(graph.adjacency_matrix())
 
 
-@pytest.mark.parametrize("factors", [[5], [9], [3, 4], [2] * 6, [8, 4, 2]])
+@pytest.mark.parametrize("factors", [[5], [9], [3, 4], [2] * 6, [8, 4, 2],
+                                     [6], [10], [12], [16], [2, 9], [6, 10]])
 def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
     raw = []
 
@@ -80,6 +83,28 @@ def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
         got = raw.pop()
         assert len(got) == graph.n
         assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
+
+
+@pytest.mark.parametrize("factors, blocks", [
+    ([2, 6], [((3, 3), "float64")] * 4),           # Z_2^2: four real characters
+    ([12], [((3, 3), "float64"), ((3, 3), "complex128"), ((3, 3), "float64")]),  # Z_4
+    ([10], [((5, 5), "float64")] * 2),             # Z_2: n = 2 mod 4
+    ([9], [((9, 9), "float64")]),                  # odd n: unsplit
+])
+def test_oracle_splits_at_a_subgroup_of_order_four(factors, blocks, monkeypatch):
+    """The blocks the eigensolver receives: one of size n/|H| per character
+    of H up to conjugation."""
+    solve = np.linalg.eigvalsh
+    seen = []
+
+    def record(a):
+        seen.append((a.shape, a.dtype.name))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    graph = _random_symmetric(factors, 4, seed=4)
+    assert spectrum_oracle(graph).n == graph.n
+    assert seen == blocks
 
 
 def _typed_entries(spectrum):
@@ -163,18 +188,52 @@ def test_oracle_refuses_a_matrix_that_is_not_translation_invariant(monkeypatch):
         spectrum_oracle(graph)
 
 
+@pytest.mark.parametrize("factors", [[12], [2, 6]])
+def test_oracle_refuses_a_matrix_that_commutes_with_part_of_the_subgroup(factors, monkeypatch):
+    """Toggling the edge {0, 1} and its translate {6, 7} keeps A invariant
+    under the translation by 6 (on Z_2 x Z_6: by (1, 0)), but not under 3
+    (on Z_2 x Z_6: (0, 3)), which the subgroup of order 4 also holds."""
+    gather = AbelianGroup.group_matrix
+
+    def tampered(self, x):
+        M = gather(self, x)
+        for u, v in ((0, 1), (6, 7)):
+            M[u, v] = M[v, u] = 1 - M[u, v]
+        return M
+
+    graph = _random_symmetric(factors, 4, seed=4)
+    monkeypatch.setattr(AbelianGroup, "group_matrix", tampered)
+    with pytest.raises(ArithmeticError):
+        spectrum_oracle(graph)
+
+
 def test_oracle_uses_no_character_values(monkeypatch):
     """The oracle checks the character route, so it must not share it."""
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the character route")
 
     graphs = [_circulant(9, [1, 8, 3, 6]), theorem33_set(4, 6).graph,
-              CayleyGraph.build(AbelianGroup([3, 4]), [(1, 0), (2, 0), (0, 2)])]
+              CayleyGraph.build(AbelianGroup([3, 4]), [(1, 0), (2, 0), (0, 2)]),
+              _random_symmetric([2] * 5, 6, seed=6), _circulant(10, [1, 9, 5])]
     monkeypatch.setattr(AbelianGroup, "character_sum_table", refuse)
     monkeypatch.setattr(AbelianGroup, "convolve", refuse)
     monkeypatch.setattr(AbelianGroup, "counts", refuse)
     for graph in graphs:
         assert spectrum_oracle(graph).n == graph.n
+
+
+@pytest.mark.parametrize("factors", [[32, 32], [1024], [2] * 10, [1022]])
+def test_oracle_memory_stays_near_one_adjacency_matrix(factors):
+    """The oracle builds A (8 n^2 bytes) once and forms every block as a
+    view of it or in one buffer: a copy of A would at least double the peak."""
+    graph = _random_symmetric(factors, 8, seed=8)
+    tracemalloc.start()
+    try:
+        spectrum_oracle(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35 * 8 * graph.n ** 2
 
 
 def test_oracle_budget():
