@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import constructions, groupring, search
-from .graphs import CayleyGraph, InvariantError
+from .graphs import DOT_MAX_EDGES, CayleyGraph, InvariantError
 from .groupring import _certificate
 from .spectral import (
     ORACLE_MAX_N,
@@ -32,10 +32,21 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 CROSSING_TRIALS = 64
+CROSSING_DRAW_ROWS = 1 << 14  # rows of random floats drawn at a time
+COORDINATE_ROWS = 4096  # rows per formatted chunk of a streamed coordinate list
+COORDINATE_TABLE = 4096  # entries of a table of formatted coordinates, at most
 
 
 class ParameterError(Exception):
     pass
+
+
+class _Coordinates:
+    """A JSON value written as the list of coordinate lists of the flat
+    ``indices`` on the grid ``factors``, streamed by :func:`_write_json`."""
+
+    def __init__(self, factors, indices):
+        self.factors, self.indices = tuple(factors), indices
 
 
 def _write(outdir, name, text):
@@ -46,16 +57,107 @@ def _write(outdir, name, text):
     return path
 
 
+def _write_coordinates(f, value, indent):
+    """Write ``value`` (:class:`_Coordinates`) to ``f`` as ``json.dumps``
+    with ``indent=2`` lays the list out when it opens on a line indented by
+    ``indent`` spaces.
+
+    Consecutive factors are merged into runs whose product is at most
+    ``COORDINATE_TABLE`` and at most a quarter of the rows, so the tables
+    cost little next to the rows.  A run's part of a row is read from a
+    table of its formatted coordinates by the run's digit of the flat index;
+    a single larger factor is formatted as an int.
+    The rows go ``COORDINATE_ROWS`` at a time: one ``%`` per chunk, written
+    at once.
+    """
+    factors, indices = value.factors, np.asarray(value.indices)
+    if not indices.size:
+        f.write("[]")
+        return
+    inner, item = " " * (indent + 2), " " * (indent + 4)
+    sep, limit = ",\n" + item, min(COORDINATE_TABLE, max(2, indices.size // 4))
+    runs = []  # [product, factors] of each run, first to last
+    for d in factors:
+        if runs and runs[-1][0] * d <= limit:
+            runs[-1][0] *= d
+            runs[-1][1].append(d)
+        else:
+            runs.append([d, [d]])
+    tables, post = [], math.prod(factors)
+    for size, run in runs:
+        post //= size
+        table = None
+        if size <= limit:  # the run's formatted coordinates, in ravel order
+            table = [str(x) for x in range(run[0])]
+            for d in run[1:]:
+                tail = [sep + str(x) for x in range(d)]
+                table = [t + u for t in table for u in tail]
+            table = np.array(table, dtype=object)
+        tables.append((post, size, table))
+    fields = ["%d" if table is None else "%s" for _, _, table in tables]
+    row = f"{inner}[\n{item}" + sep.join(fields) + f"\n{inner}]"
+    f.write("[\n")
+    for at in range(0, indices.size, COORDINATE_ROWS):
+        chunk = indices[at:at + COORDINATE_ROWS]
+        parts = np.empty((chunk.size, len(tables)), dtype=object)
+        for j, (post, size, table) in enumerate(tables):
+            digit = chunk // post % size
+            parts[:, j] = digit if table is None else table[digit]
+        if at:
+            f.write(",\n")
+        f.write(",\n".join([row] * chunk.size) % tuple(parts.ravel().tolist()))
+    f.write(f"\n{' ' * indent}]")
+
+
+def _write_json(outdir, name, payload):
+    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte
+    for byte, with every :class:`_Coordinates` value streamed by
+    :func:`_write_coordinates` in place of its list."""
+    held = []
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      default=lambda value: held.append(value) or "\0") + "\n"
+    pieces = text.split('"\\u0000"')  # json visits the held values in output order
+    if len(pieces) != len(held) + 1:
+        raise ValueError(f"{name}: a string value is a coordinate-list placeholder")
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, name), "w") as f:
+        for piece, value in zip(pieces, held):
+            f.write(piece)
+            line = piece[piece.rfind("\n") + 1:]
+            _write_coordinates(f, value, len(line) - len(line.lstrip(" ")))
+        f.write(pieces[-1])
+
+
+def _check_format(args, graph):
+    """Refuse ``--format dot`` above ``DOT_MAX_EDGES`` edges, before any
+    artifact is written: its n x k neighbour array would not fit."""
+    edges = graph.n * graph.k // 2
+    if args.format == "dot" and edges > DOT_MAX_EDGES:
+        raise ParameterError(f"--format dot is limited to {DOT_MAX_EDGES} edges; "
+                             f"this graph has {edges}")
+
+
 def _emit_graph_artifacts(args, graph, spectrum, verdict, extra=None):
+    _check_format(args, graph)
     outdir = args.out
-    _write(outdir, "graph.json", json.dumps(graph.to_json(), sort_keys=True, indent=2) + "\n")
+    factors = list(graph.group.factors)
+    _write_json(outdir, "graph.json", {
+        "factors": factors, "connection_set": _Coordinates(factors, graph.connection.indices)})
     _write(outdir, "spectrum.csv", spectrum.to_csv())
     payload = verdict.to_json()
     if extra:
         payload.update(extra)
-    _write(outdir, "verdict.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir, "verdict.json", payload)
     if args.format == "dot":
         _write(outdir, "graph.dot", graph.to_dot())
+
+
+def _gds_json(cert):
+    """``cert.to_json()`` with ``C`` and ``S`` left as index arrays to stream."""
+    factors = list(cert.group.factors)
+    return {"factors": factors, "n": cert.n, "k": cert.k, "mu1": cert.mu1, "mu2": cert.mu2,
+            "S": _Coordinates(factors, cert.S), "identity_in_S": cert.identity_in_S,
+            "C": _Coordinates(factors, cert.C)}
 
 
 def cmd_construct(args):
@@ -113,9 +215,16 @@ def _require(args, *names):
 
 def _seeded_crossing_check(graph, spec, seed):
     """Crossing-edge bound (k - lambda2)|O1||O2|/n versus exact counts on
-    seeded random partitions; deterministic per seed."""
+    seeded random partitions; deterministic per seed.  The bits are those of
+    ``rng.random((n, CROSSING_TRIALS)) < 0.5``, drawn ``CROSSING_DRAW_ROWS``
+    rows at a time into one bool array (the same stream, row by row), and
+    :func:`~cayleyx.spectral.crossing_counts_batch` transforms the columns
+    in chunks, so no float or int64 copy of all 64 columns is made."""
     rng = np.random.default_rng(seed)
-    X = (rng.random((graph.n, CROSSING_TRIALS)) < 0.5).astype(float)
+    X = np.empty((graph.n, CROSSING_TRIALS), dtype=bool)
+    for at in range(0, graph.n, CROSSING_DRAW_ROWS):
+        block = X[at:at + CROSSING_DRAW_ROWS]
+        np.less(rng.random(block.shape), 0.5, out=block)
     bounds, actual = _crossings(graph, spec, X)
     violations = int((actual < bounds - 1e-9).sum())
     return {"seed": seed, "trials": CROSSING_TRIALS, "violations": violations}
@@ -136,6 +245,7 @@ def cmd_analyze(args):
     except (KeyError, TypeError, ValueError) as e:
         print(f"error: malformed graph JSON: {e}", file=sys.stderr)
         return EXIT_USAGE
+    _check_format(args, graph)
     spec = spectrum_by_characters(graph)
     oracle_ok = "skipped"  # the dense oracle is capped at ORACLE_MAX_N
     if graph.n <= ORACLE_MAX_N:
@@ -155,7 +265,7 @@ def cmd_analyze(args):
         "bipartite": st.bipartite,
         "diameter": st.diameter if st.diameter != float("inf") else None,
         "oracle_agrees": oracle_ok,
-        "gds": cert.to_json() if cert else None,
+        "gds": _gds_json(cert) if cert else None,
         "srg": list(srg) if srg else None,
     }
     _emit_graph_artifacts(args, graph, spec, verdict, extra)

@@ -31,6 +31,8 @@ __all__ = [
     "DisconnectedGraphError",
 ]
 
+DOT_MAX_EDGES = 1 << 20  # n*k/2 above this: to_dot refuses (its n x k neighbour array)
+
 
 class InvariantError(ValueError):
     """A connection-set invariant (symmetric, identity-free) is violated."""
@@ -213,6 +215,11 @@ class CayleyGraph:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self):
+        """The graph in DOT, one line per vertex and per edge; more than
+        ``DOT_MAX_EDGES`` edges raise ValueError."""
+        if self.n * self.k // 2 > DOT_MAX_EDGES:
+            raise ValueError(f"DOT output is limited to {DOT_MAX_EDGES} edges; "
+                             f"this graph has {self.n * self.k // 2}")
         lines = ["graph cayley {"]
         for i, v in enumerate(self.vertices):
             label = ",".join(map(str, v))

@@ -91,8 +91,9 @@ class AbelianGroup:
         return [tuple(t) for t in itertools.product(*(range(d) for d in self.factors))]
 
     def index_of(self, g):
-        """Lexicographic rank of an element: its flat index."""
-        return int(self.indices([g])[0])
+        """Lexicographic rank of one element: its flat index, by the
+        element-at-a-time parse of :meth:`indices`."""
+        return int(self._parse_elements([g], False)[0])
 
     def element_at(self, idx):
         return self.elements_at([idx])[0]
@@ -103,7 +104,54 @@ class AbelianGroup:
         """Sorted distinct flat indices (int64) of coordinate tuples, each
         coordinate reduced modulo its factor; a bad arity or a non-integer
         (a bool included) raises ValueError, and so, with ``distinct``, does
-        an element that coincides with an earlier one after reduction."""
+        an element that coincides with an earlier one after reduction.
+
+        A list of lists or tuples is parsed as one array: the coordinate
+        types are collected first (``np.array`` would read a bool as 1), the
+        rows become one int64 array (an object array, reduced as Python
+        ints, when a coordinate is beyond int64), and arity, reduction and
+        distinctness are array checks.  Only when one of them fails, or the
+        input is not such a list, are the elements read one at a time, which
+        names the offending element.
+        """
+        elements = list(elements)
+        try:
+            idx = self._parse_rows(elements)
+        except (TypeError, ValueError):
+            idx = None
+        if idx is not None:
+            unique = np.unique(idx)
+            if not distinct or unique.size == idx.size:
+                return unique
+        return self._parse_elements(elements, distinct)
+
+    def _parse_rows(self, rows):
+        """Flat indices of a list of coordinate lists or tuples in input
+        order, or None when it is not one of integers of the right arity
+        (ragged rows raise ValueError)."""
+        if not rows:
+            return np.zeros(0, dtype=np.int64)
+        if not set(map(type, rows)) <= {list, tuple}:
+            return None
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if any(issubclass(k, bool) or not issubclass(k, (int, np.integer)) for k in kinds):
+            return None
+        try:
+            x = np.array(rows, dtype=np.int64)
+        except OverflowError:  # beyond int64: reduced as Python ints below
+            x = np.array(rows, dtype=object)
+        if x.ndim != 2 or x.shape[1] != len(self.factors):
+            return None
+        if x.dtype == object:
+            x = (x % np.array(self.factors, dtype=object)).astype(np.int64)
+        d = np.array(self.factors)
+        if x.min() < 0 or (x >= d).any():
+            x %= d
+        return np.ravel_multi_index(tuple(x.T), self.factors)
+
+    def _parse_elements(self, elements, distinct):
+        """:meth:`indices` one element at a time, raising at the first
+        offending element."""
         found = set()
         for g in elements:
             g = tuple(g)
@@ -220,13 +268,15 @@ class AbelianGroup:
         """A grid array (leading axes broadcast) as a fresh C-ordered int64
         array of shape (..., n) for the butterfly.  A non-integral entry, or a
         row whose absolute values sum to 2^62 or more (that sum bounds every
-        partial sum of the butterfly), raises ArithmeticError."""
+        partial sum of the butterfly; a bool row's is at most n), raises
+        ArithmeticError."""
         x = np.asarray(x)
         shape = x.shape[:x.ndim - len(self.factors)] + (self.order,)
         w = np.array(x, dtype=np.int64, order="C").reshape(shape)
         if x.dtype.kind not in "biu" and (w != x.reshape(shape)).any():
             raise ArithmeticError("Walsh-Hadamard transform of a non-integral array")
-        if np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0) >= _INT64_SAFE:
+        if x.dtype.kind != "b" and (
+                np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0) >= _INT64_SAFE):
             raise ArithmeticError("Walsh-Hadamard transform would overflow int64")
         return w
 

@@ -21,10 +21,12 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import _INT64_SAFE
 
 __all__ = [
     "Spectrum",
@@ -44,6 +46,7 @@ SNAP_TOL = 1e-6          # |lambda - round(lambda)| below this: exact integer
 BOUNDARY_TOL = 1e-6      # non-exact value this close to 2*sqrt(k-1): flag it
 ORACLE_MAX_N = 4096
 EXPANSION_MAX_N = 20
+CROSSING_CELLS = 1 << 23  # grid entries per chunk of crossing columns
 
 
 @dataclass(frozen=True)
@@ -371,20 +374,55 @@ def crossing_lemma_bound(graph, omega1):
 
 
 def crossing_counts_batch(graph, indicators):
-    """Edge counts between Omega1 and its complement for a batch of 0/1
-    indicator columns (n x batch).
+    """Edge counts between Omega1 and its complement, and the sizes
+    |Omega1|, for a batch of 0/1 indicator columns (n x batch, any numeric
+    or bool dtype).
 
-    Column x gives (A x)[v] = sum_{c in C} x[v + c] = (x * 1_C)[v] (C = -C):
-    one batched transform of the columns times the graph's character table.
+    The edges inside Omega1, counted twice, are x^T A x
+    = (1/n) sum_a lambda_a |x^_a|^2 by Parseval, with x^ the character
+    transform of the column x and lambda_a = chi_a(C) the graph's table: one
+    forward transform per column, ``CROSSING_CELLS // n`` columns at a time.
+    On ``Z_2^m`` it is exact: x^ is an int64 butterfly, the x^_a^2 are
+    summed per distinct eigenvalue in int64 (their total, n |x|^2, is
+    checked below 2^62 through n max|x|), the sum over eigenvalues is taken
+    in Python ints, and a remainder modulo n raises ArithmeticError.
+    Otherwise the sum is rounded, and a value more than 0.25 from an integer
+    raises ArithmeticError, as :meth:`~cayleyx.groups.AbelianGroup.counts`
+    does.
     """
-    group = graph.group
-    X = np.asarray(indicators, dtype=float)
-    grids = X.T.reshape(-1, *group.factors)
-    AX = group.counts(group.character_sum_table(grids), graph.characters)
-    AX = AX.reshape(X.shape[1], -1).T
-    sizes = X.sum(axis=0)
-    inside_twice = np.einsum("ij,ij->j", X, AX)
-    return (graph.k * sizes - inside_twice).round().astype(int), sizes.astype(int)
+    group, n = graph.group, graph.n
+    X = np.asarray(indicators)
+    table = graph.characters.ravel()
+    exact = table.dtype.kind == "i"
+    if exact:
+        top = float(max(abs(X.max(initial=0)), abs(X.min(initial=0))))
+        if (n * top) ** 2 >= _INT64_SAFE:  # bounds n sum x^2 = sum_a x^_a^2
+            raise ArithmeticError("sums of squared transforms would overflow int64")
+        order = np.argsort(table, kind="stable")
+        lam, starts = np.unique(table[order], return_index=True)
+        lam = lam.tolist()
+    else:
+        lam = np.ascontiguousarray(table.real)
+    inside = []
+    step = max(1, CROSSING_CELLS // n)
+    for at in range(0, X.shape[1], step):
+        cols = X[:, at:at + step]
+        xh = group.character_sum_table(cols.T.reshape(-1, *group.factors)).reshape(-1, n)
+        if exact:
+            np.multiply(xh, xh, out=xh)
+            for row in np.add.reduceat(xh[:, order], starts, axis=1).tolist():
+                total = sum(map(operator.mul, lam, row))
+                if total % n:
+                    raise ArithmeticError("character table of a non-integral array")
+                inside.append(total // n)
+        else:
+            z = (np.square(xh.real) + np.square(xh.imag)) @ lam / n
+            r = np.rint(z)
+            if np.abs(z - r).max(initial=0.0) > 0.25:
+                raise ArithmeticError("character table of a non-integral array")
+            inside += r.astype(np.int64).tolist()
+    sizes, inside = X.sum(axis=0), np.array(inside, dtype=np.int64)
+    return (graph.k * sizes - inside).round().astype(int), sizes.astype(int)
 
 
 def vertex_expansion(graph):

@@ -16,7 +16,9 @@ tests can compare the array routes against them:
 * the circulant-search encodings, and the tuple sets of the product and bent
   constructions;
 * the lines of hits.jsonl and hits.csv, one hit at a time through
-  ``json.dumps`` and ``csv.writer``.
+  ``json.dumps`` and ``csv.writer``;
+* crossing counts by the inverse route: A x for each column as a product
+  of tables turned back into counts, then x . A x.
 """
 
 import cmath
@@ -25,6 +27,8 @@ import io
 import json
 import math
 from functools import reduce
+
+import numpy as np
 
 from cayleyx import GdsCertificate, Gf2Field
 from cayleyx.spectral import BOUNDARY_TOL, SNAP_TOL, RamanujanVerdict, Spectrum
@@ -363,3 +367,20 @@ def gds_hit_line(n, C, cert):
     newline."""
     return json.dumps({"n": n, "C": C.tolist(), "certificate": cert.to_json()},
                       sort_keys=True)
+
+
+# -- crossing counts through A x ---------------------------------------------------
+
+def crossing_counts_by_inverse(graph, indicators):
+    """Edge counts between Omega1 and its complement for a batch of 0/1
+    indicator columns (n x batch): each column's A x = x * 1_C by one
+    forward transform of the columns, times the graph's table, and the
+    inverse ``counts``; then the edges inside, x . A x."""
+    group = graph.group
+    X = np.asarray(indicators, dtype=float)
+    grids = X.T.reshape(-1, *group.factors)
+    AX = group.counts(group.character_sum_table(grids), graph.characters)
+    AX = AX.reshape(X.shape[1], -1).T
+    sizes = X.sum(axis=0)
+    inside_twice = np.einsum("ij,ij->j", X, AX)
+    return (graph.k * sizes - inside_twice).round().astype(int), sizes.astype(int)

@@ -1,11 +1,24 @@
 """End-to-end CLI behavior: artifacts, exit codes, round trips."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cayleyx import AbelianGroup, CayleyGraph, cyclic, theorem33_set
+from cayleyx import (
+    AbelianGroup,
+    CayleyGraph,
+    GdsCertificate,
+    bent_hadamard_set,
+    cli,
+    cyclic,
+    kloosterman_trace_set,
+    theorem33_set,
+    verify_gds,
+)
 from cayleyx.cli import main
+from test_cayley import _random_symmetric
 
 
 def run(args):
@@ -43,6 +56,40 @@ def test_construct_dot_format(tmp_path):
     assert run(["construct", "bent-hadamard", "--u", "2", "--out", str(out),
                 "--format", "dot"]) == 0
     assert (out / "graph.dot").read_text().startswith("graph cayley {")
+
+
+def test_dot_refused_above_the_edge_limit(tmp_path, capsys, monkeypatch):
+    """One edge over DOT_MAX_EDGES exits 2 before any artifact is written or
+    any neighbour array is built, and names both numbers; at the limit the
+    DOT file is written."""
+    edges = 48  # bent-hadamard u=2: n = 16, k = 6
+    argv = ["construct", "bent-hadamard", "--u", "2", "--format", "dot"]
+    monkeypatch.setattr(cli, "DOT_MAX_EDGES", edges - 1)
+    monkeypatch.setattr(CayleyGraph, "to_dot", lambda self: pytest.fail("to_dot called"))
+    assert run(argv + ["--out", str(tmp_path / "over")]) == 2
+    assert f"limited to {edges - 1} edges; this graph has {edges}" in capsys.readouterr().err
+    assert not (tmp_path / "over").exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "DOT_MAX_EDGES", edges)
+    assert run(argv + ["--out", str(tmp_path / "at")]) == 0
+    assert (tmp_path / "at" / "graph.dot").read_text().count(" -- ") == edges
+
+
+def test_dot_refused_at_the_real_limit(tmp_path, capsys, monkeypatch):
+    """Z_2^20 with three generators has 3 * 2^19 edges, above DOT_MAX_EDGES:
+    analyze refuses it before any statistics, and ``to_dot`` refuses it."""
+    C = [[int(i == j) for i in range(20)] for j in range(3)]
+    edges = 3 << 19
+    assert edges > cli.DOT_MAX_EDGES
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"factors": [2] * 20, "connection_set": C}))
+    monkeypatch.setattr(CayleyGraph, "stats", lambda self: pytest.fail("stats computed"))
+    assert run(["analyze", str(gpath), "--format", "dot", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"limited to {cli.DOT_MAX_EDGES} edges; this graph has {edges}" in err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ValueError, match=f"this graph has {edges}"):
+        CayleyGraph.build(AbelianGroup([2] * 20), C).to_dot()
 
 
 def test_construct_parameter_errors(tmp_path):
@@ -220,3 +267,101 @@ def test_removed_options_exit_2(argv, tmp_path, capsys):
         run(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, has_gds", [
+    pytest.param(lambda: CayleyGraph.build(cyclic(20), [(4,), (8,), (12,), (16,)]), True, id="Z20"),
+    pytest.param(lambda: bent_hadamard_set(3).graph, True, id="Z2^6-bent"),
+    pytest.param(lambda: _random_symmetric([2] * 6, 12, seed=0), False, id="Z2^6"),
+    pytest.param(lambda: _random_symmetric([4, 6], 7, seed=0), False, id="Z4xZ6"),
+    pytest.param(lambda: CayleyGraph.build(cyclic(2), [(1,)]), True, id="Z2-one-element"),
+    pytest.param(lambda: theorem33_set(4, 4).graph, True, id="theorem33(4,4)"),
+])
+def test_streamed_artifacts_equal_json_dumps(graph, has_gds, tmp_path):
+    """graph.json and verdict.json of analyze are, byte for byte,
+    ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` of the graph's and
+    the GDS certificate's ``to_json()``."""
+    graph = graph()
+    (tmp_path / "g.json").write_text(json.dumps(graph.to_json()))
+    assert run(["analyze", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "graph.json").read_text()
+    assert text == json.dumps(graph.to_json(), sort_keys=True, indent=2) + "\n"
+    text = (tmp_path / "o" / "verdict.json").read_text()
+    verdict = json.loads(text)
+    cert = verify_gds(graph.group, graph.connection.elements)
+    assert (cert is not None) == has_gds
+    verdict["gds"] = cert.to_json() if cert else None
+    assert text == json.dumps(verdict, sort_keys=True, indent=2) + "\n"
+
+
+def test_artifacts_are_written_from_index_arrays(tmp_path, monkeypatch):
+    """No tuple list is built on the artifact path: the dict forms and
+    ``elements_at`` are never called, for a construct and for an analyze
+    with a ``gds`` block."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(theorem33_set(4, 4).graph.to_json()))
+    for cls, name in ((CayleyGraph, "to_json"), (GdsCertificate, "to_json"),
+                      (AbelianGroup, "elements_at")):
+        monkeypatch.setattr(cls, name, lambda *a: pytest.fail("tuple form built"))
+    assert run(["construct", "kloosterman-trace", "--m", "6", "--out", str(tmp_path / "c")]) == 0
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "verdict.json").read_text())["gds"] is not None
+
+
+def test_streamed_construct_equals_json_dumps(tmp_path):
+    assert run(["construct", "kloosterman-trace", "--m", "12", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "graph.json").read_text()
+    graph = kloosterman_trace_set(12).graph
+    same = text == json.dumps(graph.to_json(), sort_keys=True, indent=2) + "\n"
+    assert same  # not a diff of two 1.5 MB strings
+    text = (tmp_path / "verdict.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("factors, size", [
+    ((2,) * 16, 10000),  # several chunks; every factor in a table
+    ((5000, 3), 9000),  # a factor past the table limit, formatted as an int
+    ((7,), 0),
+])
+def test_coordinate_writer_equals_json_dumps(factors, size, tmp_path):
+    group = AbelianGroup(factors)
+    idx = np.sort(np.random.default_rng(size).choice(group.order, size, replace=False))
+    assert size <= cli.COORDINATE_ROWS or size > 2 * cli.COORDINATE_ROWS
+    cli._write_json(tmp_path, "x.json", {"a": {"b": cli._Coordinates(factors, idx), "c": [1]},
+                                         "z": cli._Coordinates(factors, idx[:1])})
+    want = {"a": {"b": [list(e) for e in group.elements_at(idx)], "c": [1]},
+            "z": [list(e) for e in group.elements_at(idx[:1])]}
+    same = (tmp_path / "x.json").read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert same  # not a diff of two megabyte strings
+
+
+def test_coordinate_writer_streams(tmp_path):
+    """The traced peak does not grow with the list: 65,536 elements of
+    Z_2^18 (about 11 MB of text) peak within 25% of 16,384 (json.dumps of
+    the list peaks at about 95 MB)."""
+    assert cli.COORDINATE_ROWS <= 8192  # both sizes span several chunks
+    rng = np.random.default_rng(18)
+    factors, peaks = (2,) * 18, []
+    for size in (16384, 65536):
+        idx = np.sort(rng.choice(2 ** 18, size, replace=False))
+        tracemalloc.start()
+        try:
+            cli._write_json(tmp_path, f"{size}.json",
+                            {"connection_set": cli._Coordinates(factors, idx)})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "65536.json").stat().st_size > 10 ** 7
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_crossing_check_draws_the_one_shot_stream(monkeypatch):
+    """Row blocks of bools carry the bits of ``rng.random((n, 64)) < 0.5``."""
+    graph = theorem33_set(4, 6).graph
+    seen = []
+    monkeypatch.setattr(cli, "CROSSING_DRAW_ROWS", 7)
+    monkeypatch.setattr(cli, "_crossings",
+                        lambda g, spec, X: seen.append(X) or (np.zeros(1), np.zeros(1)))
+    cli._seeded_crossing_check(graph, None, 5)
+    want = np.random.default_rng(5).random((graph.n, cli.CROSSING_TRIALS)) < 0.5
+    assert seen[0].dtype == bool and np.array_equal(seen[0], want)

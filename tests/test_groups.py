@@ -91,10 +91,35 @@ def test_flat_indices_match_tuple_api():
     ([(1.5,)], "(1.5,) has a non-integer coordinate"),
     ([("a",)], "('a',) has a non-integer coordinate"),
     ([(True,)], "(True,) has a non-integer coordinate"),
+    ([[1], [True]], "(True,) has a non-integer coordinate"),  # np.array reads it as 1
+    ([[1], [2, 3]], "element (2, 3) has 2 coordinates"),
+    ([[1], [11]], "element (11,) coincides with an earlier element"),
 ])
 def test_indices_reject_bad_elements(bad, words):
+    """Each is refused with ``distinct``; a coincidence is merged without it,
+    and every other case is refused either way."""
     with pytest.raises(ValueError, match=re.escape(words)):
-        cyclic(10).indices(bad)
+        cyclic(10).indices(bad, distinct=True)
+    if "coincides" in words:
+        assert cyclic(10).indices(bad).tolist() == [1]
+    else:
+        with pytest.raises(ValueError, match=re.escape(words)):
+            cyclic(10).indices(bad)
+
+
+@pytest.mark.parametrize("factors, elements, want", [
+    ([10], [[-3], [2 ** 63]], [7, 8]),  # np.array makes float64 of these
+    ([10], [[2 ** 70]], [4]),  # beyond int64: an object array
+    ([10], [(np.int64(13),), (np.uint8(4),)], [3, 4]),
+    ([4, 6], [(1, 2), [3, 4], (5, -1)], [8, 11, 22]),  # tuples and lists mixed
+])
+def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
+    """Parsed as one array, with no element-by-element pass."""
+    group = AbelianGroup(factors)
+    assert want == sorted(group.index_of(element(group, e)) for e in elements)
+    monkeypatch.setattr(AbelianGroup, "_parse_elements", None)
+    assert group.indices(elements).tolist() == want
+    assert group.indices(elements, distinct=True).tolist() == want
 
 
 def test_group_matrix_is_a_gather():
