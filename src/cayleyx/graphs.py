@@ -10,7 +10,7 @@ connection set once, to ``characters``; statistics and common-neighbour
 counts are products of that table with transforms, inverted by ``counts``.
 The dense adjacency is the indicator's group matrix, the one input of the
 oracle (:func:`cayleyx.spectral.spectrum_oracle`), which splits it at a
-subgroup of order 4 (or 2) and reads no character values.
+subgroup of order up to sqrt(n) and reads no character values.
 """
 
 from __future__ import annotations

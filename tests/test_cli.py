@@ -134,6 +134,32 @@ def test_analyze_computes_common_neighbours_once(tmp_path, monkeypatch):
     assert once == (recomputed[0] - 1, recomputed[1])
 
 
+@pytest.mark.parametrize("n", [4095, 2048])
+def test_analyze_oracle_catches_a_wrong_character_table(n, tmp_path, monkeypatch):
+    """The oracle reads no character values: with one entry of the graph's
+    character table off by 1e-3 (well inside the rounding of every count
+    made from the table), analyze still runs and reports that the spectra
+    disagree.  Z_4095 splits at Z_63, Z_2048 at Z_32."""
+    C = [1, 5, 77, 300, 1000, 2000]
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"factors": [n],
+                                 "connection_set": [[c] for c in C + [n - c for c in C]]}))
+    target = CayleyGraph.from_json(json.loads(gpath.read_text())).indicator
+    table = AbelianGroup.character_sum_table
+
+    def wrong(self, x):
+        t = table(self, x)
+        if np.shape(x) == target.shape and np.array_equal(x, target):
+            t = t.copy()
+            t.flat[1] += 1e-3
+        return t
+
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", wrong)
+    out = tmp_path / "out"
+    assert run(["analyze", str(gpath), "--out", str(out)]) == 0
+    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is False
+
+
 def test_analyze_reports_skipped_oracle(tmp_path, capsys):
     """Above ORACLE_MAX_N no oracle runs, and the verdict says so."""
     gpath = tmp_path / "g.json"

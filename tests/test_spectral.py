@@ -1,5 +1,6 @@
 """Character spectra, the eigensolver oracle, and certification primitives."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -73,7 +74,7 @@ def oracle_by_one_solve(graph):
 
 
 @pytest.mark.parametrize("factors", [[5], [9], [3, 4], [2] * 6, [8, 4, 2],
-                                     [6], [10], [12], [16], [2, 9], [6, 10]])
+                                     [6], [10], [12], [16], [2, 9], [6, 10], [15], [25]])
 def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
     raw = []
 
@@ -90,15 +91,21 @@ def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
         assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
 
 
+SPLIT_64 = [((64, 64), "float64")] * 2 + [((64, 64), "complex128")] * 15
+
+
 @pytest.mark.parametrize("factors, blocks", [
-    ([2, 6], [((3, 3), "float64")] * 4),           # Z_2^2: four real characters
-    ([12], [((3, 3), "float64"), ((3, 3), "complex128"), ((3, 3), "float64")]),  # Z_4
-    ([10], [((5, 5), "float64")] * 2),             # Z_2: n = 2 mod 4
-    ([9], [((9, 9), "float64")]),                  # odd n: unsplit
+    ([2, 6], [((4, 4), "float64"), ((4, 4), "complex128")]),   # Z_3 in the 6
+    ([12], [((4, 4), "float64"), ((4, 4), "complex128")]),     # Z_3: 4^2 > 12
+    ([10], [((5, 5), "float64")] * 2),                         # Z_2
+    ([9], [((3, 3), "float64"), ((3, 3), "complex128")]),      # Z_3, odd n
+    ([7], [((7, 7), "float64")]),                              # prime: unsplit
+    ([2048], SPLIT_64),                                        # Z_32: 2 real, 15 pairs
 ])
-def test_oracle_splits_at_a_subgroup_of_order_four(factors, blocks, monkeypatch):
+def test_oracle_splits_at_a_subgroup_of_order_up_to_root_n(factors, blocks, monkeypatch):
     """The blocks the eigensolver receives: one of size n/|H| per character
-    of H up to conjugation."""
+    of H up to conjugation, the real characters first, for the largest H
+    the greedy rule allows under |H|^2 <= n."""
     solve = np.linalg.eigvalsh
     seen = []
 
@@ -110,6 +117,17 @@ def test_oracle_splits_at_a_subgroup_of_order_four(factors, blocks, monkeypatch)
     graph = _random_symmetric(factors, 4, seed=4)
     assert spectrum_oracle(graph).n == graph.n
     assert seen == blocks
+
+
+@pytest.mark.parametrize("factors, split", [
+    ([4095], {0: 63}), ([4094], {0: 46}), ([1023], {0: 31}), ([4, 4, 4], {0: 4, 1: 2}),
+    ([16, 16, 8], {0: 16, 1: 2}), ([2] * 11, {i: 2 for i in range(5)}),
+    ([3, 7, 7], {1: 7}), ([5, 2, 3], {0: 5}), ([1], {}),
+])
+def test_subgroup_is_the_greedy_one_below_root_n(factors, split):
+    """Factors by decreasing order (ties by position), each with its largest
+    divisor that keeps |H|^2 <= n: several factors, ties and sizes near the cap."""
+    assert spectral._subgroup(factors) == split
 
 
 def _typed_entries(spectrum):
@@ -129,8 +147,8 @@ def test_spectra_and_verdicts_match_the_scalar_references(monkeypatch):
     """spectrum_by_characters and spectrum_oracle group their eigenvalues,
     and ramanujan_check decides, as the one-value-at-a-time references do:
     values, multiplicities, exact flags and their Python types, and every
-    verdict field with the reason.  The oracle runs on the mixed groups and
-    an odd C255 (it is capped at n <= 4096, and C4095 takes seconds)."""
+    verdict field with the reason.  The oracle runs on every graph below its
+    cap of n <= 4096, C4095 included."""
     graphs = [_random_symmetric(factors, size, seed=size) for factors, size in MIXED_GRAPHS]
     rng = np.random.default_rng(4095)
     pairs = rng.choice(np.arange(1, 2048), 6, replace=False)
@@ -157,7 +175,7 @@ def test_spectra_and_verdicts_match_the_scalar_references(monkeypatch):
 
     monkeypatch.setattr(spectral, "_group_eigenvalues", record)
     for graph in graphs:
-        if graph.n <= 255:
+        if graph.n <= spectral.ORACLE_MAX_N:
             spec = spectrum_oracle(graph)
             assert _typed_entries(spec) == _typed_entries(group_eigenvalues(raw.pop(), graph.n))
 
@@ -193,21 +211,28 @@ def test_oracle_refuses_a_matrix_that_is_not_translation_invariant(monkeypatch):
         spectrum_oracle(graph)
 
 
-@pytest.mark.parametrize("factors", [[12], [2, 6]])
+@pytest.mark.parametrize("factors", [[36], [4, 4, 4]])
 def test_oracle_refuses_a_matrix_that_commutes_with_part_of_the_subgroup(factors, monkeypatch):
-    """Toggling the edge {0, 1} and its translate {6, 7} keeps A invariant
-    under the translation by 6 (on Z_2 x Z_6: by (1, 0)), but not under 3
-    (on Z_2 x Z_6: (0, 3)), which the subgroup of order 4 also holds."""
+    """H is Z_6 on Z_36 (generated by 6) and Z_4 x Z_2 on Z_4^3 (by
+    (1, 0, 0) = 16 and (0, 2, 0) = 8).  Toggling the edge {0, 1} and its
+    translate by t = 18 (on Z_4^3: 8) keeps A invariant under the proper
+    subgroup of H generated by t, but not under all of H."""
+    n = math.prod(factors)
+    assert spectral._subgroup(factors) == {36: {0: 6}, 64: {0: 4, 1: 2}}[n]
+    shift = {36: (18,), 64: (0, 2, 0)}[n]
+    t = int(np.ravel_multi_index(shift, factors))
     gather = AbelianGroup.group_matrix
 
     def tampered(self, x):
         M = gather(self, x)
-        for u, v in ((0, 1), (6, 7)):
+        for u, v in ((0, 1), (t, t + 1)):
             M[u, v] = M[v, u] = 1 - M[u, v]
         return M
 
     graph = _random_symmetric(factors, 4, seed=4)
     monkeypatch.setattr(AbelianGroup, "group_matrix", tampered)
+    grid = graph.adjacency_matrix().reshape(factors * 2)
+    assert np.array_equal(np.roll(grid, shift * 2, tuple(range(grid.ndim))), grid)
     with pytest.raises(ArithmeticError):
         spectrum_oracle(graph)
 
@@ -227,7 +252,7 @@ def test_oracle_uses_no_character_values(monkeypatch):
         assert spectrum_oracle(graph).n == graph.n
 
 
-@pytest.mark.parametrize("factors", [[32, 32], [1024], [2] * 10, [1022]])
+@pytest.mark.parametrize("factors", [[32, 32], [1024], [2] * 10, [1022], [1023]])
 def test_oracle_memory_stays_near_one_adjacency_matrix(factors):
     """The oracle builds A (8 n^2 bytes) once and forms every block as a
     view of it or in one buffer: a copy of A would at least double the peak."""
