@@ -198,8 +198,11 @@ class AbelianGroup:
         ind[indices] = 1.0
         return ind.reshape(self.factors)
 
-    def group_matrix(self, x):
-        """The n x n matrix ``M[u, v] = x[v - u]`` (flat indices) of a grid array.
+    def group_matrix(self, x, box):
+        """The rows ``M[u, v] = x[v - u]`` (flat indices) of a grid array for
+        the u with ``u_i < box_i`` (``1 <= box_i <= d_i``) on every factor,
+        in ravel order of the box: a prod(box) x n matrix, all of it when
+        ``box`` is the factors.
 
         Row 0 is ``x``.  Factors are filled last to first by doubling: with
         the later factors' rows done and rows ``u_i < s`` of factor i done,
@@ -210,20 +213,20 @@ class AbelianGroup:
         width s swapped (v - u is XOR there).
         """
         n = self.order
-        M = np.empty((n, n))
+        M = np.empty((math.prod(box), n))
         M[0] = np.ravel(x)
-        post = 1  # rows per step of u_i: the product of the later factors
-        for d in reversed(self.factors):
-            pre = n // (d * post)
+        post = cols = 1  # rows and columns per step of u_i, v_i: the later factors'
+        for d, b in zip(reversed(self.factors), reversed(box)):
+            pre = n // (d * cols)
             s = 1
-            while s < d:
-                w = min(s, d - s)
-                src = M[:w * post].reshape(w * post, pre, d, post)
-                dst = M[s * post:(s + w) * post].reshape(w * post, pre, d, post)
+            while s < b:
+                w = min(s, b - s)
+                src = M[:w * post].reshape(w * post, pre, d, cols)
+                dst = M[s * post:(s + w) * post].reshape(w * post, pre, d, cols)
                 dst[:, :, s:] = src[:, :, :d - s]
                 dst[:, :, :s] = src[:, :, d - s:]
                 s += w
-            post *= d
+            post, cols = post * b, cols * d
         return M
 
     def character_sum_table(self, indicator):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, round trips."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,25 @@ def test_analyze_non_integer_factors(factors, tmp_path, capsys):
     gpath.write_text(json.dumps({"factors": factors, "connection_set": [[1], [9]]}))
     assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
     assert "malformed graph JSON: factors must be integers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("factors, conn", [([2] * 44, [[1] + [0] * 43]),
+                                           ([2 ** 25], [[1], [2 ** 25 - 1]])])
+def test_analyze_refuses_orders_above_its_limit(factors, conn, tmp_path, capsys):
+    """Refused with exit 2 before anything of size n is allocated (2^44
+    floats would be 128 TiB)."""
+    gpath = tmp_path / "big.json"
+    gpath.write_text(json.dumps({"factors": factors, "connection_set": conn}))
+    tracemalloc.start()
+    try:
+        code = run(["analyze", str(gpath), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert f"error: analyze is limited to n <= 16777216, got {math.prod(factors)}\n" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import importlib
+import itertools
 import json
 import pkgutil
 import re
@@ -123,12 +124,18 @@ def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
 
 
 def test_group_matrix_is_a_gather():
-    for factors in ([3, 2, 4], [2] * 5, [2, 3, 2, 2], [4, 2, 2]):
+    """The rows u with u_i < box_i, in ravel order of the box: the whole
+    group, proper boxes of every group, and on Z_3 x Z_2 x Z_4 the
+    transversal (0..2, 0..1, 0..1) of the subgroup generated by (0, 0, 2)."""
+    for factors, boxes in (([3, 2, 4], ([2, 1, 3], [3, 2, 2])), ([2] * 5, ([1, 2, 1, 2, 2],)),
+                           ([2, 3, 2, 2], ([1, 3, 2, 1],)), ([4, 2, 2], ([3, 2, 1], [1, 1, 1]))):
         g = AbelianGroup(factors)
         x = np.arange(g.order, dtype=float).reshape(g.factors)
-        M = g.group_matrix(x)
-        want = [[x.ravel()[g.index_of(sub(g, v, u))] for v in g.elements()] for u in g.elements()]
-        assert M.dtype == np.float64 and M.tolist() == want, factors
+        for box in (factors, *boxes):
+            M = g.group_matrix(x, box)
+            rows = itertools.product(*map(range, box))
+            want = [[x.ravel()[g.index_of(sub(g, v, u))] for v in g.elements()] for u in rows]
+            assert M.dtype == np.float64 and M.tolist() == want, (factors, box)
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):
