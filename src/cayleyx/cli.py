@@ -8,6 +8,8 @@ spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -37,6 +39,7 @@ CROSSING_TRIALS = 64
 CROSSING_DRAW_ROWS = 1 << 14  # rows of random floats drawn at a time
 COORDINATE_ROWS = 4096  # rows per formatted chunk of a streamed coordinate list
 COORDINATE_TABLE = 4096  # entries of a table of formatted coordinates, at most
+HIT_DIGIT_BITS = 8  # bits of a hit's mask read per token-table lookup
 
 
 class ParameterError(Exception):
@@ -284,71 +287,121 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _ramanujan_text(n, chunk, tokens):
-    """hits.jsonl lines and hits.csv rows of a chunk of circulant hits (see
-    :func:`cayleyx.search._chunks`), byte for byte ``json.dumps(..., sort_keys=True)``
-    of a hit's JSON form and ``csv.writer`` rows: ints print as themselves and
-    floats by ``repr``, as both do."""
-    s, k, ind, second, boundary = chunk
-    cols = np.nonzero(ind)[1].tolist()  # each row's C, ascending
-    lines, rows, at = [], [], 0
-    for enc, deg, lam, flag in zip(s.tolist(), k.tolist(), second, boundary.tolist()):
-        C = ", ".join([tokens[c] for c in cols[at:at + deg]])
-        at += deg
-        lam = repr(lam)
-        lines.append(f'{{"C": [{C}], "k": {deg}, "lambda2_abs": {lam}, "n": {n}, '
-                     f'"s": {enc}, "verdict": {{"bound": {2.0 * math.sqrt(deg - 1)!r}, '
-                     f'"boundary_flag": {"true" if flag else "false"}, "connected": true, '
-                     f'"is_ramanujan": true, "reason": "", "second_largest_abs": {lam}}}}}\n')
-        rows.append(f"{n},{enc},{deg},{lam},1\r\n")
-    return "".join(lines), "".join(rows)
+class _SetText:
+    """``sep.join`` of the elements of sets of Z_n held as int masks (bit i
+    <-> i), one list per array of masks.
+
+    A mask is read ``HIT_DIGIT_BITS`` bits at a time.  Each digit has a
+    table, built once, whose entry v is the text ``sep + str(i)`` of every
+    set bit i of v in that digit, ascending; a set's text is its digits'
+    looked-up entries added up as object arrays, less the leading ``sep``.
+    """
+
+    def __init__(self, n, sep):
+        self.cut, self.tables = len(sep), []
+        for low in range(0, n, HIT_DIGIT_BITS):
+            table = [""]
+            for i in range(low, min(low + HIT_DIGIT_BITS, n)):
+                token = sep + str(i)
+                table += [t + token for t in table]  # the values with bit i set
+            self.tables.append(np.array(table, dtype=object))
+
+    def __call__(self, masks):
+        masks, digit = np.asarray(masks, dtype=np.int64), (1 << HIT_DIGIT_BITS) - 1
+        text = self.tables[0][masks & digit]
+        for j, table in enumerate(self.tables[1:], 1):
+            text += table[masks >> (j * HIT_DIGIT_BITS) & digit]
+        return [t[self.cut:] for t in text.tolist()]
 
 
-def _gds_text(n, chunk, tokens):
-    """hits.jsonl lines of a chunk of GDS hits (see
-    :func:`cayleyx.groupring._chunks`), byte for byte
-    ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit;
-    the certificate lists its elements as 1-tuples."""
-    bits, counts = chunk
-    mu1, mu2, in_S = groupring._presentation(counts)
-    C_cols, S_cols = np.nonzero(bits)[1].tolist(), np.nonzero(in_S)[1].tolist()
-    lines, c, s = [], 0, 0
-    for k, size, m1, m2 in zip(bits.sum(axis=1).tolist(), in_S.sum(axis=1).tolist(),
-                               mu1.tolist(), mu2.tolist()):
-        C = ", ".join([tokens[i] for i in C_cols[c:c + k]])
-        S = "], [".join([tokens[g] for g in S_cols[s:s + size]])
-        c, s = c + k, s + size
-        lines.append(f'{{"C": [{C}], "certificate": {{"C": [[{C.replace(", ", "], [")}]], '
-                     f'"S": [[{S}]], "factors": [{n}], "identity_in_S": true, '
-                     f'"k": {k}, "mu1": {m1}, "mu2": {m2}, "n": {n}}}, "n": {n}}}\n')
-    return "".join(lines)
+def _masks(rows):
+    """The int64 mask of each 0/1 row (column i <-> bit i), by one float
+    product: exact, since the rows are at most 32 columns wide."""
+    return (rows @ 2.0 ** np.arange(rows.shape[1])).astype(np.int64)
+
+
+def _fill(template, *columns):
+    """``template`` once per row, filled by one ``%`` from the fields of
+    ``columns`` (equal-length sequences) in row-major order."""
+    return (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _ramanujan_text(n):
+    """The formatter of the circulant hits of Z_n: a function from a chunk
+    (see :func:`cayleyx.search._chunks`) to its hits.jsonl lines and hits.csv
+    rows, byte for byte ``json.dumps(..., sort_keys=True)`` of a hit's JSON
+    form and ``csv.writer`` rows: ints print as themselves and floats by
+    ``repr``, as both do.  Each C is read from a :class:`_SetText` table and
+    each bound from a table by degree; the hits share few distinct
+    eigenvalues, so their ``repr`` is kept per value and type.  Each file's
+    text of a chunk is one ``%`` format."""
+    C_text, number = _SetText(n, ", "), functools.lru_cache(maxsize=None, typed=True)(repr)
+    bounds = np.array([repr(2.0 * math.sqrt(d)) for d in range(n)], dtype=object)  # k = d + 1
+    line = ('{"C": [%s], "k": %d, "lambda2_abs": %s, "n": ' + str(n) + ', "s": %d, '
+            '"verdict": {"bound": %s, "boundary_flag": %s, "connected": true, '
+            '"is_ramanujan": true, "reason": "", "second_largest_abs": %s}}\n')
+    row = str(n) + ",%d,%d,%s,1\r\n"
+
+    def text(chunk):
+        s, k, ind, second, boundary = chunk
+        lam = list(map(number, second))
+        bound = bounds[k - 1].tolist()
+        flag = np.where(boundary, "true", "false").tolist()
+        s, k = s.tolist(), k.tolist()
+        return (_fill(line, C_text(_masks(ind)), k, lam, s, bound, flag, lam),
+                _fill(row, s, k, lam))
+    return text
+
+
+def _gds_text(n):
+    """The formatter of the GDS hits of Z_n: a function from a chunk (see
+    :func:`cayleyx.groupring._chunks`) to its hits.jsonl lines, byte for byte
+    ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit.
+    The certificate lists its elements as 1-tuples, so C is read from two
+    :class:`_SetText` tables, by ``", "`` and by ``"], ["``, and S from the
+    latter; the chunk's text is one ``%`` format."""
+    C_text, tuple_text = _SetText(n, ", "), _SetText(n, "], [")
+    line = ('{"C": [%s], "certificate": {"C": [[%s]], "S": [[%s]], "factors": [' + str(n)
+            + '], "identity_in_S": true, "k": %d, "mu1": %d, "mu2": %d, "n": ' + str(n)
+            + '}, "n": ' + str(n) + '}\n')
+
+    def text(chunk):
+        masks, counts = chunk
+        mu1, mu2, in_S = groupring._presentation(counts)
+        return _fill(line, C_text(masks), tuple_text(masks), tuple_text(_masks(in_S)),
+                     np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist())
+    return text
 
 
 def cmd_search(args):
     """Write the hits of one search to hits.jsonl (and hits.csv for
-    circulants), one write per file per scanned chunk."""
+    circulants), one write per file per scanned chunk.  n is checked before
+    any file is opened."""
     t0 = time.perf_counter()
     n, outdir = args.n, args.out
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "hits.jsonl")
-    tokens = [str(i) for i in range(n)]
-    count = 0
     try:
-        with open(path, "w") as f:
-            if args.mode == "ramanujan":
-                with open(os.path.join(outdir, "hits.csv"), "w") as g:
-                    g.write(",".join(search.CSV_HEADER) + "\r\n")
-                    for chunk in search._chunks(n, args.minDegree):
-                        lines, rows = _ramanujan_text(n, chunk, tokens)
-                        f.write(lines)
-                        g.write(rows)
-                        count += len(chunk[0])
-            else:
-                for chunk in groupring._chunks(n):
-                    f.write(_gds_text(n, chunk, tokens))
-                    count += len(chunk[0])
+        if args.mode == "ramanujan":
+            chunks, text = search._chunks(n, args.minDegree), _ramanujan_text(n)
+        else:
+            chunks, text = groupring._chunks(n), _gds_text(n)
     except ValueError as e:
         raise ParameterError(str(e))
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, "hits.jsonl")
+    count = 0
+    with open(path, "w") as f:
+        if args.mode == "ramanujan":
+            with open(os.path.join(outdir, "hits.csv"), "w") as g:
+                g.write(",".join(search.CSV_HEADER) + "\r\n")
+                for chunk in chunks:
+                    lines, rows = text(chunk)
+                    f.write(lines)
+                    g.write(rows)
+                    count += len(chunk[0])
+        else:
+            for chunk in chunks:
+                f.write(text(chunk))
+                count += len(chunk[0])
     print(f"search {args.mode} n={n}: {count} hits in {time.perf_counter() - t0:.2f}s "
           f"-> {path}")
     return EXIT_OK

@@ -173,6 +173,7 @@ def check_group_ring_identity(cert):
     return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
+MAX_N = 24  # the exhaustive scan visits 2^n masks
 # Masks per batch of :func:`search_gds`: 64 KiB uint64 arrays, enough masks
 # to spread numpy's per-call overhead without raising the peak RSS.
 SCAN_CHUNK = 1 << 13
@@ -202,24 +203,30 @@ def _two_valued(masks, n):
 
 
 def _chunks(n):
-    """Yield ``(bits, counts)`` for the GDS among each chunk of ``SCAN_CHUNK``
-    masks of Z_n with at least two elements, in increasing mask order: the
-    0/1 rows (bit i <-> i in C) and each row's difference counts
-    mu_1..mu_{n-1}, which take at most two values.  A row's k is its sum
-    in ``bits``; :func:`_presentation` gives the rest of its certificate.
-
-    Within a chunk the popcount pre-check of :func:`_two_valued` drops a
-    mask as soon as a third distinct difference count appears; the
-    survivors' full counts are then computed in one batch.
-    """
-    if not 2 <= n <= 24:
-        raise ValueError(f"n must be in [2, 24], got {n}")
+    """An iterator of ``(masks, counts)`` for the GDS among each chunk of
+    ``SCAN_CHUNK`` masks of Z_n with at least two elements, in increasing
+    mask order (see :func:`_survivors`).  n is checked here, before any
+    chunk is scanned."""
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must be in [2, {MAX_N}], got {n}")
     full = (1 << n) - 1  # C = Z_n is no GDS candidate
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, full, SCAN_CHUNK):
-        masks = np.arange(start, min(start + SCAN_CHUNK, full), dtype=np.uint64)
-        masks = _two_valued(masks[np.bitwise_count(masks) >= 2], n)[:, None]
-        yield (masks >> shifts) & 1, np.bitwise_count(masks & _rotl(masks, shifts[1:], n))
+    return (_survivors(np.arange(start, min(start + SCAN_CHUNK, full), dtype=np.uint64), n)
+            for start in range(0, full, SCAN_CHUNK))
+
+
+def _survivors(masks, n):
+    """``(masks, counts)`` for the GDS among the uint64 ``masks``: the masks
+    (bit i <-> i in C) and each one's row of difference counts
+    mu_1..mu_{n-1}, which take at most two values.  A mask's k is its
+    popcount; :func:`_presentation` gives the rest of its certificate.
+
+    The popcount pre-check of :func:`_two_valued` drops a mask as soon as a
+    third distinct difference count appears; the survivors' full counts are
+    then computed in one batch.
+    """
+    masks = _two_valued(masks[np.bitwise_count(masks) >= 2], n)
+    rows = masks[:, None]
+    return masks, np.bitwise_count(rows & _rotl(rows, np.arange(1, n, dtype=np.uint64), n))
 
 
 def _presentation(counts):
@@ -241,10 +248,11 @@ def search_gds(n):
     particular set of interest appears verbatim.  The rows of
     :func:`_chunks` and their :func:`_presentation` become the certificates.
     """
-    for bits, counts in _chunks(n):
-        group = cyclic(n)
+    group, shifts = cyclic(n), np.arange(n, dtype=np.uint64)
+    for masks, counts in _chunks(n):
         mu1, mu2, in_S = _presentation(counts)
-        for row, S, m1, m2 in zip(bits, in_S, mu1.tolist(), mu2.tolist()):
+        for row, S, m1, m2 in zip((masks[:, None] >> shifts) & 1, in_S,
+                                  mu1.tolist(), mu2.tolist()):
             C = np.flatnonzero(row)
             cert = GdsCertificate(group=group, C=C, S=np.flatnonzero(S), k=C.size,
                                   mu1=m1, mu2=m2, identity_in_S=True)

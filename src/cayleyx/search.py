@@ -44,10 +44,20 @@ class SearchHit:
 
 
 def _chunks(n, min_degree):
-    """Yield ``(s, k, ind, second, boundary)`` for the hits among each chunk
-    of ``SCAN_CHUNK`` encodings, in increasing encoding order: the encodings,
-    degrees, 0/1 indicator rows of C, and the ``second_largest_abs`` list and
-    ``boundary_flag`` array of their verdicts.
+    """An iterator of ``(s, k, ind, second, boundary)`` for the hits among
+    each chunk of ``SCAN_CHUNK`` encodings, in increasing encoding order (see
+    :func:`_hits`).  n is checked here, before any chunk is scanned."""
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
+    end = 1 << (n // 2)
+    return (_hits(n, min_degree, np.arange(start, min(start + SCAN_CHUNK, end)))
+            for start in range(1, end, SCAN_CHUNK))
+
+
+def _hits(n, min_degree, s):
+    """``(s, k, ind, second, boundary)`` for the hits among the encodings
+    ``s``: the encodings, degrees, 0/1 indicator rows of C, and the
+    ``second_largest_abs`` list and ``boundary_flag`` array of their verdicts.
 
     Encodings are the rows of a bit matrix B (column i-1 selects pair i) and
     of the indicator rows it selects.  Degree and connectivity (gcd of n and
@@ -56,26 +66,21 @@ def _chunks(n, min_degree):
     :func:`cayleyx.spectral._ramanujan_rows` decides each of them exactly as
     :func:`cayleyx.spectral.ramanujan_check` decides one graph.
     """
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
-    half = n // 2
-    pairs = np.arange(1, half + 1)
-    for start in range(1, 1 << half, SCAN_CHUNK):
-        s = np.arange(start, min(start + SCAN_CHUNK, 1 << half))
-        B = (s[:, None] >> (pairs - 1)) & 1
-        ind = np.zeros((s.size, n))
-        ind[:, pairs] = ind[:, n - pairs] = B
-        k = np.count_nonzero(ind, axis=1)
-        # a proper subgroup is generated (disconnected) iff gcd(n, C) > 1
-        keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
-        s, k, ind = s[keep], k[keep], ind[keep]
-        # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
-        sums = np.fft.fft(ind, axis=1)
-        if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
-            raise ArithmeticError("character sums of a symmetric set must be real")
-        ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test
-        yield (s[ok], k[ok], ind[ok], [x for x, o in zip(second, ok.tolist()) if o],
-               boundary[ok])
+    pairs = np.arange(1, n // 2 + 1)
+    B = (s[:, None] >> (pairs - 1)) & 1
+    ind = np.zeros((s.size, n))
+    ind[:, pairs] = ind[:, n - pairs] = B
+    k = np.count_nonzero(ind, axis=1)
+    # a proper subgroup is generated (disconnected) iff gcd(n, C) > 1
+    keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
+    s, k, ind = s[keep], k[keep], ind[keep]
+    # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
+    sums = np.fft.fft(ind, axis=1)
+    if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
+        raise ArithmeticError("character sums of a symmetric set must be real")
+    ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test
+    return (s[ok], k[ok], ind[ok], [x for x, o in zip(second, ok.tolist()) if o],
+            boundary[ok])
 
 
 def search_ramanujan_circulant(n, min_degree=2):

@@ -17,8 +17,6 @@ the integers of every construction this package ships.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -74,12 +72,11 @@ class Spectrum:
         return sum(v * v * m for v, m, _ in self.entries)
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["value", "multiplicity", "exact"])
-        for v, m, exact in self.entries:
-            w.writerow([v, m, int(exact)])
-        return buf.getvalue()
+        """The rows value, multiplicity, exact (0/1) as ``csv.writer`` writes
+        them, by one ``%`` format: values by ``str``, which is ``repr`` for
+        floats."""
+        fields = tuple(x for entry in self.entries for x in entry)
+        return "value,multiplicity,exact\r\n" + "%s,%d,%d\r\n" * len(self.entries) % fields
 
 
 @dataclass(frozen=True)

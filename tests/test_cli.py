@@ -300,6 +300,16 @@ def test_search_budget_exit(tmp_path):
     assert run(["search", "ramanujan", "--n", "40", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("mode, n", [("gds", 30), ("gds", 1), ("ramanujan", 40),
+                                     ("ramanujan", 2)])
+def test_search_out_of_range_writes_no_hit_files(mode, n, tmp_path, capsys):
+    """n is checked before any hit file is opened."""
+    out = tmp_path / "d"
+    assert run(["search", mode, "--n", str(n), "--out", str(out)]) == 2
+    assert "n must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "theorem33", "--s", "4", "--r", "4", "--jobs", "2"],
     ["construct", "theorem33", "--s", "4", "--r", "4", "--format", "csv"],

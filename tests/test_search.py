@@ -12,6 +12,7 @@ from cayleyx import (
     ConnectionSet,
     GdsCertificate,
     SearchHit,
+    cli,
     cyclic,
     groupring,
     ramanujan_check,
@@ -139,9 +140,12 @@ def _expected_files(mode, n):
                         + "".join(ramanujan_csv_row(h) for h in hits)}
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-# n = 24 holds a hit with boundary_flag true
-@pytest.mark.parametrize("mode, n", [("ramanujan", 17), ("ramanujan", 24), ("gds", 11)])
+# n = 24 holds a hit with boundary_flag true; a GDS mask of Z_17 spans three
+# byte tables (17 bits), scanned at the default chunk only: 2^17 masks seven
+# at a time take seconds
+@pytest.mark.parametrize("mode, n, chunk", [
+    (mode, n, chunk) for mode, n in [("ramanujan", 17), ("ramanujan", 24), ("gds", 11)]
+    for chunk in (None, 7)] + [("gds", 17, None)])
 def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, capsys):
     if chunk:
         monkeypatch.setattr(search, "SCAN_CHUNK", chunk)
@@ -154,6 +158,20 @@ def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, c
     for name, text in expected.items():
         with open(tmp_path / name, newline="") as f:
             assert f.read() == text, name
+
+
+@pytest.mark.parametrize("sep", [", ", "], ["])
+def test_set_text_joins_the_set_bits(sep):
+    """A mask's text read from the byte tables is ``sep.join`` of its set
+    bits, at every width the searches write, empty and full rows included."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 33):
+        rows = rng.random((40, n)) < rng.random((40, 1))
+        rows[0], rows[1] = False, True
+        masks = rows.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+        assert cli._SetText(n, sep)(masks) == [sep.join(map(str, np.flatnonzero(row)))
+                                               for row in rows], n
+    assert cli._masks(rows.astype(float)).tolist() == masks.tolist()
 
 
 def _verdict_fields(verdict):

@@ -1,5 +1,7 @@
 """Character spectra, the eigensolver oracle, and certification primitives."""
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -433,3 +435,22 @@ def test_spectrum_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "value,multiplicity,exact"
     assert lines[1] == "2,1,1"
+
+
+def _csv_writer_text(entries):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["value", "multiplicity", "exact"]]
+                              + [[v, m, int(exact)] for v, m, exact in entries])
+    return buf.getvalue()
+
+
+def test_spectrum_csv_equals_csv_writer():
+    """One ``%`` format writes what ``csv.writer`` writes, byte for byte:
+    exact ints, floats by repr, negatives and -0.0 alike."""
+    entries = ((24, 1, True), (13.34553434433975, 2, False), (0.1, 3, False),
+               (0, 7, True), (-0.0, 1, False), (-1e-07, 2, False), (-2.5, 4, False),
+               (-12, 1, True), (-1.0000000000000002e+300, 1, False))
+    for spec in (spectral.Spectrum(()), spectral.Spectrum(entries),
+                 spectrum_by_characters(_circulant(13, [1, 5, 8, 12]))):
+        assert spec.to_csv() == _csv_writer_text(spec.entries)
+    assert "-0.0,1,0\r\n" in spectral.Spectrum(entries).to_csv()
