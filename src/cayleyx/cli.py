@@ -236,6 +236,8 @@ def _seeded_crossing_check(graph, spec, seed):
 
 
 def cmd_analyze(args):
+    if args.seed < 0:  # np.random.default_rng refuses it, after all the work
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     try:
         with open(args.input) as f:
             obj = json.load(f)
@@ -314,12 +316,6 @@ class _SetText:
         return [t[self.cut:] for t in text.tolist()]
 
 
-def _masks(rows):
-    """The int64 mask of each 0/1 row (column i <-> bit i), by one float
-    product: exact, since the rows are at most 32 columns wide."""
-    return (rows @ 2.0 ** np.arange(rows.shape[1])).astype(np.int64)
-
-
 def _fill(template, *columns):
     """``template`` once per row, filled by one ``%`` from the fields of
     ``columns`` (equal-length sequences) in row-major order."""
@@ -343,12 +339,12 @@ def _ramanujan_text(n):
     row = str(n) + ",%d,%d,%s,1\r\n"
 
     def text(chunk):
-        s, k, ind, second, boundary = chunk
+        s, k, masks, second, boundary = chunk
         lam = list(map(number, second))
         bound = bounds[k - 1].tolist()
         flag = np.where(boundary, "true", "false").tolist()
         s, k = s.tolist(), k.tolist()
-        return (_fill(line, C_text(_masks(ind)), k, lam, s, bound, flag, lam),
+        return (_fill(line, C_text(masks), k, lam, s, bound, flag, lam),
                 _fill(row, s, k, lam))
     return text
 
@@ -359,8 +355,10 @@ def _gds_text(n):
     ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit.
     The certificate lists its elements as 1-tuples, so C is read from two
     :class:`_SetText` tables, by ``", "`` and by ``"], ["``, and S from the
-    latter; the chunk's text is one ``%`` format."""
+    latter, its mask packed from S's row by one integer product; the
+    chunk's text is one ``%`` format."""
     C_text, tuple_text = _SetText(n, ", "), _SetText(n, "], [")
+    bits = 1 << np.arange(n, dtype=np.int64)
     line = ('{"C": [%s], "certificate": {"C": [[%s]], "S": [[%s]], "factors": [' + str(n)
             + '], "identity_in_S": true, "k": %d, "mu1": %d, "mu2": %d, "n": ' + str(n)
             + '}, "n": ' + str(n) + '}\n')
@@ -368,7 +366,7 @@ def _gds_text(n):
     def text(chunk):
         masks, counts = chunk
         mu1, mu2, in_S = groupring._presentation(counts)
-        return _fill(line, C_text(masks), tuple_text(masks), tuple_text(_masks(in_S)),
+        return _fill(line, C_text(masks), tuple_text(masks), tuple_text(in_S @ bits),
                      np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist())
     return text
 

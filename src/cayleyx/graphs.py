@@ -8,10 +8,11 @@ parse them, ``ConnectionSet.elements``, ``CayleyGraph.vertices`` and the
 JSON/DOT exports produce them.  Each graph transforms the indicator of its
 connection set once, to ``characters``; statistics and common-neighbour
 counts are products of that table with transforms, inverted by ``counts``.
-The dense adjacency is the indicator's group matrix; the oracle
-(:func:`cayleyx.spectral.spectrum_oracle`) fills only the n/|H| rows of it
-that it splits at a subgroup H of order up to sqrt(n), and reads no
-character values.
+The dense adjacency is the one block of the indicator's
+:meth:`~cayleyx.groups.AbelianGroup.difference_blocks` at q = (1, ..., 1);
+the oracle (:func:`cayleyx.spectral.spectrum_oracle`) gathers only the
+blocks of the n/|H| rows of it that it splits at a subgroup H of order up
+to sqrt(n), and reads no character values.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class CayleyGraph:
         return self.group.add_indices(i, self.connection.indices).tolist()
 
     def adjacency_matrix(self):
-        """Dense float A[u, v] = 1_C[v - u], built afresh per call."""
-        return self.group.group_matrix(self.indicator, self.group.factors)
+        """Dense float A[u, v] = 1_C[v - u], gathered afresh per call."""
+        return self.group.difference_blocks(self.indicator, [1] * len(self.group.factors))[0]
 
     def stats(self):
         """Component count, bipartiteness and diameter, by a frontier search

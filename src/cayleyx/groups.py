@@ -198,36 +198,28 @@ class AbelianGroup:
         ind[indices] = 1.0
         return ind.reshape(self.factors)
 
-    def group_matrix(self, x, box):
-        """The rows ``M[u, v] = x[v - u]`` (flat indices) of a grid array for
-        the u with ``u_i < box_i`` (``1 <= box_i <= d_i``) on every factor,
-        in ravel order of the box: a prod(box) x n matrix, all of it when
-        ``box`` is the factors.
+    def difference_blocks(self, x, q):
+        """The blocks ``B[h][u, c] = x[c + h*box - u]`` of a grid array x,
+        taken per factor modulo d_i with ``box_i = d_i / q_i`` (each q_i
+        divides d_i): an array of x's dtype and shape ``(prod(q), m, m)``,
+        m = prod(box), with h, u and c in ravel order of the grids q, box and
+        box.  ``q = (1, ..., 1)`` gives the one block ``A[u, v] = x[v - u]``,
+        the whole group matrix.
 
-        Row 0 is ``x``.  Factors are filled last to first by doubling: with
-        the later factors' rows done and rows ``u_i < s`` of factor i done,
-        rows ``u_i`` in ``[s, 2s)`` are those rows with the columns rolled by
-        s along factor i, two block copies.  The rows done so far are always
-        a leading block, so nothing but the result is allocated; on a run of
-        size-2 factors this is ``M[s:2s] = M[:s]`` with column blocks of
-        width s swapped (v - u is XOR there).
+        x is wrap-padded with box_i - 1 entries in front of factor i, so
+        ``x[j - u]`` is the padded entry at ``j + (box_i - 1 - u)``: the
+        window view of the padded array with its window axes flipped, read
+        at ``j = h*box + c``, and copied once, in C order.
         """
-        n = self.order
-        M = np.empty((math.prod(box), n))
-        M[0] = np.ravel(x)
-        post = cols = 1  # rows and columns per step of u_i, v_i: the later factors'
-        for d, b in zip(reversed(self.factors), reversed(box)):
-            pre = n // (d * cols)
-            s = 1
-            while s < b:
-                w = min(s, b - s)
-                src = M[:w * post].reshape(w * post, pre, d, cols)
-                dst = M[s * post:(s + w) * post].reshape(w * post, pre, d, cols)
-                dst[:, :, s:] = src[:, :, :d - s]
-                dst[:, :, :s] = src[:, :, d - s:]
-                s += w
-            post, cols = post * b, cols * d
-        return M
+        t = len(self.factors)
+        box = [d // qi for d, qi in zip(self.factors, q)]
+        padded = np.pad(np.reshape(x, self.factors), [(b - 1, 0) for b in box], mode="wrap")
+        view = np.flip(np.lib.stride_tricks.sliding_window_view(padded, box),
+                       axis=tuple(range(t, 2 * t)))
+        view = view.reshape(*(s for pair in zip(q, box) for s in pair), *box)  # (h_1, c_1, ..., u)
+        m = math.prod(box)
+        return view.transpose(*range(0, 2 * t, 2), *range(2 * t, 3 * t),
+                              *range(1, 2 * t, 2)).copy().reshape(-1, m, m)
 
     def character_sum_table(self, indicator):
         """``chi_a(C)`` for every character index ``a`` from the grid array of

@@ -55,40 +55,42 @@ def _chunks(n, min_degree):
 
 
 def _hits(n, min_degree, s):
-    """``(s, k, ind, second, boundary)`` for the hits among the encodings
-    ``s``: the encodings, degrees, 0/1 indicator rows of C, and the
-    ``second_largest_abs`` list and ``boundary_flag`` array of their verdicts.
+    """``(s, k, masks, second, boundary)`` for the hits among the encodings
+    ``s``: the encodings, degrees, int64 masks of C (bit i <-> i in C), and
+    the ``second_largest_abs`` list and ``boundary_flag`` array of their
+    verdicts.
 
-    Encodings are the rows of a bit matrix B (column i-1 selects pair i) and
-    of the indicator rows it selects.  Degree and connectivity (gcd of n and
-    the selected residues) are array operations.  The rows that pass them
-    get their character sums from one row-wise FFT, and
-    :func:`cayleyx.spectral._ramanujan_rows` decides each of them exactly as
-    :func:`cayleyx.spectral.ramanujan_check` decides one graph.
+    Encodings are the rows of a bit matrix B (column i-1 selects pair i),
+    and a mask is B's row times the masks of the pairs.  Degree (popcount)
+    and connectivity (gcd of n and the selected residues) are array
+    operations.  The rows that pass them get their character sums from one
+    row-wise FFT of their bits, and :func:`cayleyx.spectral._ramanujan_rows`
+    decides each of them exactly as :func:`cayleyx.spectral.ramanujan_check`
+    decides one graph.
     """
     pairs = np.arange(1, n // 2 + 1)
     B = (s[:, None] >> (pairs - 1)) & 1
-    ind = np.zeros((s.size, n))
-    ind[:, pairs] = ind[:, n - pairs] = B
-    k = np.count_nonzero(ind, axis=1)
+    masks = B @ ((1 << pairs) | (1 << (n - pairs)))
+    k = np.bitwise_count(masks)
     # a proper subgroup is generated (disconnected) iff gcd(n, C) > 1
     keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
-    s, k, ind = s[keep], k[keep], ind[keep]
+    s, k, masks = s[keep], k[keep], masks[keep]
     # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
-    sums = np.fft.fft(ind, axis=1)
+    sums = np.fft.fft((masks[:, None] >> np.arange(n)) & 1, axis=1)
     if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
         raise ArithmeticError("character sums of a symmetric set must be real")
     ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test
-    return (s[ok], k[ok], ind[ok], [x for x, o in zip(second, ok.tolist()) if o],
+    return (s[ok], k[ok], masks[ok], [x for x, o in zip(second, ok.tolist()) if o],
             boundary[ok])
 
 
 def search_ramanujan_circulant(n, min_degree=2):
     """Yield SearchHit for every encoding whose circulant certifies Ramanujan,
     in increasing encoding order (see :func:`_chunks`)."""
-    for s, k, ind, second, boundary in _chunks(n, min_degree):
-        for enc, deg, mask, lam, flag in zip(s.tolist(), k.tolist(), ind, second,
-                                             boundary.tolist()):
+    shifts = np.arange(n)
+    for s, k, masks, second, boundary in _chunks(n, min_degree):
+        for enc, deg, row, lam, flag in zip(s.tolist(), k.tolist(), (masks[:, None] >> shifts) & 1,
+                                            second, boundary.tolist()):
             verdict = RamanujanVerdict(True, lam, 2.0 * math.sqrt(deg - 1), True, flag)
-            yield SearchHit(n=n, encoding=enc, C=tuple(np.flatnonzero(mask).tolist()),
+            yield SearchHit(n=n, encoding=enc, C=tuple(np.flatnonzero(row).tolist()),
                             degree=deg, second_largest_abs=lam, verdict=verdict)

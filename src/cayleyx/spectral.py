@@ -4,8 +4,9 @@ The character route gives one eigenvalue per character of the group.  The
 oracle, its independent check, diagonalizes the dense adjacency matrix with
 a symmetric eigensolver, split at a subgroup H of order up to sqrt(n) into
 one block of size n/|H| per character of H, never through the character
-values of the group.  It fills only the n/|H| rows of A the blocks are read
-from; only prime n, which is unsplit, builds an n x n matrix.
+values of the group.  The blocks are one stack, gathered from the indicator
+by a window view; the real ones and the Hermitian ones are each solved in
+one stacked call.  Only prime n, which is unsplit, builds an n x n matrix.
 On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
 transform, so every eigenvalue there is exact by construction.  Every other
 spectrum, the oracle's included, is grouped by one row-wise rule
@@ -195,69 +196,52 @@ def _characters(orders):
     return W, len(real)
 
 
-def _blocks(graph):
-    """Yield (M_chi, times) for the characters chi of the subgroup H of
-    :func:`_subgroup`, up to conjugation: the spectrum of A is the union of
-    those of the M_chi, each counted ``times`` (2 for a non-real chi, whose
-    conjugate block has the same eigenvalues).  This is the isotypic
-    decomposition of A, which commutes with every translation (Serre,
-    *Linear Representations of Finite Groups*, 2.6).
+def spectrum_oracle(graph):
+    """Dense symmetric eigensolve of the adjacency matrix (independent route).
+
+    A is split at the subgroup H of :func:`_subgroup`, of order up to
+    sqrt(n), into one Hermitian block of size m = n/|H| per character chi
+    of H up to conjugation: the spectrum of A is the union of theirs, a
+    non-real chi's counted twice (its conjugate block has the same
+    eigenvalues).  This is the isotypic decomposition of A, which commutes
+    with every translation (Serre, *Linear Representations of Finite
+    Groups*, 2.6).
 
     Each factor d is viewed as (q, d/q), with q = 1 off H: for
     x = b*d/q + c, adding d/q adds 1 to b mod q, so the b coordinates are
     H's and the c coordinates (the box d/q) run over a transversal of H.
-    Only the m = n/|H| rows of A at the transversal are filled, by
-    :meth:`~cayleyx.groups.AbelianGroup.group_matrix` on that box; their
-    blocks C_h (the columns at b = h) are stacked as (|H|, m^2), and
+    :meth:`~cayleyx.groups.AbelianGroup.difference_blocks` stacks the
+    blocks C_h[u, c] = A[u, h*box + c] for u in the transversal, and
     M_chi = sum_h chi(h) C_h are one matrix product of that stack with the
     character rows of :func:`_characters`.  A real chi has exact +-1
     coefficients, so its block is exact; a non-real one sums unit-modulus
     terms, at most k per row over the |H| views, so its error E has
-    ||E||_2 <~ |H| k u (u = 2^-53): about 1e-11 at n = 4096, far below
-    the 1e-6 of :func:`spectra_agree`.  A complex block is formed in one
-    reused buffer and must be consumed before the next is asked for.  For
-    prime n the box is the whole group, and A is yielded as filled.
-    """
-    group = graph.group
-    split = _subgroup(group.factors)
-    q = [split.get(i, 1) for i in range(len(group.factors))]
-    box = [d // qi for d, qi in zip(group.factors, q)]
-    A = group.group_matrix(graph.indicator, box)
-    if not split:
-        yield A, 1
-        return
-    m, t = len(A), len(box)
-    V = A.reshape(m, *(s for pair in zip(q, box) for s in pair))  # (row, q_1, d_1/q_1, ...)
-    C = np.ascontiguousarray(V.transpose(*range(1, 2 * t, 2), 0, *range(2, 2 * t + 1, 2)))
-    del A, V
-    W, real = _characters([split[i] for i in sorted(split)])
-    M = W @ C.reshape(-1, m * m)
-    del C
-    for row in M[:real]:
-        yield row.reshape(m, m), 1
-    z = np.empty((m, m), dtype=complex)
-    for re, im in zip(*np.split(M[real:], 2)):
-        z.real, z.imag = re.reshape(m, m), im.reshape(m, m)
-        yield z, 2
-
-
-def spectrum_oracle(graph):
-    """Dense symmetric eigensolve of the adjacency matrix (independent route).
-
-    A is split at a subgroup H of order up to sqrt(n) (:func:`_subgroup`)
-    into one Hermitian block of size n/|H| per character of H up to
-    conjugation (:func:`_blocks`); only prime n is solved unsplit.  The
-    real solves of size n/|H| cost about n^3/|H|^2 in all (a complex block
-    costs about four real ones and stands for two characters), near n^2 at
-    |H| ~ sqrt(n): Z_4095 splits at Z_63 into one real and 31 Hermitian
-    blocks of 65, where one solve of 4095 took about 7 s.
+    ||E||_2 <~ |H| k u (u = 2^-53): about 1e-11 at n = 4096, far below the
+    1e-6 of :func:`spectra_agree`.  The real blocks are solved as one stack
+    and the Hermitian ones as a second, skipped when H has no non-real
+    character; prime n is the single block A, solved unsplit.  The solves
+    cost about n^3/|H|^2 in all (a complex block costs about four real ones
+    and stands for two characters), near n^2 at |H| ~ sqrt(n): Z_4095
+    splits at Z_63 into one real and 31 Hermitian blocks of 65, where one
+    solve of 4095 took about 7 s.
     """
     if graph.n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {graph.n}")
-    eigs = []
-    for block, times in _blocks(graph):
-        eigs += [np.linalg.eigvalsh(block)] * times
-    return _group_eigenvalues(np.concatenate(eigs), graph.n)
+    group = graph.group
+    split = _subgroup(group.factors)
+    q = [split.get(i, 1) for i in range(len(group.factors))]
+    M = group.difference_blocks(graph.indicator, q)
+    real = 1
+    if split:
+        W, real = _characters([split[i] for i in sorted(split)])
+        M = (W @ M.reshape(len(W), -1)).reshape(M.shape)
+    eigs = [np.linalg.eigvalsh(M[:real])]
+    if real < len(M):
+        re, im = np.split(M[real:], 2)
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        eigs += [np.linalg.eigvalsh(z)] * 2
+    return _group_eigenvalues(np.concatenate(eigs, axis=None), graph.n)
 
 
 def spectra_agree(spec_a, spec_b):

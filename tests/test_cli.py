@@ -254,6 +254,20 @@ def test_analyze_malformed_json(tmp_path):
     assert run(["analyze", str(gpath2), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_analyze_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
+    """numpy's generator refuses a negative seed, so analyze refuses it
+    first: exit 2 before the graph is read, and no output directory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was read")
+
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(theorem33_set(4, 4).graph.to_json()))
+    monkeypatch.setattr(json, "load", refuse)
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "error: --seed must be >= 0, got -1\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_seed_determinism(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(theorem33_set(4, 6).graph.to_json()))

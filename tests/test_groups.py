@@ -123,19 +123,26 @@ def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
     assert group.indices(elements, distinct=True).tolist() == want
 
 
-def test_group_matrix_is_a_gather():
-    """The rows u with u_i < box_i, in ravel order of the box: the whole
-    group, proper boxes of every group, and on Z_3 x Z_2 x Z_4 the
-    transversal (0..2, 0..1, 0..1) of the subgroup generated by (0, 0, 2)."""
-    for factors, boxes in (([3, 2, 4], ([2, 1, 3], [3, 2, 2])), ([2] * 5, ([1, 2, 1, 2, 2],)),
-                           ([2, 3, 2, 2], ([1, 3, 2, 1],)), ([4, 2, 2], ([3, 2, 1], [1, 1, 1]))):
+def test_difference_blocks_is_a_gather():
+    """B[h][u, c] = x[c + h*box - u] with box = d/q per factor, h, u and c
+    in ravel order: q = (1, ..., 1) is the whole group matrix; the other q
+    read the rows at a transversal of the subgroup they generate, on
+    Z_3 x Z_2 x Z_4 that of (0, 0, 2), and on Z_6 a box of 2 or 3 strictly
+    inside the factor."""
+    for factors, grids in (([3, 2, 4], ([1, 1, 2],)), ([2] * 5, ([2, 1, 2, 1, 1],)),
+                           ([2, 3, 2, 2], ([2, 1, 1, 2],)), ([4, 2, 2], ([4, 2, 2], [2, 1, 2])),
+                           ([6], ([2], [3]))):
         g = AbelianGroup(factors)
         x = np.arange(g.order, dtype=float).reshape(g.factors)
-        for box in (factors, *boxes):
-            M = g.group_matrix(x, box)
-            rows = itertools.product(*map(range, box))
-            want = [[x.ravel()[g.index_of(sub(g, v, u))] for v in g.elements()] for u in rows]
-            assert M.dtype == np.float64 and M.tolist() == want, (factors, box)
+        for q in ([1] * len(factors), *grids):
+            box = [d // qi for d, qi in zip(factors, q)]
+            cells = list(itertools.product(*map(range, box)))
+            steps = [tuple(hi * b for hi, b in zip(h, box))
+                     for h in itertools.product(*map(range, q))]
+            want = [[[x.ravel()[g.index_of(sub(g, add(g, c, h), u))] for c in cells] for u in cells]
+                    for h in steps]
+            B = g.difference_blocks(x, q)
+            assert B.dtype == np.float64 and B.tolist() == want, (factors, q)
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):

@@ -171,7 +171,6 @@ def test_set_text_joins_the_set_bits(sep):
         masks = rows.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
         assert cli._SetText(n, sep)(masks) == [sep.join(map(str, np.flatnonzero(row)))
                                                for row in rows], n
-    assert cli._masks(rows.astype(float)).tolist() == masks.tolist()
 
 
 def _verdict_fields(verdict):

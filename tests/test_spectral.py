@@ -92,22 +92,23 @@ def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
         assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
 
 
-SPLIT_64 = [((64, 64), "float64")] * 2 + [((64, 64), "complex128")] * 15
+SPLIT_64 = [((2, 64, 64), "float64"), ((15, 64, 64), "complex128")]
 
 
 @pytest.mark.parametrize("factors, blocks", [
-    ([2, 6], [((4, 4), "float64"), ((4, 4), "complex128")]),   # Z_3 in the 6
-    ([12], [((4, 4), "float64"), ((4, 4), "complex128")]),     # Z_3: 4^2 > 12
-    ([10], [((5, 5), "float64")] * 2),                         # Z_2
-    ([9], [((3, 3), "float64"), ((3, 3), "complex128")]),      # Z_3, odd n
-    ([7], [((7, 7), "float64")]),                              # prime: unsplit
-    ([2048], SPLIT_64),                                        # Z_32: 2 real, 15 pairs
+    ([2, 6], [((1, 4, 4), "float64"), ((1, 4, 4), "complex128")]),   # Z_3 in the 6
+    ([12], [((1, 4, 4), "float64"), ((1, 4, 4), "complex128")]),     # Z_3: 4^2 > 12
+    ([10], [((2, 5, 5), "float64")]),                                # Z_2: no pair
+    ([9], [((1, 3, 3), "float64"), ((1, 3, 3), "complex128")]),      # Z_3, odd n
+    ([7], [((1, 7, 7), "float64")]),                                 # prime: unsplit
+    ([2048], SPLIT_64),                                              # Z_32: 2 real, 15 pairs
 ])
 def test_oracle_splits_at_a_subgroup_of_order_up_to_root_n(factors, blocks, monkeypatch):
-    """The blocks the eigensolver receives: one of size n/|H| per character
-    of H up to conjugation, the real characters first, for the largest H
-    the greedy rule allows under |H|^2 <= n; and the rows of A filled for
-    them, the n/|H| at a transversal of H."""
+    """The stacks the eigensolver receives: the blocks of size n/|H|, one
+    per character of H up to conjugation, for the largest H the greedy rule
+    allows under |H|^2 <= n, the real characters' in one call and the
+    non-real ones' in a second (none when H has no non-real character); and
+    the blocks gathered for them in one call, |H| of (n/|H|)^2 entries."""
     solve = np.linalg.eigvalsh
     seen = []
 
@@ -115,20 +116,21 @@ def test_oracle_splits_at_a_subgroup_of_order_up_to_root_n(factors, blocks, monk
         seen.append((a.shape, a.dtype.name))
         return solve(a)
 
-    gather = AbelianGroup.group_matrix
-    filled = []
+    gather = AbelianGroup.difference_blocks
+    gathered = []
 
-    def fill(self, *args):
-        M = gather(self, *args)
-        filled.append(M.shape)
-        return M
+    def view(self, *args):
+        B = gather(self, *args)
+        gathered.append(B.size)
+        return B
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    monkeypatch.setattr(AbelianGroup, "group_matrix", fill)
+    monkeypatch.setattr(AbelianGroup, "difference_blocks", view)
     graph = _random_symmetric(factors, 4, seed=4)
     assert spectrum_oracle(graph).n == graph.n
     assert seen == blocks
-    assert filled == [(blocks[0][0][0], graph.n)]  # the n/|H| rows split, no more
+    m = blocks[0][0][1]
+    assert gathered == [graph.n // m * m * m]  # the n/|H| rows split, no more
 
 
 @pytest.mark.parametrize("factors, split", [
