@@ -13,7 +13,10 @@ spectrum, the oracle's included, is grouped by one row-wise rule
 (:func:`_groups`: values within 1e-6 of an integer are snapped and stored
 exact, the rest clustered), and one decision (:func:`_verdicts`) tests
 lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
-the integers of every construction this package ships.
+the integers of every construction this package ships.  The expander mixing
+bound is checked (:func:`quotient_cuts`) on the quotient cuts at lambda_2's
+character and at the Ramanujan witness, read from C alone with no
+transform, together with those two table entries.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "spectral_gap",
     "second_largest_by_index",
     "crossing_lemma_bound",
+    "quotient_cuts",
     "vertex_expansion",
     "gds_predicted_eigenvalues",
     "gds_sufficient_filters",
@@ -331,6 +335,87 @@ def second_largest_by_index(spectrum, k):
         return k
     below = [v for v, _, _ in spectrum.entries if v < k]
     return max(below) if below else k
+
+
+def _witnesses(table, k):
+    """The nontrivial character indices the quotient cuts are taken at: the
+    first attaining lambda_2 (the largest nontrivial entry, k when the graph
+    is disconnected), then, if it is another, the first attaining the
+    largest |lambda| other than +-k (off ``Z_2^m``: more than ``SNAP_TOL``
+    from k), when any entry has one."""
+    rest = table[1:].real
+    found = [1 + int(np.argmax(rest))]
+    a = np.abs(rest)
+    counted = a != k if table.dtype.kind == "i" else np.abs(a - k) > SNAP_TOL
+    if counted.any():
+        w = 1 + int(np.argmax(np.where(counted, a, -1)))
+        if w != found[0]:
+            found.append(w)
+    return found
+
+
+def quotient_cuts(graph, spec):
+    """The expander mixing bound e(S, S^c) >= (k - lambda_2)|S||S^c|/n, with
+    lambda_2 from ``spec``, checked on cuts read from C alone, and the table
+    entries those cuts rest on checked against a direct sum over C.
+
+    At each witness a of :func:`_witnesses`, of order e, the character is
+    chi_a(v) = exp(2 pi i pi(v)/e) with the homomorphism
+    pi(v) = sum_i (a_i e // d_i) v_i mod e (each d_i divides a_i e), so
+    chi_a(C) = sum_c cos(2 pi pi(c)/e).  The graph's quotient by ker pi is
+    the circulant multigraph on Z_e with the multiset pi(C) (an equitable
+    partition), so the cut S = pi^-1({0, ..., h-1}), h = ceil(e/2), of size
+    (n/e) h has (n/e) sum_{j<h} #{c : (j + pi(c)) mod e >= h} crossing
+    edges.  An element c with pi(c) = r crosses from min(r, e - r) of the h
+    residues j, so the count is (n/e) sum_c min(pi(c), e - pi(c)).  Both
+    are read from C's coordinates in O(k t) for t factors: no array of
+    size n (nor of size e) and no transform.
+
+    A violation is a cut below its bound (compared exactly in integers when
+    lambda_2 is exact, otherwise with lambda_2 taken 1e-9*k higher), or a
+    direct value off its table entry: exactly on ``Z_2^m``, otherwise by
+    more than 1e-9*k, the bound :func:`spectrum_by_characters` allows the
+    imaginary parts.  Violations are counted, never raised.  Returns
+    ``{"cuts": [...], "violations": int}``, one cut per witness with its
+    character (coordinates), order, cut, bound and direct value.
+    """
+    group, n, k = graph.group, graph.n, graph.k
+    table = graph.characters.ravel()
+    exact = table.dtype.kind == "i"
+    lam2 = second_largest_by_index(spec, k)
+    witnesses = _witnesses(table, k)
+    chars = [list(map(int, np.unravel_index(a, group.factors))) for a in witnesses]
+    orders = [math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, group.factors)))
+              for a in chars]
+    pis = [np.zeros(k, dtype=np.int64) for _ in witnesses]
+    rest = graph.connection.indices
+    for i in reversed(range(len(group.factors))):  # C's coordinates, last factor first
+        d = group.factors[i]
+        rest, digit = np.divmod(rest, d)
+        for pi, a, e in zip(pis, chars, orders):
+            if a[i]:
+                pi += a[i] * e // d * digit
+    cuts, violations = [], 0
+    for pi, a, e, at in zip(pis, chars, orders, witnesses):
+        pi %= e
+        size, cut = n // e * ((e + 1) // 2), n // e * int(np.minimum(pi, e - pi).sum())
+        if isinstance(lam2, int):
+            gap = (k - lam2) * size * (n - size)
+            low = cut * n < gap
+            bound = gap // n if gap % n == 0 else gap / n
+        else:
+            bound = (k - lam2) * size * (n - size) / n
+            low = cut < bound - 1e-9 * k * size * (n - size) / n
+        if exact:  # e = 2: the characters of Z_2^m are +-1
+            direct = k - 2 * int(pi.sum())
+            off = direct != table[at]
+        else:
+            direct = float(np.cos(2 * np.pi / e * pi).sum())
+            off = abs(direct - table[at]) > 1e-9 * k
+        violations += int(low) + int(off)
+        cuts.append({"character": a, "order": e, "cut": cut, "bound": bound,
+                     "direct": direct})
+    return {"cuts": cuts, "violations": violations}
 
 
 def _crossings(graph, spec, indicators):

@@ -15,6 +15,7 @@ from cayleyx import (
     cli,
     cyclic,
     kloosterman_trace_set,
+    spectral,
     theorem33_set,
     verify_gds,
 )
@@ -255,8 +256,9 @@ def test_analyze_malformed_json(tmp_path):
 
 
 def test_analyze_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
-    """numpy's generator refuses a negative seed, so analyze refuses it
-    first: exit 2 before the graph is read, and no output directory."""
+    """``--seed`` keeps its contract while no check draws from it: a
+    negative seed exits 2 before the graph is read, with no output
+    directory."""
     def refuse(*args, **kwargs):
         raise AssertionError("the graph was read")
 
@@ -266,6 +268,41 @@ def test_analyze_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
     assert run(["analyze", str(gpath), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
     assert "error: --seed must be >= 0, got -1\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_analyze_reports_an_inexact_table_as_an_invariant_failure(tmp_path, capsys,
+                                                                 monkeypatch):
+    """A Z_2^10 table with lambda_2's entry moved by 2 fails an exact route
+    (the statistics' inverse transform): exit 3 with one error line, no
+    traceback and no artifacts."""
+    graph = _random_symmetric([2] * 10, 40, seed=10)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph.to_json()))
+    build = CayleyGraph.__init__
+
+    def tampered(self, connection):
+        build(self, connection)
+        self.characters.ravel()[spectral._witnesses(self.characters.ravel(), self.k)[0]] += 2
+
+    monkeypatch.setattr(CayleyGraph, "__init__", tampered)
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exactness check failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_writes_the_quotient_cuts(tmp_path):
+    """verdict.json's crossing block lists the cut at lambda_2's character
+    and at the Ramanujan witness, each with its order, bound and direct value."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(theorem33_set(4, 6).graph.to_json()))
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 0
+    block = json.loads((tmp_path / "o" / "verdict.json").read_text())["crossing_checks"]
+    assert set(block) == {"cuts", "violations"} and block["violations"] == 0
+    for cut in block["cuts"]:
+        assert set(cut) == {"character", "order", "cut", "bound", "direct"}
+        assert cut["cut"] >= cut["bound"]
 
 
 def test_analyze_seed_determinism(tmp_path):
@@ -423,15 +460,3 @@ def test_coordinate_writer_streams(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "65536.json").stat().st_size > 10 ** 7
     assert peaks[1] < 1.25 * peaks[0]
-
-
-def test_crossing_check_draws_the_one_shot_stream(monkeypatch):
-    """Row blocks of bools carry the bits of ``rng.random((n, 64)) < 0.5``."""
-    graph = theorem33_set(4, 6).graph
-    seen = []
-    monkeypatch.setattr(cli, "CROSSING_DRAW_ROWS", 7)
-    monkeypatch.setattr(cli, "_crossings",
-                        lambda g, spec, X: seen.append(X) or (np.zeros(1), np.zeros(1)))
-    cli._seeded_crossing_check(graph, None, 5)
-    want = np.random.default_rng(5).random((graph.n, cli.CROSSING_TRIALS)) < 0.5
-    assert seen[0].dtype == bool and np.array_equal(seen[0], want)

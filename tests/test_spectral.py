@@ -10,9 +10,13 @@ import pytest
 from cayleyx import (
     AbelianGroup,
     CayleyGraph,
+    bent_hadamard_set,
     cyclic,
+    dij_set,
     gds_predicted_eigenvalues,
     gds_sufficient_filters,
+    kloosterman_trace_set,
+    polar_trace_set,
     spectral,
     spectral_gap,
     spectrum_by_characters,
@@ -389,6 +393,106 @@ def test_crossing_bound_degenerates_when_disconnected():
     assert second_largest_by_index(spec, 4) == 4  # top eigenvalue repeats
     bound, actual = crossing_lemma_bound(graph, graph.vertices[:5])
     assert bound == 0.0 and actual >= 0
+
+
+@pytest.mark.parametrize("graph, orders", [
+    (lambda: _random_symmetric([2] * 5, 8, seed=5), {2}),
+    (lambda: _circulant(15, [1, 14, 3, 12, 5, 10]), {3, 5, 15}),
+    (lambda: CayleyGraph.build(AbelianGroup([2, 6]), [(1, 0), (0, 1), (0, 5), (1, 3), (0, 2),
+                                                      (0, 4)]), {2, 3, 6}),
+    (lambda: _random_symmetric([4, 6], 7, seed=3), {2, 3, 4, 6, 12}),
+], ids=["Z2^5", "Z15", "Z2xZ6", "Z4xZ6"])
+def test_quotient_cuts_equal_dense_counts(graph, orders, monkeypatch):
+    """At every nontrivial character a, the cut pi^-1({0, ..., ceil(e/2)-1})
+    has as many crossing edges as the dense A counts, e is a's order, the
+    direct value is a's table entry, and no cut is below the mixing bound."""
+    graph = graph()
+    monkeypatch.setattr(spectral, "_witnesses", lambda table, k: list(range(1, len(table))))
+    report = spectral.quotient_cuts(graph, spectrum_by_characters(graph))
+    factors, A = graph.group.factors, graph.adjacency_matrix()
+    coords = np.indices(factors).reshape(len(factors), -1)
+    seen = set()
+    for a, cut in zip(range(1, graph.n), report["cuts"]):
+        assert cut["character"] == list(graph.group.elements_at([a])[0])
+        e = next(e for e in range(1, graph.n + 1)
+                 if all(x * e % d == 0 for x, d in zip(cut["character"], factors)))
+        phase = sum(np.asarray(x) * c * e // d
+                    for x, c, d in zip(cut["character"], coords, factors)) % e
+        x = (phase < (e + 1) // 2).astype(float)
+        assert cut["order"] == e and cut["cut"] == x @ A @ (1 - x)
+        assert abs(cut["direct"] - graph.characters.ravel()[a]) <= 1e-9 * graph.k
+        seen.add(e)
+    assert seen == orders and report["violations"] == 0
+
+
+@pytest.mark.parametrize("report", [
+    lambda: kloosterman_trace_set(4), lambda: kloosterman_trace_set(7),
+    lambda: polar_trace_set(2), lambda: polar_trace_set(3), lambda: polar_trace_set(4),
+    lambda: bent_hadamard_set(1), lambda: bent_hadamard_set(2), lambda: bent_hadamard_set(3),
+], ids=["kloosterman4", "kloosterman7", "polar2", "polar3", "polar4", "bent1", "bent2",
+        "bent3"])
+def test_z2m_constructs_cut_at_their_bound(report):
+    """On Z_2^m the cut at lambda_2's character is n(k - lambda_2)/4, the
+    mixing bound exactly; a second witness's cut is at or above it."""
+    report = report()
+    checks = spectral.quotient_cuts(report.graph, report.spectrum)
+    first, *rest = checks["cuts"]
+    assert first["order"] == 2 and first["cut"] == first["bound"]
+    assert first["direct"] == spectral.second_largest_by_index(report.spectrum, report.graph.k)
+    assert all(c["cut"] >= c["bound"] for c in rest) and checks["violations"] == 0
+
+
+def test_dij_cut_at_its_bound():
+    graph = CayleyGraph(dij_set(5, 1, 1))
+    first = spectral.quotient_cuts(graph, spectrum_by_characters(graph))["cuts"][0]
+    assert first["cut"] == first["bound"]
+
+
+@pytest.mark.parametrize("graph, shift, violations", [
+    (lambda: kloosterman_trace_set(5).graph, 2, 1),
+    (lambda: _random_symmetric([2] * 10, 40, seed=4), 2, 1),
+    (lambda: _random_symmetric([2] * 10, 40, seed=4), -2, 2),  # lambda_2 = 22 once, then 18
+    (lambda: _random_symmetric([64, 16], 12, seed=1), 1e-3, 1),
+    (lambda: _random_symmetric([3, 7, 7], 10, seed=2), -1e-3, 1),  # e = 7: cut 84 > bound 54
+], ids=["kloosterman5-up", "Z2^10-up", "Z2^10-down", "Z64xZ16-up", "Z3xZ7xZ7-down"])
+def test_quotient_cuts_count_a_moved_lambda2(graph, shift, violations):
+    """Moving lambda_2's table entry (and its conjugate's) while it stays the
+    largest leaves the cut where it was while the table says otherwise: the
+    direct value is off, and moved down on Z_2^m, where the cut meets the
+    bound, the cut is below the bound too.  Counted, not raised."""
+    graph = graph()
+    table = graph.characters.ravel()
+    at = spectral._witnesses(table, graph.k)[0]
+    for i in {at, int(graph.group.neg_indices(np.array([at]))[0])}:
+        table[i] += shift
+    assert spectral._witnesses(table, graph.k)[0] == at
+    assert spectral.quotient_cuts(graph, spectrum_by_characters(graph))["violations"] == violations
+
+
+@pytest.mark.parametrize("lam2, violations", [(7, 1), (7.6, 1), (7.7, 0), (8, 0), (10, 0)])
+def test_quotient_cuts_count_a_cut_below_a_spectrum_bound(lam2, violations):
+    """The bound comes from the spectrum given: on Z3xZ7xZ7 the cut at the
+    order-7 witness is 84 of the 84 x 63 pairs, the bound (10 - lambda_2) 36,
+    so a lambda_2 below 7.67 puts it above the cut, an exact one compared in
+    integers and a float one within 1e-9 k."""
+    graph = _random_symmetric([3, 7, 7], 10, seed=2)
+    spec = spectral.Spectrum(((10, 1, True), (lam2, graph.n - 1, isinstance(lam2, int))))
+    report = spectral.quotient_cuts(graph, spec)
+    assert report["cuts"][0]["cut"] == 84 and report["violations"] == violations
+
+
+def test_quotient_cuts_use_no_transform(monkeypatch):
+    """The check reads C and the finished table only."""
+    graphs = [kloosterman_trace_set(5).graph, _random_symmetric([4, 6], 7, seed=3)]
+    specs = [spectrum_by_characters(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform was taken")
+
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", refuse)
+    monkeypatch.setattr(AbelianGroup, "counts", refuse)
+    for graph, spec in zip(graphs, specs):
+        assert spectral.quotient_cuts(graph, spec)["violations"] == 0
 
 
 def test_vertex_expansion_examples():
