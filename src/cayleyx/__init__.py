@@ -28,7 +28,7 @@ from .spectral import (
     ramanujan_check,
     spectral_gap,
     spectrum_by_characters,
-    spectrum_oracle,
+    table_identity,
     vertex_expansion,
 )
 from .constructions import (
@@ -74,7 +74,7 @@ __all__ = [
     "ramanujan_check",
     "spectral_gap",
     "spectrum_by_characters",
-    "spectrum_oracle",
+    "table_identity",
     "vertex_expansion",
     "ConstructionReport",
     "bent_hadamard_set",

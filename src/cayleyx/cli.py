@@ -23,14 +23,7 @@ from . import constructions, groupring, search
 from .graphs import DOT_MAX_EDGES, CayleyGraph, InvariantError
 from .groupring import _certificate
 from .groups import AbelianGroup
-from .spectral import (
-    ORACLE_MAX_N,
-    quotient_cuts,
-    ramanujan_check,
-    spectra_agree,
-    spectrum_by_characters,
-    spectrum_oracle,
-)
+from .spectral import quotient_cuts, ramanujan_check, spectrum_by_characters, table_identity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -218,7 +211,7 @@ def _require(args, *names):
 
 
 def cmd_analyze(args):
-    if args.seed < 0:  # no check draws from --seed yet; its contract stands for one that will
+    if args.seed < 0:  # the table identity draws its weights from --seed
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     try:
         with open(args.input) as f:
@@ -239,9 +232,7 @@ def cmd_analyze(args):
         return EXIT_USAGE
     _check_format(args, graph)
     spec = spectrum_by_characters(graph)
-    oracle_ok = "skipped"  # the dense oracle is capped at ORACLE_MAX_N
-    if graph.n <= ORACLE_MAX_N:
-        oracle_ok = spectra_agree(spec, spectrum_oracle(graph))
+    oracle_ok = table_identity(graph, args.seed)
     st = graph.stats()
     verdict = ramanujan_check(spec, graph.k, st.component_count == 1)
     # C = -C, so the common-neighbour counts are the difference counts
@@ -409,7 +400,8 @@ def build_parser():
     a.add_argument("--out", default=".")
     a.add_argument("--format", choices=["json", "dot"], default="json")
     a.add_argument("--seed", type=int, default=0,
-                   help="seed of the randomized checks, >= 0 (none draws from it yet)")
+                   help="seed of the randomized checks, >= 0 (the character-table identity "
+                        "draws its weights from it)")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("search", help="exhaustive GDS / Ramanujan-circulant search")

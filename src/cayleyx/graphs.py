@@ -8,11 +8,8 @@ parse them, ``ConnectionSet.elements``, ``CayleyGraph.vertices`` and the
 JSON/DOT exports produce them.  Each graph transforms the indicator of its
 connection set once, to ``characters``; statistics and common-neighbour
 counts are products of that table with transforms, inverted by ``counts``.
-The dense adjacency is the one block of the indicator's
-:meth:`~cayleyx.groups.AbelianGroup.difference_blocks` at q = (1, ..., 1);
-the oracle (:func:`cayleyx.spectral.spectrum_oracle`) gathers only the
-blocks of the n/|H| rows of it that it splits at a subgroup H of order up
-to sqrt(n), and reads no character values.
+No query builds the dense n x n adjacency; the table itself is checked
+against C by :func:`cayleyx.spectral.table_identity`.
 """
 
 from __future__ import annotations
@@ -122,10 +119,6 @@ class CayleyGraph:
 
     def neighbor_indices(self, i):
         return self.group.add_indices(i, self.connection.indices).tolist()
-
-    def adjacency_matrix(self):
-        """Dense float A[u, v] = 1_C[v - u], gathered afresh per call."""
-        return self.group.difference_blocks(self.indicator, [1] * len(self.group.factors))[0]
 
     def stats(self):
         """Component count, bipartiteness and diameter, by a frontier search

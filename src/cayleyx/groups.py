@@ -198,29 +198,6 @@ class AbelianGroup:
         ind[indices] = 1.0
         return ind.reshape(self.factors)
 
-    def difference_blocks(self, x, q):
-        """The blocks ``B[h][u, c] = x[c + h*box - u]`` of a grid array x,
-        taken per factor modulo d_i with ``box_i = d_i / q_i`` (each q_i
-        divides d_i): an array of x's dtype and shape ``(prod(q), m, m)``,
-        m = prod(box), with h, u and c in ravel order of the grids q, box and
-        box.  ``q = (1, ..., 1)`` gives the one block ``A[u, v] = x[v - u]``,
-        the whole group matrix.
-
-        x is wrap-padded with box_i - 1 entries in front of factor i, so
-        ``x[j - u]`` is the padded entry at ``j + (box_i - 1 - u)``: the
-        window view of the padded array with its window axes flipped, read
-        at ``j = h*box + c``, and copied once, in C order.
-        """
-        t = len(self.factors)
-        box = [d // qi for d, qi in zip(self.factors, q)]
-        padded = np.pad(np.reshape(x, self.factors), [(b - 1, 0) for b in box], mode="wrap")
-        view = np.flip(np.lib.stride_tricks.sliding_window_view(padded, box),
-                       axis=tuple(range(t, 2 * t)))
-        view = view.reshape(*(s for pair in zip(q, box) for s in pair), *box)  # (h_1, c_1, ..., u)
-        m = math.prod(box)
-        return view.transpose(*range(0, 2 * t, 2), *range(2 * t, 3 * t),
-                              *range(1, 2 * t, 2)).copy().reshape(-1, m, m)
-
     def character_sum_table(self, indicator):
         """``chi_a(C)`` for every character index ``a`` from the grid array of
         ``C``, on the same grid (leading axes broadcast).  On ``Z_2^m`` it is

@@ -1,15 +1,12 @@
-"""Exact spectra of Cayley graphs, an eigensolver oracle, and certification.
+"""Exact spectra of Cayley graphs, an identity check of them, and certification.
 
-The character route gives one eigenvalue per character of the group.  The
-oracle, its independent check, diagonalizes the dense adjacency matrix with
-a symmetric eigensolver, split at a subgroup H of order up to sqrt(n) into
-one block of size n/|H| per character of H, never through the character
-values of the group.  The blocks are one stack, gathered from the indicator
-by a window view; the real ones and the Hermitian ones are each solved in
-one stacked call.  Only prime n, which is unsplit, builds an n x n matrix.
+The character route gives one eigenvalue per character of the group.  Its
+check (:func:`table_identity`) compares a random weighted sum of the whole
+table with the same sum read from C alone, with no transform of size n:
+exactly in F_p on ``Z_2^m``, in floats elsewhere.
 On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
 transform, so every eigenvalue there is exact by construction.  Every other
-spectrum, the oracle's included, is grouped by one row-wise rule
+spectrum is grouped by one row-wise rule
 (:func:`_groups`: values within 1e-6 of an integer are snapped and stored
 exact, the rest clustered), and one decision (:func:`_verdicts`) tests
 lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
@@ -23,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ __all__ = [
     "Spectrum",
     "RamanujanVerdict",
     "spectrum_by_characters",
-    "spectrum_oracle",
+    "table_identity",
     "ramanujan_check",
     "spectral_gap",
     "second_largest_by_index",
@@ -46,7 +44,8 @@ __all__ = [
 
 SNAP_TOL = 1e-6          # |lambda - round(lambda)| below this: exact integer
 BOUNDARY_TOL = 1e-6      # non-exact value this close to 2*sqrt(k-1): flag it
-ORACLE_MAX_N = 4096
+TABLE_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
+TABLE_TRIALS = 2
 EXPANSION_MAX_N = 20
 CROSSING_CELLS = 1 << 23  # grid entries per chunk of crossing columns
 
@@ -165,98 +164,65 @@ def spectrum_by_characters(graph):
     return _group_eigenvalues(table.real.ravel(), graph.n)
 
 
-def _subgroup(factors):
-    """The subgroup H the oracle splits at, as {factor position: q}: H is
-    generated by d/q in each named factor of order d.  Greedy, with no knob:
-    the factors in decreasing order of d (ties by position) each take their
-    largest divisor q that keeps |H|^2 <= n, so no block (of size n/|H|) is
-    smaller than the number of blocks.  At |H| near sqrt(n) the solves cost
-    about n^3/|H|^2 = n^2, the order of building A.  Only prime n (and
-    n = 1) gets {}."""
-    root, split, order = math.isqrt(math.prod(factors)), {}, 1
-    for i in sorted(range(len(factors)), key=lambda i: -factors[i]):
-        d = factors[i]
-        q = next(q for q in range(min(d, root // order), 0, -1) if d % q == 0)
-        if q > 1:
-            split[i], order = q, order * q
-    return split
+def table_identity(graph, seed):
+    """Whether the graph's character table passes a Freivalds-style identity
+    against C alone, in ``TABLE_TRIALS`` trials drawn from
+    ``random.Random(seed)``.
 
+    For weights r = r_1 (x) ... (x) r_t on the factors (r_a = prod_i
+    r_i(a_i)), swapping the sums over a and c gives
+    sum_a r_a chi_a(C) = sum_{c in C} prod_i r^_i(c_i), with
+    r^_i(x) = sum_j r_i(j) exp(2 pi i j x / d_i) the transform of r_i
+    (Freivalds, IFIP 1977).  The left side reads the table; the right side
+    reads C's coordinates, digit by digit from its flat indices, in O(k t).
+    r is built by one outer product per factor, and no transform of size n
+    is taken.
 
-def _characters(orders):
-    """H's characters up to conjugation, as real coefficient rows over H's
-    elements (both in C order of the coordinates): (W, real) with W of
-    shape (|H|, |H|) holding the real characters (exact +-1), then the real
-    parts of the non-real ones, then their imaginary parts, in the same
-    order; ``real`` counts the first kind.  chi_j(h) = exp(2 pi i phi/|H|)
-    with phi = sum_i j_i h_i |H|/q_i."""
-    size = math.prod(orders)
-    E = np.indices(orders).reshape(len(orders), -1).T
-    phase = (E * [size // q for q in orders]) @ E.T % size  # symmetric in j and h
-    conj = np.ravel_multi_index(((-E) % orders).T, orders)
-    at = np.arange(size)
-    real, pair = phase[at == conj], phase[at < conj]
-    W = np.concatenate([np.where(real == 0, 1.0, -1.0),
-                        np.cos(2 * np.pi / size * pair), np.sin(2 * np.pi / size * pair)])
-    return W, len(real)
-
-
-def spectrum_oracle(graph):
-    """Dense symmetric eigensolve of the adjacency matrix (independent route).
-
-    A is split at the subgroup H of :func:`_subgroup`, of order up to
-    sqrt(n), into one Hermitian block of size m = n/|H| per character chi
-    of H up to conjugation: the spectrum of A is the union of theirs, a
-    non-real chi's counted twice (its conjugate block has the same
-    eigenvalues).  This is the isotypic decomposition of A, which commutes
-    with every translation (Serre, *Linear Representations of Finite
-    Groups*, 2.6).
-
-    Each factor d is viewed as (q, d/q), with q = 1 off H: for
-    x = b*d/q + c, adding d/q adds 1 to b mod q, so the b coordinates are
-    H's and the c coordinates (the box d/q) run over a transversal of H.
-    :meth:`~cayleyx.groups.AbelianGroup.difference_blocks` stacks the
-    blocks C_h[u, c] = A[u, h*box + c] for u in the transversal, and
-    M_chi = sum_h chi(h) C_h are one matrix product of that stack with the
-    character rows of :func:`_characters`.  A real chi has exact +-1
-    coefficients, so its block is exact; a non-real one sums unit-modulus
-    terms, at most k per row over the |H| views, so its error E has
-    ||E||_2 <~ |H| k u (u = 2^-53): about 1e-11 at n = 4096, far below the
-    1e-6 of :func:`spectra_agree`.  The real blocks are solved as one stack
-    and the Hermitian ones as a second, skipped when H has no non-real
-    character; prime n is the single block A, solved unsplit.  The solves
-    cost about n^3/|H|^2 in all (a complex block costs about four real ones
-    and stands for two characters), near n^2 at |H| ~ sqrt(n): Z_4095
-    splits at Z_63 into one real and 31 Hermitian blocks of 65, where one
-    solve of 4095 took about 7 s.
+    On ``Z_2^m`` (an int64 table) the identity is exact in F_p,
+    p = ``TABLE_PRIME``: r_i = (1, t_i) with t uniform in F_p^m, so
+    r^_i(x) = 1 + t_i (-1)^x.  A wrong table makes the difference a nonzero
+    multilinear polynomial of degree <= m in t, which one trial misses with
+    probability at most m/p (Schwartz, JACM 1980).  Otherwise the real
+    parts are compared in floats: r_i(x) = +-(1 + U[0, 1)), so every
+    |r_a| >= 1, r^_i is one DFT of length d_i, and the sides must agree
+    within tau = 1e-9 k sum_a |r_a|, the per-entry bound of
+    :func:`spectrum_by_characters` weighted by the r_a: one entry off by
+    more than tau moves the left side by more than tau.
     """
-    if graph.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got {graph.n}")
-    group = graph.group
-    split = _subgroup(group.factors)
-    q = [split.get(i, 1) for i in range(len(group.factors))]
-    M = group.difference_blocks(graph.indicator, q)
-    real = 1
-    if split:
-        W, real = _characters([split[i] for i in sorted(split)])
-        M = (W @ M.reshape(len(W), -1)).reshape(M.shape)
-    eigs = [np.linalg.eigvalsh(M[:real])]
-    if real < len(M):
-        re, im = np.split(M[real:], 2)
-        z = np.empty(re.shape, dtype=complex)
-        z.real, z.imag = re, im
-        eigs += [np.linalg.eigvalsh(z)] * 2
-    return _group_eigenvalues(np.concatenate(eigs, axis=None), graph.n)
-
-
-def spectra_agree(spec_a, spec_b):
-    """Values within 1e-6, multiplicities exact."""
-    ea, eb = spec_a.entries, spec_b.entries
-    if len(ea) != len(eb):
-        return False
-    return all(
-        abs(va - vb) <= 1e-6 and ma == mb
-        for (va, ma, _), (vb, mb, _) in zip(ea, eb)
-    )
+    factors, p = graph.group.factors, TABLE_PRIME
+    table = graph.characters.ravel()
+    exact = table.dtype.kind == "i"
+    rng = random.Random(seed)
+    for _ in range(TABLE_TRIALS):
+        if exact:
+            weights = [np.array([1, rng.randrange(p)]) for _ in factors]
+            hats = [np.array([1 + w[1], 1 - w[1]]) % p for w in weights]
+        else:  # a sign from the low bit of each random 64-bit word, U[0, 1) from its top 53
+            words = [np.frombuffer(rng.randbytes(8 * d), dtype=np.uint64) for d in factors]
+            weights = [np.where(w & 1, -1.0, 1.0) * (1.0 + (w >> 11) * 2.0 ** -53) for w in words]
+            hats = [np.fft.fft(w) for w in weights]  # conj(r^_i): the sum's real part is kept
+        r = np.ones(1, dtype=weights[0].dtype)
+        for w in weights:  # r_a in ravel order of a
+            r = np.multiply.outer(r, w).ravel()
+            if exact:
+                r %= p
+        terms, rest = np.ones(graph.k, dtype=hats[0].dtype), graph.connection.indices
+        for d, hat in zip(reversed(factors), reversed(hats)):  # C's digits, last factor first
+            rest, digit = np.divmod(rest, d)
+            terms *= hat[digit]
+            if exact:
+                terms %= p
+        if exact:
+            lam = table % p
+            lam *= r
+            lam %= p
+            agree = int(lam.sum()) % p == int(terms.sum()) % p
+        else:
+            tau = 1e-9 * graph.k * math.prod(float(np.abs(w).sum()) for w in weights)
+            agree = abs(float(r @ table.real) - float(terms.sum().real)) <= tau
+        if not agree:
+            return False
+    return True
 
 
 def _verdicts(ints, means, k):

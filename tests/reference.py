@@ -8,6 +8,10 @@ tests can compare the array routes against them:
   membership, symmetry, characters and character sums;
 * neighbourhoods of a Cayley graph by tuple addition, and the symmetry of a
   spectrum about zero;
+* the dense adjacency A[u, v] = 1_C[v - u] by one gather, and the
+  spectrum of one unsplit symmetric eigensolve of it (the oracle: it reads
+  no character values), compared with another spectrum by
+  :func:`spectra_agree`;
 * a spectrum grouped one value at a time (snapped integers, then clusters
   of the other values), its Ramanujan verdict one entry at a time, and a
   GDS certificate from one list of difference counts;
@@ -31,7 +35,13 @@ from functools import reduce
 import numpy as np
 
 from cayleyx import GdsCertificate, Gf2Field
-from cayleyx.spectral import BOUNDARY_TOL, SNAP_TOL, RamanujanVerdict, Spectrum
+from cayleyx.spectral import (
+    BOUNDARY_TOL,
+    SNAP_TOL,
+    RamanujanVerdict,
+    Spectrum,
+    _group_eigenvalues,
+)
 
 # Tolerance factor for "this character sum is real" decisions; the absolute
 # tolerance used is IMAG_TOL_PER_TERM * |C|.
@@ -132,6 +142,35 @@ def neighbors(graph, v):
 
 def common_neighbors(graph, u, v):
     return len(set(neighbors(graph, u)) & set(neighbors(graph, v)))
+
+
+def adjacency_matrix(graph):
+    """Dense float A[u, v] = 1_C[v - u]: the indicator gathered at the flat
+    index of v - u, built one factor at a time."""
+    group, n = graph.group, graph.n
+    coords = np.indices(group.factors).reshape(len(group.factors), -1)
+    diff = np.zeros((n, n), dtype=np.int64)
+    for c, d in zip(coords, group.factors):
+        diff *= d
+        diff += (c[None, :] - c[:, None]) % d
+    return graph.indicator.ravel()[diff]
+
+
+def spectrum_oracle(graph):
+    """The spectrum of one unsplit dense symmetric eigensolve of A, grouped
+    as :func:`cayleyx.spectral.spectrum_by_characters` groups the table."""
+    return _group_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(graph)), graph.n)
+
+
+def spectra_agree(spec_a, spec_b):
+    """Values within 1e-6, multiplicities exact."""
+    ea, eb = spec_a.entries, spec_b.entries
+    if len(ea) != len(eb):
+        return False
+    return all(
+        abs(va - vb) <= 1e-6 and ma == mb
+        for (va, ma, _), (vb, mb, _) in zip(ea, eb)
+    )
 
 
 def is_symmetric_about_zero(spectrum, tol=1e-9):

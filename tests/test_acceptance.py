@@ -26,7 +26,6 @@ from cayleyx import (
     polar_trace_set,
     search_ramanujan_circulant,
     spectrum_by_characters,
-    spectrum_oracle,
     theorem33_condition,
     theorem33_set,
     verify_difference_set,
@@ -37,10 +36,15 @@ from cayleyx.spectral import (
     certify_ramanujan,
     crossing_counts_batch,
     second_largest_by_index,
-    spectra_agree,
 )
 
-from reference import additive_character_sum, is_symmetric_about_zero, neighbors
+from reference import (
+    additive_character_sum,
+    is_symmetric_about_zero,
+    neighbors,
+    spectra_agree,
+    spectrum_oracle,
+)
 from test_cayley import LABEL_TO_COORD, NEIGHBOR_TABLE
 
 

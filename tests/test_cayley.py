@@ -19,7 +19,7 @@ from cayleyx import (
     theorem33_set,
     polar_trace_set,
 )
-from reference import add, common_neighbors, neg, neighbors
+from reference import add, adjacency_matrix, common_neighbors, neg, neighbors
 
 # 16-vertex product-set fixture: vertex labels 1..16 mapped onto Z_4 x Z_4
 # coordinates, with the adjacency lists recorded independently by hand.
@@ -82,7 +82,7 @@ def bfs_stats(graph):
 
 def adjacency_by_rows(graph):
     """Dense adjacency filled row by row with tuple additions: the reference
-    for the group-matrix gather of ``CayleyGraph.adjacency_matrix``."""
+    for the one-gather ``reference.adjacency_matrix``."""
     g = graph.group
     A = np.zeros((graph.n, graph.n), dtype=np.int64)
     for i, v in enumerate(g.elements()):
@@ -92,7 +92,7 @@ def adjacency_by_rows(graph):
 
 def srg_by_dense_square(graph):
     """srg parameters read off the dense A @ A: the reference for srg_check."""
-    A = graph.adjacency_matrix()
+    A = adjacency_matrix(graph)
     A2 = A @ A
     off = ~np.eye(graph.n, dtype=bool)
     adj = A.astype(bool)
@@ -160,7 +160,7 @@ ADJACENCY_CASES = [p for p in STATS_CASES if p.id in {
 def test_adjacency_and_neighbors_match_row_fill(make_graph):
     graph = make_graph()
     want = adjacency_by_rows(graph)
-    A = graph.adjacency_matrix()
+    A = adjacency_matrix(graph)
     assert A.dtype == np.float64 and A.shape == (graph.n, graph.n)
     assert np.array_equal(A, want)
     for i in range(graph.n):
@@ -228,7 +228,7 @@ def test_regularity_and_neighbors():
     graph = _circulant(8, [1, 7, 4])
     assert graph.n == 8 and graph.k == 3
     assert set(neighbors(graph, (0,))) == {(1,), (7,), (4,)}
-    A = graph.adjacency_matrix()
+    A = adjacency_matrix(graph)
     assert (A == A.T).all()
     assert A.sum() == graph.n * graph.k
     assert A.trace() == 0

@@ -138,10 +138,10 @@ def test_analyze_computes_common_neighbours_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [4095, 2048])
 def test_analyze_oracle_catches_a_wrong_character_table(n, tmp_path, monkeypatch):
-    """The oracle reads no character values: with one entry of the graph's
-    character table off by 1e-3 (well inside the rounding of every count
-    made from the table), analyze still runs and reports that the spectra
-    disagree.  Z_4095 splits at Z_63, Z_2048 at Z_32."""
+    """The oracle reads no transform of the graph's indicator: with one entry
+    of the graph's character table off by 1e-3 (well inside the rounding of
+    every count made from the table), analyze still runs and reports that
+    the table fails its check."""
     C = [1, 5, 77, 300, 1000, 2000]
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"factors": [n],
@@ -162,14 +162,32 @@ def test_analyze_oracle_catches_a_wrong_character_table(n, tmp_path, monkeypatch
     assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is False
 
 
-def test_analyze_reports_skipped_oracle(tmp_path, capsys):
-    """Above ORACLE_MAX_N no oracle runs, and the verdict says so."""
+def test_analyze_checks_the_table_above_4096(tmp_path, capsys):
+    """The table identity runs at every n: on Z_5000 (a cycle, diameter
+    2500) the verdict reports a checked ``oracle_agrees``."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"factors": [5000], "connection_set": [[1], [4999]]}))
     out = tmp_path / "out"
     assert run(["analyze", str(gpath), "--out", str(out)]) == 0
-    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] == "skipped"
-    assert "oracle_agrees=skipped" in capsys.readouterr().out
+    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is True
+    assert "oracle_agrees=True" in capsys.readouterr().out
+
+
+def test_analyze_prime_n_holds_no_dense_matrix(tmp_path):
+    """On Z_4093 (prime n, about 20 elements, small diameter) analyze checks
+    the table and stays below a quarter of the 8 n^2 bytes of one n x n
+    float matrix."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(_random_symmetric([4093], 20, seed=4093).to_json_str())
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run(["analyze", str(gpath), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is True
+    assert peak < 0.25 * 8 * 4093 ** 2
 
 
 def test_analyze_disconnected_gds(tmp_path):
@@ -256,9 +274,8 @@ def test_analyze_malformed_json(tmp_path):
 
 
 def test_analyze_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
-    """``--seed`` keeps its contract while no check draws from it: a
-    negative seed exits 2 before the graph is read, with no output
-    directory."""
+    """``--seed`` seeds the weights of the table identity: a negative seed
+    exits 2 before the graph is read, with no output directory."""
     def refuse(*args, **kwargs):
         raise AssertionError("the graph was read")
 
@@ -313,6 +330,26 @@ def test_analyze_seed_determinism(tmp_path):
         assert run(["analyze", str(gpath), "--out", str(tmp_path / d), "--seed", "9"]) == 0
         outs.append((tmp_path / d / "verdict.json").read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("make_graph", [
+    pytest.param(lambda: theorem33_set(4, 6).graph, id="Z4xZ6"),
+    pytest.param(lambda: _random_symmetric([2] * 10, 40, seed=10), id="Z2^10"),
+])
+def test_analyze_verdict_is_the_same_for_every_seed(make_graph, tmp_path):
+    """A correct table passes the identity whatever the seed: seeds 0, 1 and
+    2^70 each give ``oracle_agrees: true`` and the same verdict.json bytes,
+    twice over."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(make_graph().to_json_str())
+    texts = set()
+    for seed in (0, 1, 2 ** 70):
+        for again in range(2):
+            out = tmp_path / f"{seed}-{again}"
+            assert run(["analyze", str(gpath), "--out", str(out), "--seed", str(seed)]) == 0
+            texts.add((out / "verdict.json").read_text())
+    assert len(texts) == 1
+    assert json.loads(texts.pop())["oracle_agrees"] is True
 
 
 def test_roundtrip_byte_identical(tmp_path):

@@ -2,7 +2,6 @@
 
 import cmath
 import importlib
-import itertools
 import json
 import pkgutil
 import re
@@ -23,7 +22,7 @@ from cayleyx import (
     search_gds,
     search_ramanujan_circulant,
     spectrum_by_characters,
-    spectrum_oracle,
+    table_identity,
     theorem33_set,
     verify_gds,
 )
@@ -123,28 +122,6 @@ def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
     assert group.indices(elements, distinct=True).tolist() == want
 
 
-def test_difference_blocks_is_a_gather():
-    """B[h][u, c] = x[c + h*box - u] with box = d/q per factor, h, u and c
-    in ravel order: q = (1, ..., 1) is the whole group matrix; the other q
-    read the rows at a transversal of the subgroup they generate, on
-    Z_3 x Z_2 x Z_4 that of (0, 0, 2), and on Z_6 a box of 2 or 3 strictly
-    inside the factor."""
-    for factors, grids in (([3, 2, 4], ([1, 1, 2],)), ([2] * 5, ([2, 1, 2, 1, 1],)),
-                           ([2, 3, 2, 2], ([2, 1, 1, 2],)), ([4, 2, 2], ([4, 2, 2], [2, 1, 2])),
-                           ([6], ([2], [3]))):
-        g = AbelianGroup(factors)
-        x = np.arange(g.order, dtype=float).reshape(g.factors)
-        for q in ([1] * len(factors), *grids):
-            box = [d // qi for d, qi in zip(factors, q)]
-            cells = list(itertools.product(*map(range, box)))
-            steps = [tuple(hi * b for hi, b in zip(h, box))
-                     for h in itertools.product(*map(range, q))]
-            want = [[[x.ravel()[g.index_of(sub(g, add(g, c, h), u))] for c in cells] for u in cells]
-                    for h in steps]
-            B = g.difference_blocks(x, q)
-            assert B.dtype == np.float64 and B.tolist() == want, (factors, q)
-
-
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):
     """Pipeline paths run on flat indices: tuples are parsed at the API edge
     only, and nothing past it converts indices back to tuples."""
@@ -161,7 +138,7 @@ def test_pipeline_never_calls_the_tuple_api(monkeypatch):
         monkeypatch.setattr(AbelianGroup, name, refuse)
     graph.stats()
     spectrum_by_characters(graph)
-    spectrum_oracle(graph)
+    assert table_identity(graph, 0)
     graph.srg_check()
     crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
     assert check_group_ring_identity(cert)

@@ -1,4 +1,4 @@
-"""Character spectra, the eigensolver oracle, and certification primitives."""
+"""Character spectra, the table identity, and certification primitives."""
 
 import csv
 import io
@@ -10,6 +10,7 @@ import pytest
 from cayleyx import (
     AbelianGroup,
     CayleyGraph,
+    ConnectionSet,
     bent_hadamard_set,
     cyclic,
     dij_set,
@@ -20,25 +21,26 @@ from cayleyx import (
     spectral,
     spectral_gap,
     spectrum_by_characters,
-    spectrum_oracle,
+    table_identity,
     theorem33_set,
     verify_gds,
     vertex_expansion,
 )
 from cayleyx.cli import main
 from cayleyx.spectral import (
-    _group_eigenvalues,
     certify_ramanujan,
     crossing_counts_batch,
     crossing_lemma_bound,
     ramanujan_check,
-    spectra_agree,
 )
 from reference import (
+    adjacency_matrix,
     crossing_counts_by_inverse,
     group_eigenvalues,
     is_symmetric_about_zero,
     ramanujan_verdict,
+    spectra_agree,
+    spectrum_oracle,
 )
 from test_cayley import _random_symmetric
 
@@ -73,79 +75,31 @@ def test_oracle_small_graphs():
     assert _multiset(spectrum_oracle(_circulant(5, [1, 2, 3, 4]))) == {4: 1, -1: 4}
 
 
-def oracle_by_one_solve(graph):
-    """Sorted eigenvalues of one unsplit dense solve: the oracle's reference."""
-    return np.linalg.eigvalsh(graph.adjacency_matrix())
+def _move_one_entry(graph, at):
+    """Move the table entry at flat index ``at`` by 2 on Z_2^m (an int64
+    table), by 1e-3 elsewhere, and return the shift."""
+    table = graph.characters.ravel()
+    shift = 2 if table.dtype.kind == "i" else 1e-3
+    table[at] += shift
+    return shift
 
 
 @pytest.mark.parametrize("factors", [[5], [9], [3, 4], [2] * 6, [8, 4, 2],
                                      [6], [10], [12], [16], [2, 9], [6, 10], [15], [25]])
-def test_oracle_matches_one_unsplit_solve(factors, monkeypatch):
-    raw = []
-
-    def record(values, n):
-        raw.append(sorted(values))
-        return _group_eigenvalues(values, n)
-
-    monkeypatch.setattr(spectral, "_group_eigenvalues", record)
+def test_oracle_matches_one_unsplit_solve(factors):
+    """The oracle of ``cayleyx analyze`` (the table identity, reported as
+    ``oracle_agrees``) agrees with one unsplit dense solve: it holds where
+    the sorted table equals the solve's eigenvalues within 1e-9 k, and it
+    fails once one entry is moved off them."""
     for size in (2, 3, 4):
         graph = _random_symmetric(factors, size, seed=size)
-        spectrum_oracle(graph)
-        got = raw.pop()
-        assert len(got) == graph.n
-        assert np.abs(np.array(got) - oracle_by_one_solve(graph)).max() <= 1e-9 * graph.k
-
-
-SPLIT_64 = [((2, 64, 64), "float64"), ((15, 64, 64), "complex128")]
-
-
-@pytest.mark.parametrize("factors, blocks", [
-    ([2, 6], [((1, 4, 4), "float64"), ((1, 4, 4), "complex128")]),   # Z_3 in the 6
-    ([12], [((1, 4, 4), "float64"), ((1, 4, 4), "complex128")]),     # Z_3: 4^2 > 12
-    ([10], [((2, 5, 5), "float64")]),                                # Z_2: no pair
-    ([9], [((1, 3, 3), "float64"), ((1, 3, 3), "complex128")]),      # Z_3, odd n
-    ([7], [((1, 7, 7), "float64")]),                                 # prime: unsplit
-    ([2048], SPLIT_64),                                              # Z_32: 2 real, 15 pairs
-])
-def test_oracle_splits_at_a_subgroup_of_order_up_to_root_n(factors, blocks, monkeypatch):
-    """The stacks the eigensolver receives: the blocks of size n/|H|, one
-    per character of H up to conjugation, for the largest H the greedy rule
-    allows under |H|^2 <= n, the real characters' in one call and the
-    non-real ones' in a second (none when H has no non-real character); and
-    the blocks gathered for them in one call, |H| of (n/|H|)^2 entries."""
-    solve = np.linalg.eigvalsh
-    seen = []
-
-    def record(a):
-        seen.append((a.shape, a.dtype.name))
-        return solve(a)
-
-    gather = AbelianGroup.difference_blocks
-    gathered = []
-
-    def view(self, *args):
-        B = gather(self, *args)
-        gathered.append(B.size)
-        return B
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    monkeypatch.setattr(AbelianGroup, "difference_blocks", view)
-    graph = _random_symmetric(factors, 4, seed=4)
-    assert spectrum_oracle(graph).n == graph.n
-    assert seen == blocks
-    m = blocks[0][0][1]
-    assert gathered == [graph.n // m * m * m]  # the n/|H| rows split, no more
-
-
-@pytest.mark.parametrize("factors, split", [
-    ([4095], {0: 63}), ([4094], {0: 46}), ([1023], {0: 31}), ([4, 4, 4], {0: 4, 1: 2}),
-    ([16, 16, 8], {0: 16, 1: 2}), ([2] * 11, {i: 2 for i in range(5)}),
-    ([3, 7, 7], {1: 7}), ([5, 2, 3], {0: 5}), ([1], {}),
-])
-def test_subgroup_is_the_greedy_one_below_root_n(factors, split):
-    """Factors by decreasing order (ties by position), each with its largest
-    divisor that keeps |H|^2 <= n: several factors, ties and sizes near the cap."""
-    assert spectral._subgroup(factors) == split
+        solve = np.linalg.eigvalsh(adjacency_matrix(graph))
+        table = graph.characters.ravel()
+        assert np.abs(np.sort(table.real) - solve).max() <= 1e-9 * graph.k
+        assert table_identity(graph, size) is True
+        _move_one_entry(graph, size)
+        assert np.abs(np.sort(table.real) - solve).max() > 1e-9 * graph.k
+        assert table_identity(graph, size) is False
 
 
 def _typed_entries(spectrum):
@@ -161,12 +115,11 @@ MIXED_GRAPHS = [(factors, size) for factors in ([3, 4], [5, 6], [9], [8, 4, 2], 
                 for size in (2, 3, 5, 8)]
 
 
-def test_spectra_and_verdicts_match_the_scalar_references(monkeypatch):
-    """spectrum_by_characters and spectrum_oracle group their eigenvalues,
-    and ramanujan_check decides, as the one-value-at-a-time references do:
-    values, multiplicities, exact flags and their Python types, and every
-    verdict field with the reason.  The oracle runs on every graph below its
-    cap of n <= 4096, C4095 included."""
+def test_spectra_and_verdicts_match_the_scalar_references():
+    """spectrum_by_characters groups its eigenvalues, and ramanujan_check
+    decides, as the one-value-at-a-time references do: values,
+    multiplicities, exact flags and their Python types, and every verdict
+    field with the reason."""
     graphs = [_random_symmetric(factors, size, seed=size) for factors, size in MIXED_GRAPHS]
     rng = np.random.default_rng(4095)
     pairs = rng.choice(np.arange(1, 2048), 6, replace=False)
@@ -185,22 +138,10 @@ def test_spectra_and_verdicts_match_the_scalar_references(monkeypatch):
             reasons.add(got.reason.split()[0] if got.reason else "")
     assert reasons == {"", "eigenvalue", "not"}
 
-    raw = []
-
-    def record(values, n):
-        raw.append(np.array(values).tolist())
-        return _group_eigenvalues(values, n)
-
-    monkeypatch.setattr(spectral, "_group_eigenvalues", record)
-    for graph in graphs:
-        if graph.n <= spectral.ORACLE_MAX_N:
-            spec = spectrum_oracle(graph)
-            assert _typed_entries(spec) == _typed_entries(group_eigenvalues(raw.pop(), graph.n))
-
 
 def test_every_spectrum_and_verdict_goes_through_the_one_grouping(monkeypatch, tmp_path):
-    """No second snap-and-cluster route: a non-binary character spectrum,
-    the oracle and the circulant search all reach ``spectral._groups``."""
+    """No second snap-and-cluster route: a non-binary character spectrum
+    and the circulant search both reach ``spectral._groups``."""
     class Reached(Exception):
         pass
 
@@ -209,7 +150,7 @@ def test_every_spectrum_and_verdict_goes_through_the_one_grouping(monkeypatch, t
 
     graph = _circulant(12, [1, 11, 4, 8])
     monkeypatch.setattr(spectral, "_groups", reached)
-    for call in (lambda: spectrum_by_characters(graph), lambda: spectrum_oracle(graph),
+    for call in (lambda: spectrum_by_characters(graph),
                  lambda: main(["search", "ramanujan", "--n", "8", "--out", str(tmp_path)])):
         with pytest.raises(Reached):
             call()
@@ -232,26 +173,49 @@ def test_oracle_uses_no_character_values(monkeypatch):
 
 @pytest.mark.parametrize("factors", [[32, 32], [1024], [2] * 10, [1022], [1023], [1021]])
 def test_oracle_memory_stays_below_a_quarter_matrix_unless_n_is_prime(factors):
-    """A composite n is split at |H| >= 2 (here 14 to 32): the oracle fills
-    the n/|H| rows of A it splits and stacks their blocks, a few arrays of
-    8 n^2/|H| bytes, so an n x n matrix (8 n^2 bytes) would break the
-    quarter.  Prime n (1021) is solved unsplit on A, built once and passed
-    without a copy, which would at least double the peak."""
+    """The table identity holds arrays of size n and k only, so its peak
+    stays below a quarter of an n x n float matrix (8 n^2 bytes) at every
+    n, prime n (1021) included."""
     graph = _random_symmetric(factors, 8, seed=8)
     tracemalloc.start()
     try:
-        spectrum_oracle(graph)
+        assert table_identity(graph, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (1.35 if spectral._subgroup(factors) == {} else 0.25) * 8 * graph.n ** 2
+    assert peak < 0.25 * 8 * graph.n ** 2
 
 
-def test_oracle_budget():
-    class Fake:
-        n = 5000
-    with pytest.raises(ValueError):
-        spectrum_oracle(Fake())
+def test_table_identity_at_the_z2m_cap():
+    """On Z_2^20 the exact F_p identity holds for several seeds, and for
+    each it fails with one entry moved by 2 (the principal one, two in the
+    middle, the last), which a seed misses with probability at most
+    (20/p)^2."""
+    group = AbelianGroup([2] * 20)
+    C = np.random.default_rng(20).choice(np.arange(1, group.order), 24, replace=False)
+    graph = CayleyGraph(ConnectionSet(group, C))  # every element of Z_2^m is its own negative
+    for seed, at in zip((0, 1, 7, 2 ** 70), (0, 12345, 777777, group.order - 1)):
+        assert table_identity(graph, seed) is True
+        shift = _move_one_entry(graph, at)
+        assert table_identity(graph, seed) is False
+        graph.characters.ravel()[at] -= shift
+
+
+@pytest.mark.parametrize("factors", [[4095], [3, 7, 7], [2] * 10])
+def test_table_identity_uses_no_transform_of_size_n(factors, monkeypatch):
+    """The identity reads the finished table and C only: it holds, and
+    catches one entry moved by 1e-3 (by 2 on Z_2^m), with every transform of
+    the group refused."""
+    graph = _random_symmetric(factors, 12, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform of the group was taken")
+
+    for name in ("character_sum_table", "counts", "convolve"):
+        monkeypatch.setattr(AbelianGroup, name, refuse)
+    assert table_identity(graph, 3) is True
+    _move_one_entry(graph, 5)
+    assert table_identity(graph, 3) is False
 
 
 def test_spectra_agree_on_irrational_spectrum():
@@ -343,7 +307,7 @@ def test_crossing_counts_batch_matches_dense():
                   _random_symmetric([2] * 10, 40, seed=10)):
         X = (rng.random((graph.n, 9)) < 0.5).astype(float)
         X[:, 0], X[:, 1] = 0.0, 1.0
-        A = graph.adjacency_matrix()
+        A = adjacency_matrix(graph)
         want = [(A * (x[:, None] != x[None, :])).sum() // 2 for x in X.T]
         actual, sizes = crossing_counts_batch(graph, X)
         assert actual.tolist() == want
@@ -409,7 +373,7 @@ def test_quotient_cuts_equal_dense_counts(graph, orders, monkeypatch):
     graph = graph()
     monkeypatch.setattr(spectral, "_witnesses", lambda table, k: list(range(1, len(table))))
     report = spectral.quotient_cuts(graph, spectrum_by_characters(graph))
-    factors, A = graph.group.factors, graph.adjacency_matrix()
+    factors, A = graph.group.factors, adjacency_matrix(graph)
     coords = np.indices(factors).reshape(len(factors), -1)
     seen = set()
     for a, cut in zip(range(1, graph.n), report["cuts"]):
