@@ -28,7 +28,7 @@ from .spectral import quotient_cuts, ramanujan_check, spectrum_by_characters, ta
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
-ANALYZE_MAX_N = 1 << 24  # Z_2^22 with k = 22 took 55 s and 565 MB on 2 vCPUs; cost >= linear in n
+ANALYZE_MAX_N = constructions.MAX_ORDER  # so construct writes no graph analyze refuses
 COORDINATE_ROWS = 4096  # rows per formatted chunk of a streamed coordinate list
 COORDINATE_TABLE = 4096  # entries of a table of formatted coordinates, at most
 HIT_DIGIT_BITS = 8  # bits of a hit's mask read per token-table lookup
@@ -62,8 +62,9 @@ def _write_coordinates(f, value, indent):
     Consecutive factors are merged into runs whose product is at most
     ``COORDINATE_TABLE`` and at most a quarter of the rows, so the tables
     cost little next to the rows.  A run's part of a row is read from a
-    table of its formatted coordinates by the run's digit of the flat index;
-    a single larger factor is formatted as an int.
+    table of its formatted coordinates by the run's digit of the flat index
+    (``AbelianGroup.digits`` on the grid of the runs' products); a single
+    larger factor is formatted as an int.
     The rows go ``COORDINATE_ROWS`` at a time: one ``%`` per chunk, written
     at once.
     """
@@ -80,9 +81,8 @@ def _write_coordinates(f, value, indent):
             runs[-1][1].append(d)
         else:
             runs.append([d, [d]])
-    tables, post = [], math.prod(factors)
+    tables = []
     for size, run in runs:
-        post //= size
         table = None
         if size <= limit:  # the run's formatted coordinates, in ravel order
             table = [str(x) for x in range(run[0])]
@@ -90,16 +90,16 @@ def _write_coordinates(f, value, indent):
                 tail = [sep + str(x) for x in range(d)]
                 table = [t + u for t in table for u in tail]
             table = np.array(table, dtype=object)
-        tables.append((post, size, table))
-    fields = ["%d" if table is None else "%s" for _, _, table in tables]
+        tables.append(table)
+    grid = AbelianGroup([size for size, _ in runs])
+    fields = ["%d" if table is None else "%s" for table in tables]
     row = f"{inner}[\n{item}" + sep.join(fields) + f"\n{inner}]"
     f.write("[\n")
     for at in range(0, indices.size, COORDINATE_ROWS):
         chunk = indices[at:at + COORDINATE_ROWS]
         parts = np.empty((chunk.size, len(tables)), dtype=object)
-        for j, (post, size, table) in enumerate(tables):
-            digit = chunk // post % size
-            parts[:, j] = digit if table is None else table[digit]
+        for j, digit in grid.digits(chunk):
+            parts[:, j] = digit if tables[j] is None else tables[j][digit]
         if at:
             f.write(",\n")
         f.write(",\n".join([row] * chunk.size) % tuple(parts.ravel().tolist()))

@@ -6,14 +6,15 @@ and JSON edges elements and character indices are tuples of residues.  Inside
 the pipeline an element is its flat index, the ravel (lexicographic) rank of
 its coordinates on the factor grid, so index 0 is the identity; only this
 module converts between the two (:meth:`AbelianGroup.indices` for tuples,
-:meth:`AbelianGroup.ravel` for coordinate arrays, and back).
+:meth:`AbelianGroup.ravel` for coordinate arrays, and back by
+:meth:`AbelianGroup.elements_at` and :meth:`AbelianGroup.digits`).
 The character indexed by ``a`` sends ``x`` to ``prod_i exp(2*pi*i*a_i*x_i/d_i)``,
 and the dual group is indexed exactly like the group itself.
 
 Character sums are the workhorse of everything downstream: the eigenvalues of
 a Cayley graph on ``G`` with connection set ``C`` are the values ``chi(C)``
 over all characters ``chi``.  Group-ring products (difference counts,
-neighbourhoods of vertex sets) multiply character tables, and
+neighbourhoods of vertex sets, the edges of a cut) multiply character tables, and
 :meth:`AbelianGroup.counts`, the one exact inverse of
 :meth:`AbelianGroup.character_sum_table`, turns a product of tables back
 into integer counts on the grid.  On ``Z_2^m`` (every factor 2) the flat
@@ -176,6 +177,14 @@ class AbelianGroup:
         """Coordinate tuples (of Python ints) of an array of flat indices."""
         coords = np.unravel_index(np.asarray(indices, dtype=np.int64), self.factors)
         return list(zip(*(c.tolist() for c in coords)))
+
+    def digits(self, indices):
+        """Yield ``(i, x_i)``, the int64 coordinate arrays of flat indices,
+        last factor first by ``divmod``: one digit array at a time."""
+        rest = np.asarray(indices, dtype=np.int64)
+        for i in reversed(range(len(self.factors))):
+            rest, digit = np.divmod(rest, self.factors[i])
+            yield i, digit
 
     def ravel(self, coords):
         """Flat indices of integer coordinate arrays, one per factor

@@ -6,10 +6,11 @@ contributes a single element.  The identity index 0 is never selectable.
 Connectivity is checked before the eigenvalue bound (the definition of a
 Ramanujan graph requires it).  The chunk of encodings is the unit of work
 from the scan to the verdict: degree and connectivity are array operations,
-one FFT per chunk gives the character sums, and every connected row goes to
-the package's one Ramanujan decision (:func:`cayleyx.spectral._ramanujan_rows`,
-the same snapping, clustering and verdict as :func:`cayleyx.ramanujan_check`),
-so no graph and no per-candidate spectrum is built.
+one transform per chunk (the package's, on ``Z_n``) gives the character
+sums, and every connected row goes to the package's one Ramanujan decision
+(:func:`cayleyx.spectral._ramanujan_rows`, the same snapping, clustering
+and verdict as :func:`cayleyx.ramanujan_check`), so no graph and no
+per-candidate spectrum is built.
 :func:`search_ramanujan_circulant` turns the hits of each chunk into
 :class:`SearchHit` objects; the CLI writes them from the arrays.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import cyclic
 from .spectral import RamanujanVerdict, _ramanujan_rows
 
 __all__ = ["SearchHit", "search_ramanujan_circulant"]
@@ -64,9 +66,9 @@ def _hits(n, min_degree, s):
     and a mask is B's row times the masks of the pairs.  Degree (popcount)
     and connectivity (gcd of n and the selected residues) are array
     operations.  The rows that pass them get their character sums from one
-    row-wise FFT of their bits, and :func:`cayleyx.spectral._ramanujan_rows`
-    decides each of them exactly as :func:`cayleyx.spectral.ramanujan_check`
-    decides one graph.
+    ``character_sum_table`` of their bits on ``Z_n`` (rows broadcast), and
+    :func:`cayleyx.spectral._ramanujan_rows` decides each of them exactly as
+    :func:`cayleyx.spectral.ramanujan_check` decides one graph.
     """
     pairs = np.arange(1, n // 2 + 1)
     B = (s[:, None] >> (pairs - 1)) & 1
@@ -76,7 +78,7 @@ def _hits(n, min_degree, s):
     keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
     s, k, masks = s[keep], k[keep], masks[keep]
     # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
-    sums = np.fft.fft((masks[:, None] >> np.arange(n)) & 1, axis=1)
+    sums = cyclic(n).character_sum_table((masks[:, None] >> np.arange(n)) & 1)
     if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
         raise ArithmeticError("character sums of a symmetric set must be real")
     ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test

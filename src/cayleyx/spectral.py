@@ -13,19 +13,17 @@ lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
 the integers of every construction this package ships.  The expander mixing
 bound is checked (:func:`quotient_cuts`) on the quotient cuts at lambda_2's
 character and at the Ramanujan witness, read from C alone with no
-transform, together with those two table entries.
+transform, together with those two table entries.  Edges across a given cut
+(:func:`crossing_lemma_bound`) come from the groups module's exact inverse.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 
 import numpy as np
-
-from .groups import _INT64_SAFE
 
 __all__ = [
     "Spectrum",
@@ -47,7 +45,6 @@ BOUNDARY_TOL = 1e-6      # non-exact value this close to 2*sqrt(k-1): flag it
 TABLE_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
 TABLE_TRIALS = 2
 EXPANSION_MAX_N = 20
-CROSSING_CELLS = 1 << 23  # grid entries per chunk of crossing columns
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def table_identity(graph, seed):
     sum_a r_a chi_a(C) = sum_{c in C} prod_i r^_i(c_i), with
     r^_i(x) = sum_j r_i(j) exp(2 pi i j x / d_i) the transform of r_i
     (Freivalds, IFIP 1977).  The left side reads the table; the right side
-    reads C's coordinates, digit by digit from its flat indices, in O(k t).
+    reads C's coordinates (``AbelianGroup.digits``) in O(k t).
     r is built by one outer product per factor, and no transform of size n
     is taken.
 
@@ -189,16 +186,16 @@ def table_identity(graph, seed):
     :func:`spectrum_by_characters` weighted by the r_a: one entry off by
     more than tau moves the left side by more than tau.
     """
-    factors, p = graph.group.factors, TABLE_PRIME
+    group, p = graph.group, TABLE_PRIME
     table = graph.characters.ravel()
     exact = table.dtype.kind == "i"
     rng = random.Random(seed)
     for _ in range(TABLE_TRIALS):
         if exact:
-            weights = [np.array([1, rng.randrange(p)]) for _ in factors]
+            weights = [np.array([1, rng.randrange(p)]) for _ in group.factors]
             hats = [np.array([1 + w[1], 1 - w[1]]) % p for w in weights]
         else:  # a sign from the low bit of each random 64-bit word, U[0, 1) from its top 53
-            words = [np.frombuffer(rng.randbytes(8 * d), dtype=np.uint64) for d in factors]
+            words = [np.frombuffer(rng.randbytes(8 * d), dtype=np.uint64) for d in group.factors]
             weights = [np.where(w & 1, -1.0, 1.0) * (1.0 + (w >> 11) * 2.0 ** -53) for w in words]
             hats = [np.fft.fft(w) for w in weights]  # conj(r^_i): the sum's real part is kept
         r = np.ones(1, dtype=weights[0].dtype)
@@ -206,10 +203,9 @@ def table_identity(graph, seed):
             r = np.multiply.outer(r, w).ravel()
             if exact:
                 r %= p
-        terms, rest = np.ones(graph.k, dtype=hats[0].dtype), graph.connection.indices
-        for d, hat in zip(reversed(factors), reversed(hats)):  # C's digits, last factor first
-            rest, digit = np.divmod(rest, d)
-            terms *= hat[digit]
+        terms = np.ones(graph.k, dtype=hats[0].dtype)
+        for i, digit in group.digits(graph.connection.indices):
+            terms *= hats[i][digit]
             if exact:
                 terms %= p
         if exact:
@@ -334,8 +330,8 @@ def quotient_cuts(graph, spec):
     (n/e) h has (n/e) sum_{j<h} #{c : (j + pi(c)) mod e >= h} crossing
     edges.  An element c with pi(c) = r crosses from min(r, e - r) of the h
     residues j, so the count is (n/e) sum_c min(pi(c), e - pi(c)).  Both
-    are read from C's coordinates in O(k t) for t factors: no array of
-    size n (nor of size e) and no transform.
+    are read from C's coordinates (``AbelianGroup.digits``) in O(k t) for
+    t factors: no array of size n (nor of size e) and no transform.
 
     A violation is a cut below its bound (compared exactly in integers when
     lambda_2 is exact, otherwise with lambda_2 taken 1e-9*k higher), or a
@@ -350,17 +346,14 @@ def quotient_cuts(graph, spec):
     exact = table.dtype.kind == "i"
     lam2 = second_largest_by_index(spec, k)
     witnesses = _witnesses(table, k)
-    chars = [list(map(int, np.unravel_index(a, group.factors))) for a in witnesses]
+    chars = np.array([x for _, x in group.digits(witnesses)][::-1]).T.tolist()  # a row each
     orders = [math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, group.factors)))
               for a in chars]
     pis = [np.zeros(k, dtype=np.int64) for _ in witnesses]
-    rest = graph.connection.indices
-    for i in reversed(range(len(group.factors))):  # C's coordinates, last factor first
-        d = group.factors[i]
-        rest, digit = np.divmod(rest, d)
+    for i, digit in group.digits(graph.connection.indices):
         for pi, a, e in zip(pis, chars, orders):
             if a[i]:
-                pi += a[i] * e // d * digit
+                pi += a[i] * e // group.factors[i] * digit
     cuts, violations = [], 0
     for pi, a, e, at in zip(pis, chars, orders, witnesses):
         pi %= e
@@ -384,73 +377,16 @@ def quotient_cuts(graph, spec):
     return {"cuts": cuts, "violations": violations}
 
 
-def _crossings(graph, spec, indicators):
-    """The crossing bounds (k - lambda2)|Omega1||Omega2| / n and the exact
-    edge counts between Omega1 and its complement, for a batch of 0/1
-    indicator columns (n x batch) of Omega1."""
-    actual, sizes = crossing_counts_batch(graph, indicators)
-    gap = graph.k - second_largest_by_index(spec, graph.k)
-    return gap * sizes * (graph.n - sizes) / graph.n, actual
-
-
 def crossing_lemma_bound(graph, omega1):
     """Crossing bound (k - lambda2)|Omega1||Omega2| / n and the exact count
-    of edges between the parts."""
-    x = graph.group.indicator(graph.group.indices(omega1)).reshape(-1, 1)
-    bound, actual = _crossings(graph, spectrum_by_characters(graph), x)
-    return bound.item(), actual.item()
-
-
-def crossing_counts_batch(graph, indicators):
-    """Edge counts between Omega1 and its complement, and the sizes
-    |Omega1|, for a batch of 0/1 indicator columns (n x batch, any numeric
-    or bool dtype).
-
-    The edges inside Omega1, counted twice, are x^T A x
-    = (1/n) sum_a lambda_a |x^_a|^2 by Parseval, with x^ the character
-    transform of the column x and lambda_a = chi_a(C) the graph's table: one
-    forward transform per column, ``CROSSING_CELLS // n`` columns at a time.
-    On ``Z_2^m`` it is exact: x^ is an int64 butterfly, the x^_a^2 are
-    summed per distinct eigenvalue in int64 (their total, n |x|^2, is
-    checked below 2^62 through n max|x|), the sum over eigenvalues is taken
-    in Python ints, and a remainder modulo n raises ArithmeticError.
-    Otherwise the sum is rounded, and a value more than 0.25 from an integer
-    raises ArithmeticError, as :meth:`~cayleyx.groups.AbelianGroup.counts`
-    does.
-    """
-    group, n = graph.group, graph.n
-    X = np.asarray(indicators)
-    table = graph.characters.ravel()
-    exact = table.dtype.kind == "i"
-    if exact:
-        top = float(max(abs(X.max(initial=0)), abs(X.min(initial=0))))
-        if (n * top) ** 2 >= _INT64_SAFE:  # bounds n sum x^2 = sum_a x^_a^2
-            raise ArithmeticError("sums of squared transforms would overflow int64")
-        order = np.argsort(table, kind="stable")
-        lam, starts = np.unique(table[order], return_index=True)
-        lam = lam.tolist()
-    else:
-        lam = np.ascontiguousarray(table.real)
-    inside = []
-    step = max(1, CROSSING_CELLS // n)
-    for at in range(0, X.shape[1], step):
-        cols = X[:, at:at + step]
-        xh = group.character_sum_table(cols.T.reshape(-1, *group.factors)).reshape(-1, n)
-        if exact:
-            np.multiply(xh, xh, out=xh)
-            for row in np.add.reduceat(xh[:, order], starts, axis=1).tolist():
-                total = sum(map(operator.mul, lam, row))
-                if total % n:
-                    raise ArithmeticError("character table of a non-integral array")
-                inside.append(total // n)
-        else:
-            z = (np.square(xh.real) + np.square(xh.imag)) @ lam / n
-            r = np.rint(z)
-            if np.abs(z - r).max(initial=0.0) > 0.25:
-                raise ArithmeticError("character table of a non-integral array")
-            inside += r.astype(np.int64).tolist()
-    sizes, inside = X.sum(axis=0), np.array(inside, dtype=np.int64)
-    return (graph.k * sizes - inside).round().astype(int), sizes.astype(int)
+    of edges between the parts, k|Omega1| - sum_{v in Omega1} (A x)[v] for
+    the indicator x of Omega1, with A x = x * 1_C by ``AbelianGroup.counts``."""
+    group, n, k = graph.group, graph.n, graph.k
+    idx = group.indices(omega1)
+    ax = group.counts(group.character_sum_table(group.indicator(idx)), graph.characters)
+    actual = k * idx.size - int(ax.ravel()[idx].sum())
+    gap = k - second_largest_by_index(spectrum_by_characters(graph), k)
+    return gap * idx.size * (n - idx.size) / n, actual
 
 
 def vertex_expansion(graph):

@@ -34,12 +34,12 @@ from cayleyx import (
 from cayleyx.groupring import has_multiplier_minus_one
 from cayleyx.spectral import (
     certify_ramanujan,
-    crossing_counts_batch,
     second_largest_by_index,
 )
 
 from reference import (
     additive_character_sum,
+    crossing_counts_by_inverse,
     is_symmetric_about_zero,
     neighbors,
     spectra_agree,
@@ -223,7 +223,7 @@ def test_criterion_10_lemma_suite(corpus):
             assert is_symmetric_about_zero(spec, tol=1e-8 * graph.n) == st.bipartite, name
         # crossing bound on seeded random partitions
         X = (rng.random((graph.n, partitions)) < 0.5).astype(float)
-        actual, sizes = crossing_counts_batch(graph, X)
+        actual, sizes = crossing_counts_by_inverse(graph, X)
         gap = graph.k - second_largest_by_index(spec, graph.k)
         bounds = gap * sizes * (graph.n - sizes) / graph.n
         assert int((actual < bounds - 1e-9).sum()) == 0, name

@@ -13,6 +13,7 @@ from cayleyx import (
     GdsCertificate,
     bent_hadamard_set,
     cli,
+    constructions,
     cyclic,
     kloosterman_trace_set,
     spectral,
@@ -99,6 +100,28 @@ def test_construct_parameter_errors(tmp_path):
                 "--out", str(tmp_path)]) == 2
     assert run(["construct", "theorem33", "--s", "4", "--out", str(tmp_path)]) == 2
     assert run(["construct", "polar-trace", "--m", "99", "--out", str(tmp_path)]) == 2
+
+
+def test_construct_theorem33_refuses_orders_analyze_refuses(tmp_path, capsys, monkeypatch):
+    """s*r above analyze's limit exits 2 before any array of that size
+    exists, with no output directory; at the limit (set to 24 here) it is
+    built."""
+    assert cli.ANALYZE_MAX_N == constructions.MAX_ORDER == 1 << 24
+    tracemalloc.start()
+    try:
+        code = run(["construct", "theorem33", "--s", "4", "--r", str(1 << 23),
+                    "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert f"error: theorem33 is limited to s*r <= 16777216, got {1 << 25}\n" in err
+    assert not (tmp_path / "o").exists()
+    monkeypatch.setattr(constructions, "MAX_ORDER", 24)
+    assert theorem33_set(4, 6).graph.n == 24
+    with pytest.raises(ValueError, match="limited to s\\*r <= 24, got 32"):
+        theorem33_set(4, 8)
 
 
 def test_analyze_product_graph(tmp_path, capsys):

@@ -28,7 +28,7 @@ from cayleyx import (
 )
 from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
-from cayleyx.spectral import crossing_counts_batch
+from cayleyx.spectral import crossing_lemma_bound
 from reference import (
     add,
     character_sum,
@@ -86,6 +86,22 @@ def test_flat_indices_match_tuple_api():
     assert total.tolist() == [[g.index_of(add(g, a, b)) for b in elems] for a in elems]
 
 
+@pytest.mark.parametrize("factors", [[7], [3, 4, 2], [2] * 6, [5, 1 << 20, 3], [6, 10, 4, 9]])
+def test_digits_match_unravel_index(factors):
+    """Last factor first, one int64 coordinate array per factor, equal to
+    ``np.unravel_index``, for an array of indices and for one index."""
+    g = AbelianGroup(factors)
+    idx = np.random.default_rng(len(factors)).integers(0, g.order, 500)
+    idx[:2] = 0, g.order - 1
+    want = np.unravel_index(idx, factors)
+    got = list(g.digits(idx))
+    assert [i for i, _ in got] == list(reversed(range(len(factors))))
+    for i, digit in got:
+        assert digit.dtype == np.int64 and digit.tolist() == want[i].tolist()
+    one = {i: int(x) for i, x in g.digits(idx[-1])}
+    assert one == dict(enumerate(g.elements_at([idx[-1]])[0]))
+
+
 @pytest.mark.parametrize("bad, words", [
     ([(1, 2)], "2 coordinates"),
     ([(1.5,)], "(1.5,) has a non-integer coordinate"),
@@ -131,6 +147,7 @@ def test_pipeline_never_calls_the_tuple_api(monkeypatch):
     for name in ("index_of", "element_at"):
         monkeypatch.setattr(AbelianGroup, name, refuse)
     graph = CayleyGraph.build(AbelianGroup([4, 6]), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)])
+    crossing_lemma_bound(graph, graph.vertices[:3])  # Omega1 is parsed at the edge
     cert = verify_gds(cyclic(20), [(4,), (8,), (12,), (16,)])
     assert has_multiplier_minus_one(cyclic(20), [(1,), (3,), (4,)]) is False
     # past the edge: no tuple is parsed or produced
@@ -140,7 +157,6 @@ def test_pipeline_never_calls_the_tuple_api(monkeypatch):
     spectrum_by_characters(graph)
     assert table_identity(graph, 0)
     graph.srg_check()
-    crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
     assert check_group_ring_identity(cert)
     assert sum(1 for _ in search_gds(8)) > 0
     assert sum(1 for _ in search_ramanujan_circulant(12)) > 0
@@ -331,7 +347,7 @@ def test_graph_transforms_its_connection_set_once(make_set, monkeypatch, tmp_pat
     spectrum_by_characters(graph)
     graph.stats()
     assert graph.srg_check() is not None
-    crossing_counts_batch(graph, np.eye(graph.n)[:, :3])
+    crossing_lemma_bound(graph, graph.vertices[:3])
     assert len(seen) == 1
     gpath = tmp_path / "g.json"
     gpath.write_text(graph.to_json_str())

@@ -108,14 +108,22 @@ def test_hits_straddle_chunk_boundaries(monkeypatch):
 
 def test_searches_build_no_graph(monkeypatch, tmp_path):
     """Both searches certify from their own batched counts and sums: no
-    ConnectionSet, no per-graph character table, no verify_gds call, no
-    per-candidate spectrum or verdict.  The CLI writes its hits from the
-    arrays and builds no certificate either."""
+    ConnectionSet, no per-graph character table (a transform is taken of a
+    whole chunk of rows only), no verify_gds call, no per-candidate spectrum
+    or verdict.  The CLI writes its hits from the arrays and builds no
+    certificate either."""
     def refuse(*args, **kwargs):
         raise AssertionError("per-candidate certification route called by a search")
 
+    transform = AbelianGroup.character_sum_table
+
+    def rows_only(group, x):
+        if np.ndim(x) <= len(group.factors):  # one grid: one graph's table
+            refuse()
+        return transform(group, x)
+
     monkeypatch.setattr(ConnectionSet, "__post_init__", refuse)
-    monkeypatch.setattr(AbelianGroup, "character_sum_table", refuse)
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", rows_only)
     monkeypatch.setattr("cayleyx.groupring.verify_gds", refuse)
     monkeypatch.setattr("cayleyx.spectral._group_eigenvalues", refuse)
     monkeypatch.setattr("cayleyx.spectral.ramanujan_check", refuse)

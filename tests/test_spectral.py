@@ -29,13 +29,12 @@ from cayleyx import (
 from cayleyx.cli import main
 from cayleyx.spectral import (
     certify_ramanujan,
-    crossing_counts_batch,
     crossing_lemma_bound,
     ramanujan_check,
+    second_largest_by_index,
 )
 from reference import (
     adjacency_matrix,
-    crossing_counts_by_inverse,
     group_eigenvalues,
     is_symmetric_about_zero,
     ramanujan_verdict,
@@ -296,62 +295,54 @@ def test_crossing_lemma_bound():
     assert actual >= bound - 1e-9
 
 
-def test_crossing_counts_batch_matches_dense():
+def test_crossing_lemma_bound_matches_dense():
     """Against edges counted on the dense A, on cyclic, product and mixed
-    groups and on Z_2^10 (the exact Parseval path), with an empty and a full
-    Omega1 among the columns."""
+    groups and on Z_2^10 (the exact butterfly inverse), for random, empty
+    and full Omega1."""
     rng = np.random.default_rng(3)
     for graph in (_circulant(20, [4, 8, 12, 16]), theorem33_set(4, 6).graph,
                   CayleyGraph.build(AbelianGroup([2, 4, 3]), [(1, 0, 0), (0, 1, 0), (0, 3, 0),
                                                               (0, 0, 1), (0, 0, 2)]),
                   _random_symmetric([2] * 10, 40, seed=10)):
-        X = (rng.random((graph.n, 9)) < 0.5).astype(float)
-        X[:, 0], X[:, 1] = 0.0, 1.0
+        X = rng.random((graph.n, 9)) < 0.5
+        X[:, 0], X[:, 1] = False, True
         A = adjacency_matrix(graph)
-        want = [(A * (x[:, None] != x[None, :])).sum() // 2 for x in X.T]
-        actual, sizes = crossing_counts_batch(graph, X)
-        assert actual.tolist() == want
-        assert actual[0] == actual[1] == 0
-        assert sizes.tolist() == X.sum(axis=0).astype(int).tolist()
+        gap = graph.k - second_largest_by_index(spectrum_by_characters(graph), graph.k)
+        for x in X.T:
+            size = int(x.sum())
+            bound, actual = crossing_lemma_bound(graph, graph.group.elements_at(np.flatnonzero(x)))
+            assert type(actual) is int and actual == (A * (x[:, None] != x[None, :])).sum() // 2
+            assert bound == gap * size * (graph.n - size) / graph.n
+            assert actual >= bound - 1e-9
+            if size in (0, graph.n):
+                assert actual == 0 and bound == 0
 
 
-@pytest.mark.parametrize("factors, k", [((4, 4, 2), 6), ((2,) * 5, 8), ((32,), 6), ((8, 8), 16)])
-def test_crossing_counts_batch_matches_inverse_route(factors, k, monkeypatch):
-    """Parseval equals the inverse-transform route of ``tests/reference.py``
-    on the analyze groups at toy size, for float and bool columns, with all
-    columns at once and one column per chunk."""
-    graph = _random_symmetric(factors, k, seed=k)
-    X = np.random.default_rng(k).random((graph.n, 20)) < 0.5
-    X[:, 0], X[:, 1] = False, True
-    want = crossing_counts_by_inverse(graph, X)
-    for cells in (spectral.CROSSING_CELLS, graph.n):
-        monkeypatch.setattr(spectral, "CROSSING_CELLS", cells)
-        for cols in (X, X.astype(float)):
-            actual, sizes = crossing_counts_batch(graph, cols)
-            assert actual.tolist() == want[0].tolist() and sizes.tolist() == want[1].tolist()
-
-
-@pytest.mark.parametrize("graph, size", [
-    (lambda: CayleyGraph.build(AbelianGroup([2] * 4), [(1, 0, 0, 0)]), 3),
-    (lambda: _circulant(8, [1, 7]), 2),
-])
-def test_crossing_counts_batch_refuses_non_integral_tables(graph, size):
+@pytest.mark.parametrize("graph, size, accepted", [
+    (lambda: CayleyGraph.build(AbelianGroup([2] * 4), [(1, 0, 0, 0)]), 3, False),
+    (lambda: _circulant(8, [1, 7]), 2, True),
+    (lambda: _circulant(8, [1, 7]), 3, False),
+], ids=["Z2^4-3", "Z8-2", "Z8-3"])
+def test_crossing_lemma_bound_on_non_integral_tables(graph, size, accepted):
     """A table whose inverse is not an integer array (1 at the principal
-    character only: 1/n everywhere) gives |Omega1|^2 / n edges inside, 9/16
-    and 4/8 here: refused by the remainder on Z_2^m and beyond 0.25 from an
-    integer elsewhere."""
+    character only) makes every entry of A x equal |Omega1| / n.  On Z_2^4,
+    3/16 is refused by the remainder of the exact division.  Elsewhere
+    ``counts`` refuses a value more than 0.25 from an integer: 3/8 is
+    refused, and 2/8 is exactly 0.25 off 0, so it is read as 0 (no edge
+    inside: k |Omega1| crossing)."""
     graph = graph()
     fake = np.zeros_like(graph.characters).ravel()
     fake[0] = 1
     graph.characters = fake.reshape(graph.group.factors)
-    X = np.zeros((graph.n, 1))
-    X[:size] = 1
-    with pytest.raises(ArithmeticError):
-        crossing_counts_batch(graph, X)
+    omega1 = graph.vertices[:size]
+    if accepted:
+        assert crossing_lemma_bound(graph, omega1)[1] == graph.k * size
+    else:
+        with pytest.raises(ArithmeticError):
+            crossing_lemma_bound(graph, omega1)
 
 
 def test_crossing_bound_degenerates_when_disconnected():
-    from cayleyx.spectral import second_largest_by_index
     graph = _circulant(20, [4, 8, 12, 16])
     spec = spectrum_by_characters(graph)
     assert second_largest_by_index(spec, 4) == 4  # top eigenvalue repeats
