@@ -326,32 +326,45 @@ def _gds_text(n):
     :func:`cayleyx.groupring._chunks`) to its hits.jsonl lines, byte for byte
     ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit.
     The certificate lists its elements as 1-tuples, so C is read from two
-    :class:`_SetText` tables, by ``", "`` and by ``"], ["``, and S from the
-    latter, its mask packed from S's row by one integer product; the
-    chunk's text is one ``%`` format."""
+    :class:`_SetText` tables, by ``", "`` and by ``"], ["``.  The rest of a
+    line, from S on, depends only on (S, k, mu1, mu2), which the hits of one
+    translation orbit share: it is formatted once per distinct key of the
+    chunk, S read from the second table by its mask (packed from S's row by
+    one integer product), and gathered by the inverse index.  The chunk's
+    text is one ``%`` format."""
     C_text, tuple_text = _SetText(n, ", "), _SetText(n, "], [")
     bits = 1 << np.arange(n, dtype=np.int64)
-    line = ('{"C": [%s], "certificate": {"C": [[%s]], "S": [[%s]], "factors": [' + str(n)
-            + '], "identity_in_S": true, "k": %d, "mu1": %d, "mu2": %d, "n": ' + str(n)
-            + '}, "n": ' + str(n) + '}\n')
+    tail = ('%s]], "factors": [' + str(n) + '], "identity_in_S": true, "k": %d, '
+            '"mu1": %d, "mu2": %d, "n": ' + str(n) + '}, "n": ' + str(n) + '}\n')
 
     def text(chunk):
         masks, counts = chunk
         mu1, mu2, in_S = groupring._presentation(counts)
-        return _fill(line, C_text(masks), tuple_text(masks), tuple_text(in_S @ bits),
-                     np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist())
+        S, k = in_S @ bits, np.bitwise_count(masks).astype(np.int64)
+        # k, mu1, mu2 < n: the mixed-radix key is one int per distinct tuple
+        _, first, inverse = np.unique(((S * n + k) * n + mu1) * n + mu2,
+                                      return_index=True, return_inverse=True)
+        tails = np.array([tail % key for key in zip(tuple_text(S[first]), k[first].tolist(),
+                                                    mu1[first].tolist(), mu2[first].tolist())],
+                         dtype=object)
+        return _fill('{"C": [%s], "certificate": {"C": [[%s]], "S": [[%s',
+                     C_text(masks), tuple_text(masks), tails[inverse].tolist())
     return text
 
 
 def cmd_search(args):
     """Write the hits of one search to hits.jsonl (and hits.csv for
-    circulants), one write per file per scanned chunk.  n is checked before
-    any file is opened."""
+    circulants), one write per file per chunk of hits.  n, and that
+    ``--minDegree`` (default 2) is given to the circulant search only, are
+    checked before any file is opened."""
     t0 = time.perf_counter()
     n, outdir = args.n, args.out
     try:
         if args.mode == "ramanujan":
-            chunks, text = search._chunks(n, args.minDegree), _ramanujan_text(n)
+            min_degree = 2 if args.minDegree is None else args.minDegree
+            chunks, text = search._chunks(n, min_degree), _ramanujan_text(n)
+        elif args.minDegree is not None:
+            raise ParameterError("--minDegree applies to search ramanujan only")
         else:
             chunks, text = groupring._chunks(n), _gds_text(n)
     except ValueError as e:
@@ -407,7 +420,8 @@ def build_parser():
     s = sub.add_parser("search", help="exhaustive GDS / Ramanujan-circulant search")
     s.add_argument("mode", choices=["gds", "ramanujan"])
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--minDegree", type=int, default=2)
+    s.add_argument("--minDegree", type=int,
+                   help="smallest degree of a circulant hit (ramanujan only; default 2)")
     s.add_argument("--out", default=".")
     s.set_defaults(func=cmd_search)
     return p

@@ -9,11 +9,15 @@ records the two-value structure (n, |S|, k, mu1, mu2).
 The exhaustive cyclic search scans bitmask-encoded subsets in uint64 chunks:
 the difference counts are popcounts of rotated intersections, computed for a
 whole chunk at once, and a mask leaves the chunk at its third distinct count.
-The chunk is the unit up to the output: each yields the 0/1 rows of its GDS
-and their counts, whose row-wise sums, minima, maxima and masks are the
-certificates' k, mu1, mu2 and S.  The CLI writes hits from those arrays;
-:func:`search_gds` builds a certificate per row for API callers.  Every
-verifying subset is emitted (not just orbit representatives).
+Translates share their counts and a complement's counts are a shift of
+them, so the scan visits one run-start mask per translation orbit and only
+the smaller half of each complement pair; the hits are rebuilt from those
+by rotation and complement (see :func:`_orbit_hits`).  The search yields
+them in slices: each slice's masks and count rows, whose row-wise sums,
+minima, maxima and masks are the certificates' k, mu1, mu2 and S.  The CLI
+writes hits from those arrays; :func:`search_gds` builds a certificate per
+row for API callers.  Every verifying subset is emitted (not just orbit
+representatives).
 """
 
 from __future__ import annotations
@@ -173,10 +177,16 @@ def check_group_ring_identity(cert):
     return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
-MAX_N = 24  # the exhaustive scan visits 2^n masks
-# Masks per batch of :func:`search_gds`: 64 KiB uint64 arrays, enough masks
-# to spread numpy's per-call overhead without raising the peak RSS.
-SCAN_CHUNK = 1 << 13
+MAX_N = 24  # the orbit scan visits 2^(n-2) masks
+# Masks per batch of the scan: 128 KiB uint64 arrays, enough masks to spread
+# numpy's per-call overhead over the kernel's later, nearly empty rotations
+# (1 << 13 took 0.33 s of n = 24's scan against 0.27 s) without raising the
+# peak RSS.
+SCAN_CHUNK = 1 << 14
+# Hits per slice yielded by :func:`_chunks`: each slice's count rows and
+# text stay small (slices of 8192 raised the peak RSS of
+# ``search gds --n 18`` by about 7 MB).
+HIT_CHUNK = 1 << 9
 
 
 def _rotl(masks, g, n):
@@ -203,30 +213,71 @@ def _two_valued(masks, n):
 
 
 def _chunks(n):
-    """An iterator of ``(masks, counts)`` for the GDS among each chunk of
-    ``SCAN_CHUNK`` masks of Z_n with at least two elements, in increasing
-    mask order (see :func:`_survivors`).  n is checked here, before any
-    chunk is scanned."""
+    """An iterator of ``(masks, counts)`` over the GDS of Z_n with at least
+    two elements, in increasing mask order, ``HIT_CHUNK`` at a time: the
+    masks (bit i <-> i in C) of :func:`_orbit_hits` and each one's row of
+    difference counts mu_1..mu_{n-1}, which take at most two values.  A
+    mask's k is its popcount; :func:`_presentation` gives the rest of its
+    certificate.  n is checked here, before any mask is scanned."""
     if not 2 <= n <= MAX_N:
         raise ValueError(f"n must be in [2, {MAX_N}], got {n}")
-    full = (1 << n) - 1  # C = Z_n is no GDS candidate
-    return (_survivors(np.arange(start, min(start + SCAN_CHUNK, full), dtype=np.uint64), n)
-            for start in range(0, full, SCAN_CHUNK))
+    return _slices(n)
 
 
-def _survivors(masks, n):
-    """``(masks, counts)`` for the GDS among the uint64 ``masks``: the masks
-    (bit i <-> i in C) and each one's row of difference counts
-    mu_1..mu_{n-1}, which take at most two values.  A mask's k is its
-    popcount; :func:`_presentation` gives the rest of its certificate.
+def _slices(n):
+    """The generator behind :func:`_chunks`: the scan runs at the first
+    slice asked for."""
+    hits, shifts = _orbit_hits(n), np.arange(1, n, dtype=np.uint64)
+    for start in range(0, hits.size, HIT_CHUNK):
+        rows = hits[start:start + HIT_CHUNK, None]
+        yield rows[:, 0], np.bitwise_count(rows & _rotl(rows, shifts, n))
 
-    The popcount pre-check of :func:`_two_valued` drops a mask as soon as a
-    third distinct difference count appears; the survivors' full counts are
-    then computed in one batch.
+
+def _orbit_hits(n):
+    """The sorted masks of every GDS C of Z_n with 2 <= |C| <= n - 1, from a
+    scan of one run-start mask per translation orbit and half of each
+    complement pair.
+
+    The scan runs :func:`_two_valued` on the masks with bit 0 set, bit n-1
+    clear and 2 to n // 2 bits set, ``SCAN_CHUNK`` at a time.  The hits are
+    these base hits, their complements and Z_n minus {0}, each turned
+    through all n rotations, sorted, with repeats dropped.  That is every
+    GDS, and only GDS:
+
+    * translates: mu_g(C + t) = |(C + t) intersect (C + t + g)| = mu_g(C);
+    * complements: C' = Z_n minus C has
+      mu'_g = n - |C union (C + g)| = n - 2k + mu_g, so both or neither
+      take two values, and
+      |C'| = n - k lies in [ceil(n/2), n - 2] for a base hit;
+    * run starts: a proper nonempty C holds some c with c - 1 not in C
+      (else C is closed under c -> c - 1, so C = Z_n), and C - c then holds
+      0 and not n - 1.
+
+    A GDS of n - 1 elements is a translate of Z_n minus {0} (its counts are
+    all n - 2, a difference set for n >= 3).  Of any other GDS C and its
+    complement, one has 2 to n // 2 elements; that set, moved by one of its
+    run starts, is a base hit, and C is a rotation of it or of its
+    complement.
     """
-    masks = _two_valued(masks[np.bitwise_count(masks) >= 2], n)
-    rows = masks[:, None]
-    return masks, np.bitwise_count(rows & _rotl(rows, np.arange(1, n, dtype=np.uint64), n))
+    end, full, half = 1 << (n - 2), (1 << n) - 1, n // 2
+    seeds = [np.array([full ^ 1] if n >= 3 else [], dtype=np.uint64)]
+    for start in range(0, end, SCAN_CHUNK):
+        masks = np.arange(start, min(start + SCAN_CHUNK, end), dtype=np.uint64) << 1 | 1
+        k = np.bitwise_count(masks)
+        base = _two_valued(masks[(k >= 2) & (k <= half)], n)
+        seeds += [base, full ^ base]
+    seeds = np.concatenate(seeds)
+    # one rotation at a time into one array, and repeats dropped after an
+    # in-place sort: at n = 18 a broadcast rotation's temporaries raise the
+    # traced peak from 0.55 to 0.9 MB, and np.unique to 1.9 MB
+    hits = np.empty((n, seeds.size), dtype=np.uint64)
+    for g in range(n):
+        hits[g] = _rotl(seeds, g, n)
+    hits = hits.ravel()
+    hits.sort()
+    keep = np.ones(hits.size, dtype=bool)
+    np.not_equal(hits[1:], hits[:-1], out=keep[1:])
+    return hits[keep]
 
 
 def _presentation(counts):
@@ -241,12 +292,12 @@ def _presentation(counts):
 
 
 def search_gds(n):
-    """Exhaustively scan subsets of Z_n with at least two elements (bitmask
-    encoding, bit i <-> i in C) and yield (C, certificate) for every GDS, in
-    increasing encoding order; C is the certificate's index array.  Every
-    verifying subset is emitted (not just one orbit representative), so any
-    particular set of interest appears verbatim.  The rows of
-    :func:`_chunks` and their :func:`_presentation` become the certificates.
+    """Yield (C, certificate) for every GDS of Z_n with at least two
+    elements, in increasing encoding order (bitmask encoding, bit i <-> i in
+    C); C is the certificate's index array.  Every verifying subset is
+    emitted (not just one orbit representative), so any particular set of
+    interest appears verbatim.  The rows of :func:`_chunks` and their
+    :func:`_presentation` become the certificates.
     """
     group, shifts = cyclic(n), np.arange(n, dtype=np.uint64)
     for masks, counts in _chunks(n):

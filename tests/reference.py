@@ -19,6 +19,8 @@ tests can compare the array routes against them:
   Kloosterman sum and additive character sums;
 * the circulant-search encodings, and the tuple sets of the product and bent
   constructions;
+* the GDS search over the full mask range, every proper subset of Z_n
+  through the two-value kernel (no orbit or complement is skipped);
 * the lines of hits.jsonl and hits.csv, one hit at a time through
   ``json.dumps`` and ``csv.writer``;
 * crossing counts by the inverse route: A x for each column as a product
@@ -35,6 +37,7 @@ from functools import reduce
 import numpy as np
 
 from cayleyx import GdsCertificate, Gf2Field
+from cayleyx.groupring import _rotl, _two_valued
 from cayleyx.spectral import (
     BOUNDARY_TOL,
     SNAP_TOL,
@@ -376,6 +379,18 @@ def bent_tuples(group, u):
         g for g in group.elements()
         if sum(g[i] & g[u + i] for i in range(u)) % 2 == 1
     )
+
+
+# -- the GDS search over every mask ----------------------------------------------
+
+def gds_full_range_scan(n):
+    """``(masks, counts)`` of every GDS of Z_n with 2 <= |C| <= n - 1: each
+    mask below 2^n - 1 with two bits or more through ``_two_valued``, then
+    the survivors' rows of counts mu_1..mu_{n-1}, in increasing mask order."""
+    masks = np.arange((1 << n) - 1, dtype=np.uint64)
+    masks = _two_valued(masks[np.bitwise_count(masks) >= 2], n)
+    rows = masks[:, None]
+    return masks, np.bitwise_count(rows & _rotl(rows, np.arange(1, n, dtype=np.uint64), n))
 
 
 # -- search hits as json.dumps and csv.writer write them ---------------------------

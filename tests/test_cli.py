@@ -421,6 +421,30 @@ def test_search_out_of_range_writes_no_hit_files(mode, n, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["7", "2"])
+def test_search_gds_refuses_min_degree(value, tmp_path, capsys):
+    """The GDS search has no degree filter: an explicit --minDegree, even
+    the circulant default, exits 2 before any directory is made."""
+    out = tmp_path / "d"
+    assert run(["search", "gds", "--n", "8", "--minDegree", value, "--out", str(out)]) == 2
+    assert "--minDegree applies to search ramanujan only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_ramanujan_min_degree_defaults_to_2(tmp_path):
+    """Without --minDegree the circulant search writes the same files as
+    with --minDegree 2, and a larger value still filters."""
+    files = {}
+    for name, extra in (("default", []), ("explicit", ["--minDegree", "2"])):
+        out = tmp_path / name
+        assert run(["search", "ramanujan", "--n", "16", "--out", str(out)] + extra) == 0
+        files[name] = [(out / f).read_bytes() for f in ("hits.jsonl", "hits.csv")]
+    assert files["default"][0] and files["default"] == files["explicit"]
+    out = tmp_path / "four"
+    assert run(["search", "ramanujan", "--n", "16", "--minDegree", "4", "--out", str(out)]) == 0
+    assert (out / "hits.jsonl").read_bytes() != files["default"][0]
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "theorem33", "--s", "4", "--r", "4", "--jobs", "2"],
     ["construct", "theorem33", "--s", "4", "--r", "4", "--format", "csv"],

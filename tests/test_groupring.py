@@ -1,8 +1,10 @@
 """Difference counts, GDS certificates, and the exhaustive cyclic search."""
 
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from cayleyx import (
@@ -18,7 +20,7 @@ from cayleyx import (
 from cayleyx import groupring
 from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
-from reference import add, element, gds_certificate, gds_hit_line, neg
+from reference import add, element, gds_certificate, gds_full_range_scan, gds_hit_line, neg
 
 
 def hall_polynomial_difference(C, n):
@@ -256,7 +258,46 @@ def test_search_matches_mask_by_mask_scan():
 
 def test_search_hits_straddle_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(groupring, "SCAN_CHUNK", 7)
+    monkeypatch.setattr(groupring, "HIT_CHUNK", 7)
     assert gds_lines(11, search_gds(11)) == gds_lines(11, search_gds_by_masks(11))
+
+
+@pytest.mark.parametrize("n, chunk", [(15, None), (16, None), (17, None), (18, None),
+                                      (11, 7), (12, 7)])
+def test_orbit_scan_matches_full_range_scan(n, chunk, monkeypatch):
+    """The masks and count rows of the orbit scan equal those of the scan of
+    every mask, above the sizes the mask-by-mask reference reaches, and
+    come in slices of at most HIT_CHUNK hits."""
+    if chunk:
+        monkeypatch.setattr(groupring, "SCAN_CHUNK", chunk)
+    slices = list(groupring._chunks(n))
+    assert all(0 < len(masks) <= groupring.HIT_CHUNK for masks, _ in slices)
+    masks, counts = gds_full_range_scan(n)
+    assert np.array_equal(np.concatenate([m for m, _ in slices]), masks)
+    assert np.array_equal(np.concatenate([c for _, c in slices]), counts)
+
+
+@pytest.mark.parametrize("n, chunk", [(2, None), (3, None), (4, None), (11, 7), (18, None)])
+def test_scan_visits_run_start_masks_of_at_most_half(n, chunk, monkeypatch):
+    """The two-value kernel sees each mask with bit 0 set, bit n-1 clear and
+    2 to n // 2 bits set, once, and no other mask."""
+    if chunk:
+        monkeypatch.setattr(groupring, "SCAN_CHUNK", chunk)
+    scanned, kernel = [], groupring._two_valued
+
+    def record(masks, n):
+        scanned.append(masks.copy())
+        return kernel(masks, n)
+
+    monkeypatch.setattr(groupring, "_two_valued", record)
+    for _ in groupring._chunks(n):
+        pass
+    masks = np.concatenate(scanned)
+    k = np.bitwise_count(masks)
+    assert (masks & 1).all() and not (masks >> np.uint64(n - 1) & 1).any()
+    assert ((2 <= k) & (k <= n // 2)).all()
+    assert np.unique(masks).size == masks.size
+    assert masks.size == sum(math.comb(n - 2, k - 1) for k in range(2, n // 2 + 1))
 
 
 def test_search_budget():

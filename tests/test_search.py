@@ -149,8 +149,9 @@ def _expected_files(mode, n):
 
 
 # n = 24 holds a hit with boundary_flag true; a GDS mask of Z_17 spans three
-# byte tables (17 bits), scanned at the default chunk only: 2^17 masks seven
-# at a time take seconds
+# byte tables (17 bits), scanned at the default chunk only: 2^15 masks seven
+# at a time take seconds.  A chunk of 7 also cuts the GDS hits into slices of
+# 7, so a slice holds parts of several translation orbits.
 @pytest.mark.parametrize("mode, n, chunk", [
     (mode, n, chunk) for mode, n in [("ramanujan", 17), ("ramanujan", 24), ("gds", 11)]
     for chunk in (None, 7)] + [("gds", 17, None)])
@@ -158,6 +159,7 @@ def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, c
     if chunk:
         monkeypatch.setattr(search, "SCAN_CHUNK", chunk)
         monkeypatch.setattr(groupring, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(groupring, "HIT_CHUNK", chunk)
     expected = _expected_files(mode, n)
     assert expected["hits.jsonl"]
     assert main(["search", mode, "--n", str(n), "--out", str(tmp_path)]) == 0
