@@ -214,9 +214,9 @@ def cmd_analyze(args):
     if args.seed < 0:  # the table identity draws its weights from --seed
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     try:
-        with open(args.input) as f:
+        with open(args.input, encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: cannot read graph JSON: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -19,8 +19,8 @@ neighbourhoods of vertex sets, the edges of a cut) multiply character tables, an
 :meth:`AbelianGroup.character_sum_table`, turns a product of tables back
 into integer counts on the grid.  On ``Z_2^m`` (every factor 2) the flat
 index is the bit pattern of the coordinates and every character is ``+-1``,
-so the transform is the Walsh-Hadamard transform: an int64 butterfly, exact
-by construction.  Every other group goes through the multidimensional FFT.
+so the transform is the Walsh-Hadamard transform: Kronecker factors of at
+most 5 bits on BLAS, exact by a proven bound.  Every other group uses the FFT.
 """
 
 from __future__ import annotations
@@ -33,26 +33,38 @@ import numpy as np
 
 __all__ = ["AbelianGroup", "cyclic"]
 
-# Butterfly sums must stay below this (2^62 leaves room for the float
-# rounding of the bound that is checked against it).
-_INT64_SAFE = 2.0 ** 62
+# Index bits per Kronecker factor H_{2^b}, whose entry (i, j) is (-1)^popcount(i & j).
+_BLOCK_BITS = 5
+_HADAMARD = {(b, t): (-1.0) ** np.bitwise_count(i[:, None] & i).astype(t)
+             for b in range(1, _BLOCK_BITS + 1) for i in [np.arange(1 << b)]
+             for t in (np.float32, np.float64)}
 
 
-def _butterfly(w):
-    """The unnormalised Walsh-Hadamard transform of a C-ordered int64 array
-    along its last axis (a power of two long), in place, returning ``w``:
-    at each bit, ``(u, v) -> (u + v, u - v)`` on the pairs of flat indices
-    that differ in that bit only."""
-    n = w.shape[-1]
-    h = 1
-    while h < n:
-        pairs = w.reshape(-1, n // (2 * h), 2, h)
-        u, v = pairs[:, :, 0], pairs[:, :, 1]
-        u += v
-        v *= -2
-        v += u  # (u + v) - 2v
-        h *= 2
-    return w
+def _wht(rows, bound):
+    """The unnormalised Walsh-Hadamard transform of integer ``rows`` (last axis
+    n = 2^m) as floats, for ``bound`` >= each row's sum of |x|: per b <= 5 bits
+    from j up, one matmul of H_{2^b} on the (rows, n >> (j + b), 2^b, 2^j) view
+    (rows times the symmetric H at j = 0).  Every partial sum is a signed sum of
+    a row, an integer <= ``bound`` in any BLAS order, FMA too: exact in float32
+    below 2^24, in float64 below 2^53; from 2^53 on it raises ArithmeticError."""
+    if not bound < 2 ** 53:
+        raise ArithmeticError("Walsh-Hadamard row sum of |x| reaches 2^53")
+    w = np.asarray(rows, dtype=np.float32 if bound < 2 ** 24 else np.float64)
+    n, m = w.shape[-1], w.shape[-1].bit_length() - 1
+    for j in range(0, m, _BLOCK_BITS):
+        b = min(_BLOCK_BITS, m - j)
+        h = _HADAMARD[b, w.dtype.type]
+        w = (np.matmul(h, w.reshape(-1, n >> (j + b), 1 << b, 1 << j)) if j
+             else np.matmul(w.reshape(-1, 1 << b), h))
+    return w.reshape(np.shape(rows))
+
+
+def _row_bound(rows):
+    """The largest row sum of ``|x|`` of integer rows, a float that reaches 2^24
+    or 2^53 iff the exact sum does; a non-integral entry raises ArithmeticError."""
+    if rows.dtype.kind not in "biu" and (np.rint(rows) != rows).any():
+        raise ArithmeticError("Walsh-Hadamard transform of a non-integral array")
+    return np.abs(rows).sum(axis=-1, dtype=float).max(initial=0.0)
 
 
 class AbelianGroup:
@@ -73,7 +85,7 @@ class AbelianGroup:
         self.factors = factors
         self.order = math.prod(factors)
         self.zero = (0,) * len(factors)
-        # Z_2^m: the characters are +-1 and the transform is the butterfly
+        # Z_2^m: the characters are +-1 and the transform is _wht
         self._binary = set(factors) == {2}
 
     # -- basic structure -------------------------------------------------
@@ -211,11 +223,14 @@ class AbelianGroup:
         """``chi_a(C)`` for every character index ``a`` from the grid array of
         ``C``, on the same grid (leading axes broadcast).  On ``Z_2^m`` it is
         the Walsh-Hadamard transform, an exact int64 table (a non-integral
-        input or an int64 overflow raises ArithmeticError); otherwise a
+        input or a row sum of |x| from 2^53 raises ArithmeticError); otherwise a
         multidimensional DFT, conjugated to the characters of the module
         docstring.  For symmetric ``C`` every entry is real."""
         if self._binary:
-            return _butterfly(self._int64_rows(indicator)).reshape(np.shape(indicator))
+            x = np.asarray(indicator)
+            rows = x.reshape(x.shape[:x.ndim - len(self.factors)] + (self.order,))
+            bound = self.order if x.dtype.kind == "b" else _row_bound(rows)
+            return _wht(rows, bound).astype(np.int64).reshape(x.shape)
         axes = tuple(range(-len(self.factors), 0))
         return np.conj(np.fft.fftn(indicator, axes=axes))  # fftn uses exp(-2*pi*i...); we want +
 
@@ -223,17 +238,19 @@ class AbelianGroup:
         """The integer grid array whose character table is ``a * b`` (leading
         axes broadcast): ``counts(T(x), T(y))`` is the convolution ``x * y``
         for the transform ``T`` of :meth:`character_sum_table`.  On ``Z_2^m``
-        it is ``W(a * b) / n`` with the butterfly ``W``: a product that could
-        overflow int64, a non-integral entry or a remainder of the division
-        raises ArithmeticError.  Otherwise it is ``fftn(a * b) / n``, rounded;
-        a value more than 0.25 from an integer raises ArithmeticError."""
+        it is ``W(a * b) / n`` (``W`` the Walsh-Hadamard transform): a product
+        that could reach 2^53, a non-integral entry or a remainder of the
+        division raises ArithmeticError.  Otherwise it is ``fftn(a * b) / n``,
+        rounded; a value more than 0.25 from an integer raises ArithmeticError."""
         if self._binary:
-            if float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0)) >= _INT64_SAFE:
-                raise ArithmeticError("product of character tables would overflow int64")
-            z = _butterfly(self._int64_rows(np.multiply(a, b)))
+            if float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0)) >= 2 ** 53:
+                raise ArithmeticError("product of character tables would reach 2^53")
+            p = np.multiply(a, b)
+            rows = p.reshape(p.shape[:p.ndim - len(self.factors)] + (self.order,))
+            z = _wht(rows, _row_bound(rows)).astype(np.int64)
             if (z & (self.order - 1)).any():
                 raise ArithmeticError("character tables of a non-integral array")
-            return (z >> len(self.factors)).reshape(z.shape[:-1] + self.factors)
+            return (z >> len(self.factors)).reshape(p.shape)
         axes = tuple(range(-len(self.factors), 0))
         z = np.fft.fftn(np.multiply(a, b), axes=axes) / self.order
         counts = np.rint(z.real)
@@ -244,22 +261,6 @@ class AbelianGroup:
     def convolve(self, x, y):
         """``(x * y)[g] = sum_{a + b = g} x[a] y[b]`` of integer grid arrays."""
         return self.counts(self.character_sum_table(x), self.character_sum_table(y))
-
-    def _int64_rows(self, x):
-        """A grid array (leading axes broadcast) as a fresh C-ordered int64
-        array of shape (..., n) for the butterfly.  A non-integral entry, or a
-        row whose absolute values sum to 2^62 or more (that sum bounds every
-        partial sum of the butterfly; a bool row's is at most n), raises
-        ArithmeticError."""
-        x = np.asarray(x)
-        shape = x.shape[:x.ndim - len(self.factors)] + (self.order,)
-        w = np.array(x, dtype=np.int64, order="C").reshape(shape)
-        if x.dtype.kind not in "biu" and (w != x.reshape(shape)).any():
-            raise ArithmeticError("Walsh-Hadamard transform of a non-integral array")
-        if x.dtype.kind != "b" and (
-                np.abs(w).sum(axis=-1, dtype=float).max(initial=0.0) >= _INT64_SAFE):
-            raise ArithmeticError("Walsh-Hadamard transform would overflow int64")
-        return w
 
     def subgroup_generated(self, gens):
         """Closure of ``gens`` under addition and negation (contains 0)."""

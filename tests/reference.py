@@ -6,6 +6,8 @@ tests can compare the array routes against them:
 
 * group elements as tuples of residues: reduce, add, subtract, negate,
   membership, symmetry, characters and character sums;
+* the Walsh-Hadamard transform on Z_2^m as the int64 radix-2 butterfly, one
+  index bit at a time;
 * neighbourhoods of a Cayley graph by tuple addition, and the symmetry of a
   spectrum about zero;
 * the dense adjacency A[u, v] = 1_C[v - u] by one gather, and the
@@ -134,6 +136,23 @@ def character_sum(group, a, C):
             )
         return total.real
     return total
+
+
+def butterfly(w):
+    """The unnormalised Walsh-Hadamard transform of a C-ordered int64 array
+    along its last axis (a power of two long), in place, returning ``w``:
+    at each bit, ``(u, v) -> (u + v, u - v)`` on the pairs of flat indices
+    that differ in that bit only."""
+    n = w.shape[-1]
+    h = 1
+    while h < n:
+        pairs = w.reshape(-1, n // (2 * h), 2, h)
+        u, v = pairs[:, :, 0], pairs[:, :, 1]
+        u += v
+        v *= -2
+        v += u  # (u + v) - 2v
+        h *= 2
+    return w
 
 
 # -- Cayley graphs and spectra -----------------------------------------------------

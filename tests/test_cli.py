@@ -296,6 +296,16 @@ def test_analyze_malformed_json(tmp_path):
     assert run(["analyze", str(gpath2), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_analyze_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    """Bytes that do not decode are a read error, exit 2, and no output
+    directory is made."""
+    gpath = tmp_path / "bom.json"
+    gpath.write_bytes(b"\xff\xfe{}")
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read graph JSON: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
     """``--seed`` seeds the weights of the table identity: a negative seed
     exits 2 before the graph is read, with no output directory."""

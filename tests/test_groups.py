@@ -28,9 +28,11 @@ from cayleyx import (
 )
 from cayleyx.cli import main
 from cayleyx.groupring import check_group_ring_identity
+from cayleyx.groups import _wht
 from cayleyx.spectral import crossing_lemma_bound
 from reference import (
     add,
+    butterfly,
     character_sum,
     character_value,
     contains,
@@ -259,17 +261,83 @@ def test_butterfly_refuses_int64_overflow():
     table = np.full(g.factors, 1 << 32)  # each in range; their product is 2^64
     with pytest.raises(ArithmeticError):
         g.counts(table, table)
+    # the limit is 2^53: a row sum, an entry of a product, a row sum of a product
+    edge = np.full(g.factors, 1 << 50)  # row sum 2^53
+    for call in (lambda: g.character_sum_table(edge),
+                 lambda: g.convolve(edge, g.indicator([1])),
+                 lambda: g.counts(np.full(g.factors, 1 << 26), np.full(g.factors, 1 << 27)),
+                 lambda: g.counts(np.full(g.factors, 1 << 25), np.full(g.factors, 1 << 25))):
+        with pytest.raises(ArithmeticError, match="2\\^53"):
+            call()
+    below = edge.copy()
+    below.flat[0] -= 1  # row sum 2^53 - 1: exact in float64
+    assert g.character_sum_table(below).flat[0] == (1 << 53) - 1
 
 
-# -- the Walsh-Hadamard butterfly on Z_2^m against the FFT route ----------------
+# -- the Walsh-Hadamard kernel against the reference butterfly ----------------
+
+def _signed_rows(rng, rows, n, total):
+    """Random signed int64 rows of length n, each with sum of |x| = total."""
+    cuts = np.sort(rng.integers(0, total, (rows, n - 1), endpoint=True), axis=1)
+    parts = np.diff(cuts, axis=1, prepend=0, append=total)
+    return parts * rng.choice(np.array([-1, 1]), parts.shape)
+
+
+@pytest.mark.parametrize("total", [2 ** 24 - 1, 2 ** 24, 2 ** 53 - 1, 2 ** 53])
+def test_kernel_is_exact_below_its_bound(total):
+    """float32 below 2^24, float64 below 2^53, ArithmeticError from 2^53 on;
+    the transform equals the int64 butterfly wherever it runs."""
+    g = AbelianGroup([2] * 6)
+    x = _signed_rows(np.random.default_rng(total % 997), 4, g.order, total)
+    assert (np.abs(x).sum(axis=1) == total).all()
+    grid = x.reshape((4,) + g.factors)
+    if total >= 2 ** 53:
+        for call in (lambda: _wht(x, total), lambda: g.character_sum_table(grid)):
+            with pytest.raises(ArithmeticError):
+                call()
+        return
+    want = butterfly(x.copy())
+    w = _wht(x, total)
+    assert w.dtype == (np.float32 if total < 2 ** 24 else np.float64)
+    assert np.array_equal(w.astype(np.int64), want)
+    table = g.character_sum_table(grid)
+    assert table.dtype == np.int64 and np.array_equal(table.reshape(4, -1), want)
+    if total * g.order < 2 ** 53:  # the sum of |table|, the bound of its counts
+        assert np.array_equal(g.counts(table, np.ones(g.factors, dtype=np.int64)), grid)
+
+
+@pytest.mark.parametrize("batch", [(), (2, 1)], ids=["grid", "batch"])
+@pytest.mark.parametrize("m", range(1, 21))
+def test_kernel_matches_butterfly_on_bool_rows(m, batch):
+    g = AbelianGroup([2] * m)
+    x = np.random.default_rng(m).random(batch + g.factors) < 0.5
+    want = butterfly(x.reshape(batch + (g.order,)).astype(np.int64))
+    table = g.character_sum_table(x)
+    assert table.dtype == np.int64 and table.shape == x.shape
+    assert np.array_equal(table.reshape(want.shape), want)
+
+
+def test_kernel_takes_float64_where_float32_would_round():
+    """[2^24, 1, 0, ...] transforms to 2^24 + 1 and 2^24 - 1, which float32
+    rounds to 2^24; so do the counts of its table times a delta's."""
+    g = AbelianGroup([2] * 4)
+    x = np.zeros(g.factors, dtype=np.int64)
+    x.flat[:2] = 1 << 24, 1
+    table = g.character_sum_table(x)
+    assert np.array_equal(table.ravel(), butterfly(x.ravel().copy()))
+    assert table.flat[0] == (1 << 24) + 1 and table.flat[1] == (1 << 24) - 1
+    assert np.array_equal(g.convolve(x, g.indicator([0])), x)
+
+
+# -- the Walsh-Hadamard kernel on Z_2^m against the FFT route -------------------
 
 def _grid_axes(group):
     return tuple(range(-len(group.factors), 0))
 
 
 def fft_convolve(group, x, y):
-    """``ifftn(fftn(x) * fftn(y))``, rounded: the convolution that the
-    butterfly replaced on Z_2^m and that every other group still uses."""
+    """``ifftn(fftn(x) * fftn(y))``, rounded: the convolution that the exact
+    Walsh-Hadamard kernel replaces on Z_2^m and that every other group uses."""
     axes = _grid_axes(group)
     z = np.fft.ifftn(np.fft.fftn(x, axes=axes) * np.fft.fftn(y, axes=axes), axes=axes)
     counts = np.rint(z.real)
@@ -301,7 +369,8 @@ def test_butterfly_matches_fft_route(m, batch):
 
 
 def test_binary_groups_never_call_the_fft(monkeypatch, tmp_path):
-    """On Z_2^m the constructions and ``cayleyx analyze`` run on the butterfly."""
+    """On Z_2^m the constructions and ``cayleyx analyze`` run on the
+    Walsh-Hadamard kernel."""
     def refuse(*args, **kwargs):
         raise AssertionError("FFT called on an elementary abelian 2-group")
 

@@ -297,7 +297,7 @@ def test_crossing_lemma_bound():
 
 def test_crossing_lemma_bound_matches_dense():
     """Against edges counted on the dense A, on cyclic, product and mixed
-    groups and on Z_2^10 (the exact butterfly inverse), for random, empty
+    groups and on Z_2^10 (the exact Walsh-Hadamard inverse), for random, empty
     and full Omega1."""
     rng = np.random.default_rng(3)
     for graph in (_circulant(20, [4, 8, 12, 16]), theorem33_set(4, 6).graph,
