@@ -23,7 +23,7 @@ from . import constructions, groupring, search
 from .graphs import DOT_MAX_EDGES, CayleyGraph, InvariantError
 from .groupring import _certificate
 from .groups import AbelianGroup
-from .spectral import quotient_cuts, ramanujan_check, spectrum_by_characters, table_identity
+from .spectral import quotient_cuts, table_identity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,16 +134,19 @@ def _check_format(args, graph):
                              f"this graph has {edges}")
 
 
-def _emit_graph_artifacts(args, graph, spectrum, verdict, extra=None):
+def _emit_graph_artifacts(args, report, extra):
+    """Write graph.json, spectrum.csv, verdict.json (the report's verdict and
+    statistics, updated by ``extra``) and, with ``--format dot``, graph.dot."""
+    graph, st = report.graph, report.stats
     _check_format(args, graph)
     outdir = args.out
     factors = list(graph.group.factors)
     _write_json(outdir, "graph.json", {
         "factors": factors, "connection_set": _Coordinates(factors, graph.connection.indices)})
-    _write(outdir, "spectrum.csv", spectrum.to_csv())
-    payload = verdict.to_json()
-    if extra:
-        payload.update(extra)
+    _write(outdir, "spectrum.csv", report.spectrum.to_csv())
+    payload = report.verdict.to_json()
+    payload.update(components=st.component_count, bipartite=st.bipartite,
+                   diameter=st.diameter if st.diameter != math.inf else None, **extra)
     _write_json(outdir, "verdict.json", payload)
     if args.format == "dot":
         _write(outdir, "graph.dot", graph.to_dot())
@@ -157,57 +160,46 @@ def _gds_json(cert):
             "C": _Coordinates(factors, cert.C)}
 
 
+def _dij(m, i, j):
+    """The certification of D_{i,j}, which has no closed forms; empty is refused."""
+    conn = constructions.dij_set(m, i, j)
+    if not conn:
+        raise ValueError(f"D_{i},{j} is empty for m={m}")
+    return constructions.certify(CayleyGraph(conn))
+
+
+# name -> (builder of its report, the options it takes, in order)
+CONSTRUCTIONS = {
+    "theorem33": (constructions.theorem33_set, ("s", "r")),
+    "kloosterman-trace": (constructions.kloosterman_trace_set, ("m",)),
+    "polar-trace": (constructions.polar_trace_set, ("m",)),
+    "bent-hadamard": (constructions.bent_hadamard_set, ("u",)),
+    "dij": (_dij, ("m", "i", "j")),
+}
+
+
 def cmd_construct(args):
-    name = args.name
+    build, names = CONSTRUCTIONS[args.name]
+    for nm in names:
+        if getattr(args, nm) is None:
+            raise ParameterError(f"construction {args.name!r} needs --{nm}")
     try:
-        if name == "theorem33":
-            _require(args, "s", "r")
-            report = constructions.theorem33_set(args.s, args.r)
-        elif name == "kloosterman-trace":
-            _require(args, "m")
-            report = constructions.kloosterman_trace_set(args.m)
-        elif name == "polar-trace":
-            _require(args, "m")
-            report = constructions.polar_trace_set(args.m)
-        elif name == "bent-hadamard":
-            _require(args, "u")
-            report = constructions.bent_hadamard_set(args.u)
-        elif name == "dij":
-            _require(args, "m", "i", "j")
-            conn = constructions.dij_set(args.m, args.i, args.j)
-            if not conn:
-                raise ParameterError(f"D_{args.i},{args.j} is empty for m={args.m}")
-            graph = CayleyGraph(conn)
-            spec = spectrum_by_characters(graph)
-            verdict = ramanujan_check(spec, graph.k, graph.is_connected())
-            _emit_graph_artifacts(args, graph, spec, verdict)
-            print(f"dij m={args.m} i={args.i} j={args.j}: degree {graph.k}, "
-                  f"ramanujan={verdict.is_ramanujan}")
-            return EXIT_OK
-        else:  # pragma: no cover - argparse restricts choices
-            raise ParameterError(f"unknown construction {name}")
+        report = build(*(getattr(args, nm) for nm in names))
     except ValueError as e:
         raise ParameterError(str(e))
-    extra = {
+    _emit_graph_artifacts(args, report, {
         "predicted_degree": report.predicted_degree,
         "predicted_ramanujan": report.predicted_ramanujan,
         "discrepancies": report.discrepancies,
         "notes": report.notes,
-    }
-    _emit_graph_artifacts(args, report.graph, report.spectrum, report.verdict, extra)
-    st = report.stats
-    print(f"{name}: n={report.graph.n} degree={report.graph.k} "
+    })
+    graph, st = report.graph, report.stats
+    print(f"{args.name}: n={graph.n} degree={graph.k} "
           f"components={st.component_count} bipartite={st.bipartite} "
           f"diameter={st.diameter} ramanujan={report.verdict.is_ramanujan}")
     for d in report.discrepancies:
         print(f"  discrepancy: {d}")
     return EXIT_OK
-
-
-def _require(args, *names):
-    for nm in names:
-        if getattr(args, nm, None) is None:
-            raise ParameterError(f"construction {args.name!r} needs --{nm}")
 
 
 def cmd_analyze(args):
@@ -231,29 +223,24 @@ def cmd_analyze(args):
         print(f"error: malformed graph JSON: {e}", file=sys.stderr)
         return EXIT_USAGE
     _check_format(args, graph)
-    spec = spectrum_by_characters(graph)
+    report = constructions.certify(graph)
     oracle_ok = table_identity(graph, args.seed)
-    st = graph.stats()
-    verdict = ramanujan_check(spec, graph.k, st.component_count == 1)
+    st = report.stats
     # C = -C, so the common-neighbour counts are the difference counts
     cert = _certificate(graph.group, graph.connection.indices,
                         graph.common_neighbor_counts().ravel()[1:])
     srg = None
     if st.component_count == 1:
         srg = graph.srg_check()
-    extra = {
-        "crossing_checks": quotient_cuts(graph, spec),
-        "components": st.component_count,
-        "bipartite": st.bipartite,
-        "diameter": st.diameter if st.diameter != float("inf") else None,
+    _emit_graph_artifacts(args, report, {
+        "crossing_checks": quotient_cuts(graph, report.spectrum),
         "oracle_agrees": oracle_ok,
         "gds": _gds_json(cert) if cert else None,
         "srg": list(srg) if srg else None,
-    }
-    _emit_graph_artifacts(args, graph, spec, verdict, extra)
+    })
     print(f"n={graph.n} k={graph.k} components={st.component_count} "
           f"bipartite={st.bipartite} diameter={st.diameter}")
-    print(f"ramanujan={verdict.is_ramanujan} oracle_agrees={oracle_ok}")
+    print(f"ramanujan={report.verdict.is_ramanujan} oracle_agrees={oracle_ok}")
     if cert:
         print(f"gds={cert.parameters}")
     if srg:
@@ -396,8 +383,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a named construction and certify it")
-    c.add_argument("name", choices=["theorem33", "kloosterman-trace", "polar-trace",
-                                    "bent-hadamard", "dij"])
+    c.add_argument("name", choices=list(CONSTRUCTIONS))
     c.add_argument("--s", type=int)
     c.add_argument("--r", type=int)
     c.add_argument("--m", type=int)

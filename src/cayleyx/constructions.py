@@ -11,7 +11,7 @@ Kloosterman-set valency) are applied up front and noted in ``notes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .spectral import (
 
 __all__ = [
     "ConstructionReport",
+    "certify",
     "theorem33_set",
     "theorem33_condition",
     "kloosterman_trace_set",
@@ -36,37 +37,48 @@ __all__ = [
     "bent_hadamard_set",
 ]
 
-MAX_ORDER = 1 << 24  # of construct and analyze: Z_2^22, k = 22 took 55 s, 565 MB on 2 vCPUs
+MAX_ORDER = 1 << 24  # of construct and analyze: Z_2^22, k = 22 took 10.4 s, 216 MB (2 vCPUs, 2026-10)
 
 
 @dataclass
 class ConstructionReport:
+    """A graph's certification (:func:`certify`); a named construction adds
+    its closed-form predictions and the mismatches with them."""
+
     connection: ConnectionSet
-    predicted_degree: int
-    predicted_eigenvalues: set
-    predicted_ramanujan: bool
     graph: CayleyGraph
     spectrum: Spectrum
     verdict: RamanujanVerdict
     stats: GraphStats
+    predicted_degree: int = None
+    predicted_eigenvalues: set = field(default_factory=set)
+    predicted_ramanujan: bool = None
     discrepancies: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
 
-def _certify(connection, predicted_degree, predicted_eigenvalues, predicted_ramanujan,
-             claim_name, notes=None):
-    """Run the shared pipeline and collect prediction/computation mismatches."""
-    graph = CayleyGraph(connection)
+def certify(graph):
+    """The spectrum, statistics and Ramanujan verdict of ``graph``, as a
+    report with no predictions: the one certification of every named
+    construction and of ``cayleyx analyze``."""
     spec = spectrum_by_characters(graph)
     stats = graph.stats()
     verdict = ramanujan_check(spec, graph.k, stats.component_count == 1)
-    discrepancies = []
-    if graph.k != predicted_degree:
-        discrepancies.append(
-            f"degree: computed {graph.k}, closed form {predicted_degree}"
-        )
-    allowed = set(predicted_eigenvalues) | {graph.k, -graph.k}
-    stray = [v for v in spec.values() if v not in allowed]
+    return ConstructionReport(graph.connection, graph, spec, verdict, stats)
+
+
+def _certify(connection, predicted_degree, predicted_eigenvalues, predicted_ramanujan,
+             claim_name, notes=()):
+    """:func:`certify` the graph of ``connection`` with its closed-form
+    predictions, and collect the prediction/computation mismatches."""
+    report = replace(certify(CayleyGraph(connection)), predicted_degree=predicted_degree,
+                     predicted_eigenvalues=set(predicted_eigenvalues),
+                     predicted_ramanujan=predicted_ramanujan, notes=list(notes))
+    k, verdict, discrepancies = report.graph.k, report.verdict, report.discrepancies
+    if k != predicted_degree:
+        discrepancies.append(f"degree: computed {k}, closed form {predicted_degree}")
+    allowed = report.predicted_eigenvalues | {k, -k}
+    stray = [v for v in report.spectrum.values() if v not in allowed]
     if stray:
         discrepancies.append(f"eigenvalues outside predicted set: {sorted(stray)}")
     if predicted_ramanujan != verdict.is_ramanujan:
@@ -75,18 +87,7 @@ def _certify(connection, predicted_degree, predicted_eigenvalues, predicted_rama
             f"spectrum says {verdict.is_ramanujan}"
             + ("" if verdict.connected else " (graph disconnected)")
         )
-    return ConstructionReport(
-        connection=connection,
-        predicted_degree=predicted_degree,
-        predicted_eigenvalues=set(predicted_eigenvalues),
-        predicted_ramanujan=predicted_ramanujan,
-        graph=graph,
-        spectrum=spec,
-        verdict=verdict,
-        stats=stats,
-        discrepancies=discrepancies,
-        notes=list(notes or []),
-    )
+    return report
 
 
 # -- product construction over Z_s x Z_r ---------------------------------------

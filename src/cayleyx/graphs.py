@@ -184,13 +184,11 @@ class CayleyGraph:
         adj = self.indicator.ravel().astype(bool)
         nonadj = ~adj
         nonadj[0] = False  # index 0 is the identity: the diagonal of A^2
-        lam_values = set(counts[adj].tolist())
-        mu_values = set(counts[nonadj].tolist())
-        if len(lam_values) != 1 or len(mu_values) > 1:
+        lam, mu = counts[adj], counts[nonadj]  # C is nonempty, so lam is too
+        if lam.min() != lam.max() or (mu.size and mu.min() != mu.max()):
             return None
-        lam = lam_values.pop()
-        mu = mu_values.pop() if mu_values else 0  # complete graph: no nonadjacent pairs
-        return (self.n, self.k, lam, mu)
+        # complete graph: no nonadjacent pairs, mu = 0
+        return (self.n, self.k, int(lam[0]), int(mu[0]) if mu.size else 0)
 
     # -- serialization ----------------------------------------------------------
 

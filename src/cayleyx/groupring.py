@@ -35,7 +35,6 @@ __all__ = [
     "verify_difference_set",
     "has_multiplier_minus_one",
     "search_gds",
-    "check_group_ring_identity",
 ]
 
 
@@ -162,19 +161,6 @@ def has_multiplier_minus_one(group, C):
         raise ValueError("C must be nonempty")
     table = group.character_sum_table(group.indicator(C))
     return bool(group.counts(table, table).max() == C.size)
-
-
-def check_group_ring_identity(cert):
-    """Exact termwise check of the group-ring identity behind the certificate.
-
-    With 0 in S the product C*C^(-1) must equal
-    (k - mu1)*0 + mu1*S + mu2*(G - S); in the 0-not-in-S presentation the
-    identity coefficient is (k - mu2) instead.
-    """
-    group = cert.group
-    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S).ravel()
-    expected[0] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
-    return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
 MAX_N = 24  # the orbit scan visits 2^(n-2) masks

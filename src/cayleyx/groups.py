@@ -108,9 +108,6 @@ class AbelianGroup:
         element-at-a-time parse of :meth:`indices`."""
         return int(self._parse_elements([g], False)[0])
 
-    def element_at(self, idx):
-        return self.elements_at([idx])[0]
-
     # -- flat indices -------------------------------------------------------
 
     def indices(self, elements, distinct=False):
@@ -261,17 +258,6 @@ class AbelianGroup:
     def convolve(self, x, y):
         """``(x * y)[g] = sum_{a + b = g} x[a] y[b]`` of integer grid arrays."""
         return self.counts(self.character_sum_table(x), self.character_sum_table(y))
-
-    def subgroup_generated(self, gens):
-        """Closure of ``gens`` under addition and negation (contains 0)."""
-        gens, T = self.indices(gens), self.character_sum_table
-        step = T(self.indicator(np.concatenate(([0], gens, self.neg_indices(gens)))))
-        closure = self.indicator([0])
-        while True:
-            nxt = self.counts(T(closure), step) > 0
-            if nxt.sum() == closure.sum():
-                return frozenset(self.elements_at(np.flatnonzero(nxt)))
-            closure = nxt
 
     # -- serialization ----------------------------------------------------
 

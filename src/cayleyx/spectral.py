@@ -63,9 +63,6 @@ class Spectrum:
     def multiplicity(self, value):
         return sum(m for v, m, _ in self.entries if v == value)
 
-    def as_multiset(self):
-        return {v: m for v, m, _ in self.entries}
-
     def trace(self):
         return sum(v * m for v, m, _ in self.entries)
 
@@ -275,10 +272,6 @@ def _ramanujan_rows(raw, k, n):
     ``is_ramanujan`` and ``boundary_flag`` and the ``second_largest_abs`` list."""
     bad_ints, bad_means, second, boundary = _verdicts(*_groups(raw, n)[:2], k)
     return ~(bad_ints.any(axis=1) | bad_means.any(axis=1)), second, boundary
-
-
-def certify_ramanujan(graph):
-    return ramanujan_check(spectrum_by_characters(graph), graph.k, graph.is_connected())
 
 
 def spectral_gap(spectrum, k):

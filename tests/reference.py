@@ -5,7 +5,8 @@ here do the same work one element at a time, as the paper states it, so the
 tests can compare the array routes against them:
 
 * group elements as tuples of residues: reduce, add, subtract, negate,
-  membership, symmetry, characters and character sums;
+  membership, symmetry, the subgroup a set generates, characters and
+  character sums;
 * the Walsh-Hadamard transform on Z_2^m as the int64 radix-2 butterfly, one
   index bit at a time;
 * neighbourhoods of a Cayley graph by tuple addition, and the symmetry of a
@@ -15,8 +16,9 @@ tests can compare the array routes against them:
   no character values), compared with another spectrum by
   :func:`spectra_agree`;
 * a spectrum grouped one value at a time (snapped integers, then clusters
-  of the other values), its Ramanujan verdict one entry at a time, and a
-  GDS certificate from one list of difference counts;
+  of the other values), its Ramanujan verdict one entry at a time, a
+  GDS certificate from one list of difference counts, and the exact
+  group-ring identity a certificate states;
 * GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar decomposition, subfield embeddings, the two-parameter
   Kloosterman sum and additive character sums;
 * the circulant-search encodings, and the tuple sets of the product and bent
@@ -39,7 +41,7 @@ from functools import reduce
 import numpy as np
 
 from cayleyx import GdsCertificate, Gf2Field
-from cayleyx.groupring import _rotl, _two_valued
+from cayleyx.groupring import _difference_array, _rotl, _two_valued
 from cayleyx.spectral import (
     BOUNDARY_TOL,
     SNAP_TOL,
@@ -102,6 +104,20 @@ def neg(group, g):
 def is_symmetric(group, C):
     Cset = set(C)
     return all(neg(group, c) in Cset for c in Cset)
+
+
+def subgroup_generated(group, gens):
+    """The subgroup generated by ``gens`` (0 included), by tuple additions
+    from 0: in a finite group the additive closure is closed under negation."""
+    gens = [element(group, g) for g in gens]
+    closure, todo = {group.zero}, [group.zero]
+    while todo:
+        u = todo.pop()
+        for w in (add(group, u, g) for g in gens):
+            if w not in closure:
+                closure.add(w)
+                todo.append(w)
+    return frozenset(closure)
 
 
 def character_value(group, a, x):
@@ -197,7 +213,7 @@ def spectra_agree(spec_a, spec_b):
 
 def is_symmetric_about_zero(spectrum, tol=1e-9):
     """Whether every eigenvalue v has -v with the same multiplicity."""
-    ms = spectrum.as_multiset()
+    ms = {v: m for v, m, _ in spectrum.entries}
     return all(
         any(abs(w + v) <= tol and mw == m for w, mw in ms.items())
         for v, m in ms.items()
@@ -264,6 +280,19 @@ def gds_certificate(group, C, mu):
     S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
     return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
                           identity_in_S=True)
+
+
+def check_group_ring_identity(cert):
+    """Exact termwise check of the group-ring identity behind the certificate.
+
+    With 0 in S the product C*C^(-1) must equal
+    (k - mu1)*0 + mu1*S + mu2*(G - S); in the 0-not-in-S presentation the
+    identity coefficient is (k - mu2) instead.
+    """
+    group = cert.group
+    expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S).ravel()
+    expected[0] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
+    return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 
 # -- GF(2^m) scalars ---------------------------------------------------------------

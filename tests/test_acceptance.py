@@ -32,10 +32,8 @@ from cayleyx import (
     verify_gds,
 )
 from cayleyx.groupring import has_multiplier_minus_one
-from cayleyx.spectral import (
-    certify_ramanujan,
-    second_largest_by_index,
-)
+from cayleyx.constructions import certify
+from cayleyx.spectral import second_largest_by_index
 
 from reference import (
     additive_character_sum,
@@ -69,7 +67,7 @@ def test_criterion_01_worked_example_z20():
     shifted = _circulant(20, [2, 6, 14, 18])
     assert _multiset(spectrum_by_characters(shifted)) == {4: 2, -4: 2, 1: 8, -1: 8}
     assert shifted.is_bipartite()
-    assert certify_ramanujan(_circulant(20, [3, 4, 8, 12, 16, 17])).is_ramanujan
+    assert certify(_circulant(20, [3, 4, 8, 12, 16, 17])).verdict.is_ramanujan
     _report(1, "Z_20 GDS certificate, spectra, components, Ramanujan set")
 
 

@@ -19,7 +19,7 @@ from cayleyx import (
     theorem33_set,
     polar_trace_set,
 )
-from reference import add, adjacency_matrix, common_neighbors, neg, neighbors
+from reference import add, adjacency_matrix, common_neighbors, neg, neighbors, subgroup_generated
 
 # 16-vertex product-set fixture: vertex labels 1..16 mapped onto Z_4 x Z_4
 # coordinates, with the adjacency lists recorded independently by hand.
@@ -149,6 +149,8 @@ STATS_CASES = [
 def test_stats_match_bfs(make_graph):
     graph = make_graph()
     assert graph.stats() == bfs_stats(graph)
+    generated = subgroup_generated(graph.group, graph.connection.elements)
+    assert graph.stats().component_count == graph.n // len(generated)
 
 
 ADJACENCY_CASES = [p for p in STATS_CASES if p.id in {
@@ -265,6 +267,14 @@ def test_srg_complete_graph():
 
 def test_srg_none_for_plain_cycle():
     assert _circulant(8, [1, 7]).srg_check() is None
+
+
+def test_srg_none_when_only_lambda_varies():
+    """Z_7, C = {1, 2, 5, 6}: lambda is 2 or 1 over the adjacent pairs, mu is
+    3 over both nonadjacent ones, so the graph is not strongly regular."""
+    graph = _circulant(7, [1, 2, 5, 6])
+    assert graph.common_neighbor_counts().tolist() == [4, 2, 1, 3, 3, 1, 2]
+    assert graph.srg_check() is None
 
 
 @pytest.mark.parametrize("make_graph", [

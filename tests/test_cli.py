@@ -102,6 +102,58 @@ def test_construct_parameter_errors(tmp_path):
     assert run(["construct", "polar-trace", "--m", "99", "--out", str(tmp_path)]) == 2
 
 
+def test_construct_dij_writes_the_common_schema(tmp_path, capsys):
+    """D_{0,1} at m = 10 prints the summary line of every construction and
+    writes its statistics, with no closed-form predictions."""
+    out = tmp_path / "o"
+    assert run(["construct", "dij", "--m", "10", "--i", "0", "--j", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("dij: n=1024 degree=270 components=2 bipartite=False "
+                                       "diameter=inf ramanujan=False\n")
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert set(verdict) == {"is_ramanujan", "second_largest_abs", "bound", "connected",
+                            "boundary_flag", "reason", "components", "bipartite", "diameter",
+                            "predicted_degree", "predicted_ramanujan", "discrepancies", "notes"}
+    assert (verdict["components"], verdict["bipartite"], verdict["diameter"]) == (2, False, None)
+    assert verdict["predicted_degree"] is None and verdict["predicted_ramanujan"] is None
+    assert verdict["discrepancies"] == [] and verdict["notes"] == []
+    assert verdict["is_ramanujan"] is False and verdict["reason"] == "not connected"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dij", "--m", "3", "--i", "0", "--j", "0"], "D_0,0 is empty for m=3"),
+    (["dij", "--m", "10", "--i", "0"], "construction 'dij' needs --j"),
+    (["theorem33", "--s", "4"], "construction 'theorem33' needs --r"),
+])
+def test_construct_refusals_make_no_directory(argv, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["construct"] + argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_construct_choices_are_the_table():
+    construct = cli.build_parser()._subparsers._group_actions[0].choices["construct"]
+    name = next(a for a in construct._actions if a.dest == "name")
+    assert name.choices == list(cli.CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kloosterman-trace", "--m", "10"],
+    ["polar-trace", "--m", "5"],
+    ["bent-hadamard", "--u", "5"],
+    ["theorem33", "--s", "16", "--r", "16"],
+    ["dij", "--m", "10", "--i", "0", "--j", "1"],
+])
+def test_construct_and_analyze_write_the_same_statistics(argv, tmp_path):
+    """construct's components, bipartite and diameter equal analyze's for the
+    graph.json construct wrote."""
+    assert run(["construct"] + argv + ["--out", str(tmp_path / "c")]) == 0
+    assert run(["analyze", str(tmp_path / "c" / "graph.json"), "--out", str(tmp_path / "a")]) == 0
+    keys = ("components", "bipartite", "diameter", "is_ramanujan")
+    built, analyzed = (json.loads((tmp_path / d / "verdict.json").read_text()) for d in "ca")
+    assert [built[k] for k in keys] == [analyzed[k] for k in keys]
+
+
 def test_construct_theorem33_refuses_orders_analyze_refuses(tmp_path, capsys, monkeypatch):
     """s*r above analyze's limit exits 2 before any array of that size
     exists, with no output directory; at the limit (set to 24 here) it is

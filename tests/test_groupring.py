@@ -19,8 +19,15 @@ from cayleyx import (
 )
 from cayleyx import groupring
 from cayleyx.cli import main
-from cayleyx.groupring import check_group_ring_identity
-from reference import add, element, gds_certificate, gds_full_range_scan, gds_hit_line, neg
+from reference import (
+    add,
+    check_group_ring_identity,
+    element,
+    gds_certificate,
+    gds_full_range_scan,
+    gds_hit_line,
+    neg,
+)
 
 
 def hall_polynomial_difference(C, n):

@@ -127,7 +127,7 @@ def test_searches_build_no_graph(monkeypatch, tmp_path):
     monkeypatch.setattr("cayleyx.groupring.verify_gds", refuse)
     monkeypatch.setattr("cayleyx.spectral._group_eigenvalues", refuse)
     monkeypatch.setattr("cayleyx.spectral.ramanujan_check", refuse)
-    monkeypatch.setattr("cayleyx.cli.ramanujan_check", refuse)
+    monkeypatch.setattr("cayleyx.constructions.ramanujan_check", refuse)
     assert sum(1 for _ in search_ramanujan_circulant(16)) > 0
     assert sum(1 for _ in search_gds(10)) > 0
     monkeypatch.setattr(GdsCertificate, "__post_init__", refuse)

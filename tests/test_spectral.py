@@ -27,8 +27,8 @@ from cayleyx import (
     vertex_expansion,
 )
 from cayleyx.cli import main
+from cayleyx.constructions import certify
 from cayleyx.spectral import (
-    certify_ramanujan,
     crossing_lemma_bound,
     ramanujan_check,
     second_largest_by_index,
@@ -239,34 +239,34 @@ def test_trace_identities():
 
 
 def test_ramanujan_examples():
-    assert certify_ramanujan(_circulant(20, [3, 4, 8, 12, 16, 17])).is_ramanujan
-    v = certify_ramanujan(_circulant(20, [4, 8, 12, 16]))
+    assert certify(_circulant(20, [3, 4, 8, 12, 16, 17])).verdict.is_ramanujan
+    v = certify(_circulant(20, [4, 8, 12, 16])).verdict
     assert not v.is_ramanujan and v.reason == "not connected"
-    assert certify_ramanujan(theorem33_set(4, 4).graph).is_ramanujan  # 2^2 <= 4*5
+    assert certify(theorem33_set(4, 4).graph).verdict.is_ramanujan  # 2^2 <= 4*5
 
 
 def test_ramanujan_exempts_bipartite_negative_k():
     graph = _circulant(6, [1, 5])  # 6-cycle, spectrum {2, 1, 1, -1, -1, -2}
-    assert certify_ramanujan(graph).is_ramanujan
+    assert certify(graph).verdict.is_ramanujan
 
 
 def test_ramanujan_boundary_equality_passes():
     # 4-cycle: |0| <= 2*sqrt(1); complete bipartite side: eigenvalue exactly at bound
     graph = _circulant(4, [1, 3])
-    verdict = certify_ramanujan(graph)
+    verdict = certify(graph).verdict
     assert verdict.is_ramanujan and verdict.bound == 2.0
 
 
 def test_ramanujan_failure_reason():
     # Z_20 with {±1, ±2}: eigenvalue 2cos(18°) + 2cos(36°) ≈ 3.52 > 2*sqrt(3)
-    verdict = certify_ramanujan(_circulant(20, [1, 2, 18, 19]))
+    verdict = certify(_circulant(20, [1, 2, 18, 19])).verdict
     assert not verdict.is_ramanujan and verdict.connected
     assert "exceeds bound" in verdict.reason
     assert verdict.second_largest_abs > verdict.bound
 
 
 def test_verdict_json_fields():
-    verdict = certify_ramanujan(_circulant(4, [1, 3]))
+    verdict = certify(_circulant(4, [1, 3])).verdict
     payload = verdict.to_json()
     assert set(payload) == {
         "is_ramanujan", "second_largest_abs", "bound", "connected",
