@@ -21,8 +21,8 @@ for n in (15, 20):
 target = (1, 3, 4, 7, 8, 9, 11, 12, 13, 16, 17, 19)
 g = cx.cyclic(20)
 graph = cx.CayleyGraph.build(g, [(c,) for c in target])
-spec = cx.spectrum_by_characters(graph)
+report = cx.certify(graph)
 print("C =", target)
 print("  multiplier -1:", has_multiplier_minus_one(g, [(c,) for c in target]))
-print("  spectrum:", spec.entries)
-print("  Ramanujan:", cx.ramanujan_check(spec, graph.k, graph.is_connected()).is_ramanujan)
+print("  spectrum:", report.spectrum.entries)
+print("  Ramanujan:", report.verdict.is_ramanujan)

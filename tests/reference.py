@@ -467,7 +467,7 @@ def ramanujan_csv_row(hit):
 def gds_hit_line(n, C, cert):
     """The hits.jsonl line of a GDS-search hit ``(C, cert)``, without its
     newline."""
-    return json.dumps({"n": n, "C": C.tolist(), "certificate": cert.to_json()},
+    return json.dumps({"n": n, "C": C.tolist(), "gds": list(cert.parameters)},
                       sort_keys=True)
 
 

@@ -123,6 +123,10 @@ def test_construct_dij_writes_the_common_schema(tmp_path, capsys):
     (["dij", "--m", "3", "--i", "0", "--j", "0"], "D_0,0 is empty for m=3"),
     (["dij", "--m", "10", "--i", "0"], "construction 'dij' needs --j"),
     (["theorem33", "--s", "4"], "construction 'theorem33' needs --r"),
+    (["bent-hadamard", "--u", "2", "--m", "99"], "construction 'bent-hadamard' takes no --m"),
+    (["kloosterman-trace", "--m", "4", "--j", "1"],
+     "construction 'kloosterman-trace' takes no --j"),
+    (["theorem33", "--s", "4", "--r", "4", "--u", "0"], "construction 'theorem33' takes no --u"),
 ])
 def test_construct_refusals_make_no_directory(argv, message, tmp_path, capsys):
     out = tmp_path / "o"
@@ -274,8 +278,21 @@ def test_analyze_disconnected_gds(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["is_ramanujan"] is False
     assert verdict["components"] == 4
-    gds = verdict["gds"]
-    assert (gds["n"], len(gds["S"]), gds["k"], gds["mu1"], gds["mu2"]) == (20, 16, 4, 0, 3)
+    assert verdict["gds"] == [20, 16, 4, 0, 3]  # (n, |S|, k, mu1, mu2)
+
+
+def test_analyze_hypercube_gds_is_its_parameters(tmp_path):
+    """Q_10 (Z_2^10, the unit vectors) is a GDS with mu1 = 0 off the
+    pairwise sums of the unit vectors, so |S| = n - C(10, 2); verdict.json
+    states it as its parameters and stays small (listing C and S takes
+    about 200 KB)."""
+    group = AbelianGroup([2] * 10)
+    graph = CayleyGraph.build(group, [tuple(int(i == j) for j in range(10)) for i in range(10)])
+    (tmp_path / "g.json").write_text(json.dumps(graph.to_json()))
+    assert run(["analyze", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")]) == 0
+    path = tmp_path / "o" / "verdict.json"
+    assert json.loads(path.read_text())["gds"] == [1024, 1024 - math.comb(10, 2), 10, 0, 2]
+    assert path.stat().st_size < 2048
 
 
 def test_analyze_invariant_violation(tmp_path):
@@ -532,8 +549,9 @@ def test_removed_options_exit_2(argv, tmp_path, capsys):
 ])
 def test_streamed_artifacts_equal_json_dumps(graph, has_gds, tmp_path):
     """graph.json and verdict.json of analyze are, byte for byte,
-    ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` of the graph's and
-    the GDS certificate's ``to_json()``."""
+    ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` of the graph's
+    ``to_json()`` and of a verdict whose ``gds`` is the GDS certificate's
+    parameters."""
     graph = graph()
     (tmp_path / "g.json").write_text(json.dumps(graph.to_json()))
     assert run(["analyze", str(tmp_path / "g.json"), "--out", str(tmp_path / "o")]) == 0
@@ -543,7 +561,7 @@ def test_streamed_artifacts_equal_json_dumps(graph, has_gds, tmp_path):
     verdict = json.loads(text)
     cert = verify_gds(graph.group, graph.connection.elements)
     assert (cert is not None) == has_gds
-    verdict["gds"] = cert.to_json() if cert else None
+    assert verdict["gds"] == (list(cert.parameters) if cert else None)
     assert text == json.dumps(verdict, sort_keys=True, indent=2) + "\n"
 
 
@@ -580,12 +598,13 @@ def test_coordinate_writer_equals_json_dumps(factors, size, tmp_path):
     group = AbelianGroup(factors)
     idx = np.sort(np.random.default_rng(size).choice(group.order, size, replace=False))
     assert size <= cli.COORDINATE_ROWS or size > 2 * cli.COORDINATE_ROWS
-    cli._write_json(tmp_path, "x.json", {"a": {"b": cli._Coordinates(factors, idx), "c": [1]},
-                                         "z": cli._Coordinates(factors, idx[:1])})
-    want = {"a": {"b": [list(e) for e in group.elements_at(idx)], "c": [1]},
-            "z": [list(e) for e in group.elements_at(idx[:1])]}
-    same = (tmp_path / "x.json").read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
-    assert same  # not a diff of two megabyte strings
+    for part in (idx, idx[:1]):
+        cli._write_graph(tmp_path, list(factors), part)
+        want = {"factors": list(factors),
+                "connection_set": [list(e) for e in group.elements_at(part)]}
+        text = (tmp_path / "graph.json").read_text()
+        same = text == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert same  # not a diff of two megabyte strings
 
 
 def test_coordinate_writer_streams(tmp_path):
@@ -599,10 +618,9 @@ def test_coordinate_writer_streams(tmp_path):
         idx = np.sort(rng.choice(2 ** 18, size, replace=False))
         tracemalloc.start()
         try:
-            cli._write_json(tmp_path, f"{size}.json",
-                            {"connection_set": cli._Coordinates(factors, idx)})
+            cli._write_graph(tmp_path / str(size), list(factors), idx)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (tmp_path / "65536.json").stat().st_size > 10 ** 7
+    assert (tmp_path / "65536" / "graph.json").stat().st_size > 10 ** 7
     assert peaks[1] < 1.25 * peaks[0]

@@ -78,8 +78,9 @@ def search_gds_by_masks(n):
 
 
 def gds_lines(n, hits):
-    """hits.jsonl lines as `cayleyx search gds` writes them."""
-    return [gds_hit_line(n, C, cert) for C, cert in hits]
+    """hits.jsonl lines as `cayleyx search gds` writes them, each with its
+    certificate's S, which the line gives only by its size."""
+    return [(gds_hit_line(n, C, cert), cert.S.tolist()) for C, cert in hits]
 
 
 Z20 = cyclic(20)

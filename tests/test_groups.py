@@ -89,6 +89,20 @@ def test_flat_indices_match_tuple_api():
     assert total.tolist() == [[g.index_of(add(g, a, b)) for b in elems] for a in elems]
 
 
+def test_neg_indices_is_the_identity_map_on_z2m():
+    """On Z_2^m, -x = x: the input comes back as int64; a mixed group with a
+    factor 2 still negates."""
+    g = AbelianGroup([2] * 6)
+    idx = np.arange(g.order, dtype=np.int32)
+    assert g.neg_indices(idx).dtype == np.int64
+    assert g.neg_indices(idx).tolist() == idx.tolist()
+    mixed = AbelianGroup([2, 3, 4])
+    elems = mixed.elements()
+    got = mixed.neg_indices(np.arange(mixed.order))
+    assert got.tolist() == [mixed.index_of(neg(mixed, e)) for e in elems]
+    assert got.tolist() != list(range(mixed.order))
+
+
 @pytest.mark.parametrize("factors", [[7], [3, 4, 2], [2] * 6, [5, 1 << 20, 3], [6, 10, 4, 9]])
 def test_digits_match_unravel_index(factors):
     """Last factor first, one int64 coordinate array per factor, equal to
