@@ -1,9 +1,9 @@
 """Command-line front door: construct, analyze, search, export.
 
 Human-readable summary goes to stdout; machine artifacts (graph.json,
-spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.  Exit codes:
-0 success, 2 usage/parameter error, 3 data-invariant violation or failed
-exactness check (an ArithmeticError of the exact routes).
+spectrum.csv, verdict.json, hits.jsonl, hits.csv, graph.dot) go to --out.
+Exit codes: 0 success, 2 usage/parameter error, 3 data-invariant violation
+or failed exactness check (an ArithmeticError of the exact routes).
 """
 
 from __future__ import annotations
@@ -229,21 +229,21 @@ def cmd_analyze(args):
 
 
 class _SetText:
-    """``sep.join`` of the elements of sets of Z_n held as int masks (bit i
+    """``", ".join`` of the elements of sets of Z_n held as int masks (bit i
     <-> i), one list per array of masks.
 
     A mask is read ``HIT_DIGIT_BITS`` bits at a time.  Each digit has a
-    table, built once, whose entry v is the text ``sep + str(i)`` of every
+    table, built once, whose entry v is the text ``", " + str(i)`` of every
     set bit i of v in that digit, ascending; a set's text is its digits'
-    looked-up entries added up as object arrays, less the leading ``sep``.
+    looked-up entries added up as object arrays, less the leading ``", "``.
     """
 
-    def __init__(self, n, sep):
-        self.cut, self.tables = len(sep), []
+    def __init__(self, n):
+        self.tables = []
         for low in range(0, n, HIT_DIGIT_BITS):
             table = [""]
             for i in range(low, min(low + HIT_DIGIT_BITS, n)):
-                token = sep + str(i)
+                token = ", " + str(i)
                 table += [t + token for t in table]  # the values with bit i set
             self.tables.append(np.array(table, dtype=object))
 
@@ -252,7 +252,7 @@ class _SetText:
         text = self.tables[0][masks & digit]
         for j, table in enumerate(self.tables[1:], 1):
             text += table[masks >> (j * HIT_DIGIT_BITS) & digit]
-        return [t[self.cut:] for t in text.tolist()]
+        return [t[2:] for t in text.tolist()]
 
 
 def _fill(template, *columns):
@@ -264,27 +264,21 @@ def _fill(template, *columns):
 def _ramanujan_text(n):
     """The formatter of the circulant hits of Z_n: a function from a chunk
     (see :func:`cayleyx.search._chunks`) to its hits.jsonl lines and hits.csv
-    rows, byte for byte ``json.dumps(..., sort_keys=True)`` of a hit's JSON
-    form and ``csv.writer`` rows: ints print as themselves and floats by
-    ``repr``, as both do.  Each C is read from a :class:`_SetText` table and
-    each bound from a table by degree; the hits share few distinct
-    eigenvalues, so their ``repr`` is kept per value and type.  Each file's
-    text of a chunk is one ``%`` format."""
-    C_text, number = _SetText(n, ", "), functools.lru_cache(maxsize=None, typed=True)(repr)
-    bounds = np.array([repr(2.0 * math.sqrt(d)) for d in range(n)], dtype=object)  # k = d + 1
-    line = ('{"C": [%s], "k": %d, "lambda2_abs": %s, "n": ' + str(n) + ', "s": %d, '
-            '"verdict": {"bound": %s, "boundary_flag": %s, "connected": true, '
-            '"is_ramanujan": true, "reason": "", "second_largest_abs": %s}}\n')
+    rows, byte for byte ``json.dumps({"C", "boundary_flag", "lambda2_abs",
+    "n", "s"}, sort_keys=True)`` of each hit and ``csv.writer`` rows: ints
+    print as themselves and floats by ``repr``, as both do.  Each C is read
+    from a :class:`_SetText` table; the hits share few distinct eigenvalues,
+    so their ``repr`` is kept per value and type.  Each file's text of a
+    chunk is one ``%`` format."""
+    C_text, number = _SetText(n), functools.lru_cache(maxsize=None, typed=True)(repr)
+    line = '{"C": [%s], "boundary_flag": %s, "lambda2_abs": %s, "n": ' + str(n) + ', "s": %d}\n'
     row = str(n) + ",%d,%d,%s,1\r\n"
 
     def text(chunk):
         s, k, masks, second, boundary = chunk
-        lam = list(map(number, second))
-        bound = bounds[k - 1].tolist()
+        lam, s = list(map(number, second)), s.tolist()
         flag = np.where(boundary, "true", "false").tolist()
-        s, k = s.tolist(), k.tolist()
-        return (_fill(line, C_text(masks), k, lam, s, bound, flag, lam),
-                _fill(row, s, k, lam))
+        return _fill(line, C_text(masks), flag, lam, s), _fill(row, s, k.tolist(), lam)
     return text
 
 
@@ -295,7 +289,7 @@ def _gds_text(n):
     being the certificate's ``[n, |S|, k, mu1, mu2]``.  C is read from a
     :class:`_SetText` table, |S| and k are row sums of the presentation's
     and the masks' bits; the chunk's text is one ``%`` format."""
-    C_text = _SetText(n, ", ")
+    C_text = _SetText(n)
     line = '{"C": [%s], "gds": [' + str(n) + ', %d, %d, %d, %d], "n": ' + str(n) + '}\n'
 
     def text(chunk):
@@ -309,13 +303,15 @@ def _gds_text(n):
 def cmd_search(args):
     """Write the hits of one search to hits.jsonl (and hits.csv for
     circulants), one write per file per chunk of hits.  n, and that
-    ``--minDegree`` (default 2) is given to the circulant search only, are
-    checked before any file is opened."""
+    ``--minDegree`` (default 2) is given to the circulant search only and is
+    at least 1, are checked before any file is opened."""
     t0 = time.perf_counter()
     n, outdir = args.n, args.out
     try:
         if args.mode == "ramanujan":
             min_degree = 2 if args.minDegree is None else args.minDegree
+            if min_degree < 1:
+                raise ParameterError(f"--minDegree must be >= 1, got {min_degree}")
             chunks, text = search._chunks(n, min_degree), _ramanujan_text(n)
         elif args.minDegree is not None:
             raise ParameterError("--minDegree applies to search ramanujan only")

@@ -140,9 +140,10 @@ def _field_connection(m, elements):
     return ConnectionSet(group, group.ravel([(elements >> i) & 1 for i in range(m)]))
 
 
-def _trace_pair_set(fld, i, j):
-    """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j."""
-    signs, _, _, inv_signs = _sign_tables(fld)
+def _trace_pair_set(tables, i, j):
+    """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j,
+    read from a field's :func:`cayleyx.gf2._sign_tables`."""
+    signs, _, _, inv_signs = tables
     return np.flatnonzero((signs[1:] == 1 - 2 * i) & (inv_signs == 1 - 2 * j)) + 1
 
 
@@ -158,8 +159,9 @@ def kloosterman_trace_set(m):
     if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
         raise ValueError(f"m must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
     fld = Gf2Field(m)
-    D_field = _trace_pair_set(fld, 1, 1)
-    table = _kloosterman_values(fld)
+    tables = _sign_tables(fld)  # the trace pairs and the transform both read them
+    D_field = _trace_pair_set(tables, 1, 1)
+    table = _kloosterman_values(fld, tables[-1])
     k1 = int(table[1])
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
@@ -195,7 +197,7 @@ def dij_set(m, i, j):
     is one (nonempty; always symmetric since -z = z), else an empty frozenset."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("i and j must be bits")
-    D_field = _trace_pair_set(Gf2Field(m), i, j)
+    D_field = _trace_pair_set(_sign_tables(Gf2Field(m)), i, j)
     return _field_connection(m, D_field) if D_field.size else frozenset()
 
 

@@ -270,8 +270,8 @@ def kloosterman_lifted(m, s, a, field=None):
     return cur
 
 
-def _kloosterman_values(fld):
-    """int64 array of ``k_m(a)`` for every a in the field, by one transform.
+def _kloosterman_values(fld, inv_signs):
+    """int64 array of ``k_m(a)`` for every a, by one transform of ``inv_signs``.
 
     ``Tr(a*x) = <x, b(a)>`` over the polynomial-basis bits of x, where
     ``b(a)_i = Tr(a*x^i)``, so ``k_m(a) = W[f](b(a))`` for the Walsh-Hadamard
@@ -280,7 +280,6 @@ def _kloosterman_values(fld):
     """
     m = fld.m
     group = AbelianGroup([2] * m)
-    *_, inv_signs = _sign_tables(fld)
     f = np.concatenate(([0], inv_signs))
     transform = group.character_sum_table(f.reshape(group.factors)).ravel()
     traces, e = [], 1  # Tr(x^k) for k < 2m - 1
@@ -310,7 +309,7 @@ class KloostermanTable:
         if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
             raise ValueError(f"table degree must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
         fld = Gf2Field(m)
-        return cls(m, _kloosterman_values(fld), fld.modulus)
+        return cls(m, _kloosterman_values(fld, _sign_tables(fld)[-1]), fld.modulus)
 
     def __getitem__(self, a):
         if not 0 <= a < self.values.size:
@@ -322,4 +321,4 @@ def kloosterman_value_set(m):
     """The set ``{k_m(lambda) : lambda in GF(2^m)}`` (enumerated, m <= 20)."""
     if not 2 <= m <= KLOOSTERMAN_MAX_DEGREE:
         raise ValueError(f"m must be in [2, {KLOOSTERMAN_MAX_DEGREE}] for the value set")
-    return set(_kloosterman_values(Gf2Field(m)).tolist())
+    return set(KloostermanTable.compute(m).values.tolist())

@@ -450,9 +450,8 @@ def ramanujan_hit_line(hit):
         "n": hit.n,
         "s": hit.encoding,
         "C": list(hit.C),
-        "k": hit.degree,
         "lambda2_abs": hit.second_largest_abs,
-        "verdict": hit.verdict.to_json(),
+        "boundary_flag": hit.verdict.boundary_flag,
     }, sort_keys=True)
 
 

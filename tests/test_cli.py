@@ -500,6 +500,15 @@ def test_search_out_of_range_writes_no_hit_files(mode, n, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_search_ramanujan_refuses_min_degree_below_1(value, tmp_path, capsys):
+    """--minDegree is checked, like n, before any hit file is opened."""
+    out = tmp_path / "d"
+    assert run(["search", "ramanujan", "--n", "8", "--minDegree", value, "--out", str(out)]) == 2
+    assert f"--minDegree must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["7", "2"])
 def test_search_gds_refuses_min_degree(value, tmp_path, capsys):
     """The GDS search has no degree filter: an explicit --minDegree, even

@@ -111,6 +111,21 @@ def test_gf2_sets_never_call_scalar_field_methods(monkeypatch):
     polar_trace_set(3)
 
 
+def test_kloosterman_trace_set_builds_the_sign_tables_once(monkeypatch):
+    """The trace pairs and the Kloosterman table read one set of sign tables."""
+    calls, trace_signs = [], Gf2Field.trace_signs
+
+    def counted(fld):
+        calls.append(fld.m)
+        return trace_signs(fld)
+
+    monkeypatch.setattr(Gf2Field, "trace_signs", counted)
+    kloosterman_trace_set(6)
+    assert calls == [6]
+    dij_set(6, 1, 0)
+    assert calls == [6, 6]
+
+
 # -- product construction -------------------------------------------------------
 
 def test_condition_examples():

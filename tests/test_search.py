@@ -53,7 +53,9 @@ def search_by_rebuilding_graphs(n, min_degree=2):
 
 
 def _lines(hits):
-    return [ramanujan_hit_line(h) for h in hits]
+    """Each hit's hits.jsonl line (the repr of its lambda2_abs included) and
+    the hit itself, whose degree and verdict the line does not state."""
+    return [(ramanujan_hit_line(h), h) for h in hits]
 
 
 def test_encoding_decoding():
@@ -170,17 +172,37 @@ def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, c
             assert f.read() == text, name
 
 
-@pytest.mark.parametrize("sep", [", ", "], ["])
-def test_set_text_joins_the_set_bits(sep):
-    """A mask's text read from the byte tables is ``sep.join`` of its set
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_cli_hit_line_keeps_the_dropped_facts_checkable(chunk, monkeypatch, tmp_path):
+    """A circulant hit line states C, s, lambda2_abs and boundary_flag only:
+    s decodes to C, k is |C|, and lambda2_abs is within the bound
+    2 sqrt(k - 1), on it when the line is flagged."""
+    if chunk:
+        monkeypatch.setattr(search, "SCAN_CHUNK", chunk)
+    assert main(["search", "ramanujan", "--n", "12", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "hits.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        hit = json.loads(line)
+        assert set(hit) == {"C", "boundary_flag", "lambda2_abs", "n", "s"}
+        assert hit["n"] == 12
+        assert tuple(hit["C"]) == connection_from_encoding(12, hit["s"])
+        bound = 2 * math.sqrt(len(hit["C"]) - 1)
+        assert hit["lambda2_abs"] <= bound + 1e-6
+        if hit["boundary_flag"]:
+            assert abs(hit["lambda2_abs"] - bound) <= 1e-6
+
+
+def test_set_text_joins_the_set_bits():
+    """A mask's text read from the byte tables is ``", ".join`` of its set
     bits, at every width the searches write, empty and full rows included."""
     rng = np.random.default_rng(5)
     for n in range(1, 33):
         rows = rng.random((40, n)) < rng.random((40, 1))
         rows[0], rows[1] = False, True
         masks = rows.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-        assert cli._SetText(n, sep)(masks) == [sep.join(map(str, np.flatnonzero(row)))
-                                               for row in rows], n
+        assert cli._SetText(n)(masks) == [", ".join(map(str, np.flatnonzero(row)))
+                                          for row in rows], n
 
 
 def _verdict_fields(verdict):
@@ -273,7 +295,7 @@ def test_budget():
 def test_serialization():
     hit = next(iter(search_ramanujan_circulant(5)))
     payload = json.loads(ramanujan_hit_line(hit))
-    assert set(payload) == {"n", "s", "C", "k", "lambda2_abs", "verdict"}
+    assert set(payload) == {"C", "boundary_flag", "lambda2_abs", "n", "s"}
     assert ",".join(CSV_HEADER) == "n,s,k,lambda2_abs,ramanujan"
     assert ramanujan_csv_row(hit) == f"5,{hit.encoding},{hit.degree},{hit.second_largest_abs},1\r\n"
     assert isinstance(hit, SearchHit)
