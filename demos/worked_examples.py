@@ -36,7 +36,7 @@ print()
 
 rep = cx.theorem33_set(4, 4)
 print("product set on Z_4 x Z_4")
-print("  D =", sorted(rep.connection.elements))
+print("  D =", sorted(rep.graph.connection.elements))
 print("  spectrum:", rep.spectrum.entries)   # 6, 2 (x6), -2 (x9)
 print("  srg parameters:", rep.graph.srg_check())
 print("  Ramanujan:", rep.verdict.is_ramanujan)

@@ -310,8 +310,6 @@ def cmd_search(args):
     try:
         if args.mode == "ramanujan":
             min_degree = 2 if args.minDegree is None else args.minDegree
-            if min_degree < 1:
-                raise ParameterError(f"--minDegree must be >= 1, got {min_degree}")
             chunks, text = search._chunks(n, min_degree), _ramanujan_text(n)
         elif args.minDegree is not None:
             raise ParameterError("--minDegree applies to search ramanujan only")
@@ -380,9 +378,6 @@ def main(argv=None):
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InvariantError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
     except ArithmeticError as e:
         print(f"error: exactness check failed: {e}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -7,6 +7,10 @@ Whenever a closed form and the computation disagree, the mismatch goes into
 ``discrepancies`` instead of being silently patched; the known corrections
 (the product construction's fifth eigenvalue class, the sign of the
 Kloosterman-set valency) are applied up front and noted in ``notes``.
+
+The GF(2^m) sets live on the additive group Z_2^m, where a polynomial-basis
+element is its own flat index: coordinate i is the coefficient of
+x^(m-1-i), the ravel order of :class:`cayleyx.groups.AbelianGroup`.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ MAX_ORDER = 1 << 24  # of construct and analyze: Z_2^22, k = 22 took 6.0 s, 216 
 @dataclass
 class ConstructionReport:
     """A graph's certification (:func:`certify`); a named construction adds
-    its closed-form predictions and the mismatches with them."""
+    its closed-form predictions and the mismatches with them.  The
+    connection set is ``graph.connection``."""
 
-    connection: ConnectionSet
     graph: CayleyGraph
     spectrum: Spectrum
     verdict: RamanujanVerdict
@@ -64,7 +68,7 @@ def certify(graph):
     spec = spectrum_by_characters(graph)
     stats = graph.stats()
     verdict = ramanujan_check(spec, graph.k, stats.component_count == 1)
-    return ConstructionReport(graph.connection, graph, spec, verdict, stats)
+    return ConstructionReport(graph, spec, verdict, stats)
 
 
 def _certify(connection, predicted_degree, predicted_eigenvalues, predicted_ramanujan,
@@ -133,13 +137,6 @@ def theorem33_set(s, r):
 
 # -- Kloosterman trace set over GF(2^m) ----------------------------------------
 
-def _field_connection(m, elements):
-    """The connection set in Z_2^m of an array of GF(2^m) elements (poly-basis
-    ints), under the labeling bit i <-> coordinate i."""
-    group = AbelianGroup([2] * m)
-    return ConnectionSet(group, group.ravel([(elements >> i) & 1 for i in range(m)]))
-
-
 def _trace_pair_set(tables, i, j):
     """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j,
     read from a field's :func:`cayleyx.gf2._sign_tables`."""
@@ -160,24 +157,21 @@ def kloosterman_trace_set(m):
         raise ValueError(f"m must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
     fld = Gf2Field(m)
     tables = _sign_tables(fld)  # the trace pairs and the transform both read them
-    D_field = _trace_pair_set(tables, 1, 1)
+    D = _trace_pair_set(tables, 1, 1)
     table = _kloosterman_values(fld, tables[-1])
     k1 = int(table[1])
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
     a = np.arange(2, fld.order)
     predicted = {-degree, *((table[a ^ 1] - table[a]) // 4).tolist()}
-    report = _certify(
-        _field_connection(m, D_field),
+    return _certify(
+        ConnectionSet(AbelianGroup([2] * m), D),
         predicted_degree=degree,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=k1 > 3,
         claim_name="Kloosterman filter k_m(1) > 3 (sufficient-only)",
         notes=[f"k_m(1) = {k1}", "valency sign corrected to +(2^m+1+k_m(1))/4"],
     )
-    report.field = fld
-    report.field_elements = D_field.tolist()
-    return report
 
 
 def dij_cardinality(m, i, j):
@@ -193,12 +187,13 @@ def dij_cardinality(m, i, j):
 
 
 def dij_set(m, i, j):
-    """The set {z != 0 : Tr(z) = i, Tr(1/z) = j} as a ConnectionSet when it
-    is one (nonempty; always symmetric since -z = z), else an empty frozenset."""
+    """The set {z != 0 : Tr(z) = i, Tr(1/z) = j} of field elements, as
+    their own flat indices, in a ConnectionSet when it is one (nonempty;
+    always symmetric since -z = z), else an empty frozenset."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("i and j must be bits")
-    D_field = _trace_pair_set(_sign_tables(Gf2Field(m)), i, j)
-    return _field_connection(m, D_field) if D_field.size else frozenset()
+    D = _trace_pair_set(_sign_tables(Gf2Field(m)), i, j)
+    return ConnectionSet(AbelianGroup([2] * m), D) if D.size else frozenset()
 
 
 # -- polar trace set over GF(2^{2m}) --------------------------------------------
@@ -222,11 +217,11 @@ def polar_trace_set(m):
         norm_trace ^= exp[(log_norm << i) % exp.size]
     assert norm_trace.max() <= 1
     # Tr_m(x + xbar) = Tr(x), the absolute trace of GF(2^{2m})
-    D_field = x[(fld.trace_signs()[x] == -1) & (norm_trace == 1)]
+    D = x[(fld.trace_signs()[x] == -1) & (norm_trace == 1)]
     degree = (1 << (n_deg - 2)) + (m % 2) * (1 << (m - 1))
     predicted = {degree, -degree, 1 << (m - 1), -(1 << (m - 1)), 0}
     report = _certify(
-        _field_connection(n_deg, D_field),
+        ConnectionSet(AbelianGroup([2] * n_deg), D),
         predicted_degree=degree,
         predicted_eigenvalues=predicted,
         predicted_ramanujan=True,
@@ -236,8 +231,6 @@ def polar_trace_set(m):
         report.discrepancies.append(
             "polar construction: graph not connected bipartite as claimed"
         )
-    report.field = fld
-    report.field_elements = D_field.tolist()
     return report
 
 

@@ -103,8 +103,7 @@ class CayleyGraph:
         self.group = connection.group
         self.n = self.group.order
         self.k = len(connection)
-        self.indicator = self.group.indicator(connection.indices)
-        self.characters = self.group.character_sum_table(self.indicator)
+        self.characters = self.group.character_sum_table(self.group.indicator(connection.indices))
         self._stats = None
         self._common = None
 
@@ -181,7 +180,8 @@ class CayleyGraph:
         if not self.is_connected():
             raise DisconnectedGraphError("srg check requires a connected graph")
         counts = self.common_neighbor_counts().ravel()
-        adj = self.indicator.ravel().astype(bool)
+        adj = np.zeros(self.n, dtype=bool)
+        adj[self.connection.indices] = True
         nonadj = ~adj
         nonadj[0] = False  # index 0 is the identity: the diagonal of A^2
         lam, mu = counts[adj], counts[nonadj]  # C is nonempty, so lam is too

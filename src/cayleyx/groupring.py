@@ -55,9 +55,10 @@ def difference_counts(group, C):
 
 @dataclass(frozen=True, eq=False)
 class GdsCertificate:
-    """Verified (n, |S|, k, mu1, mu2) structure of a GDS, with its set S.
-    ``C`` and ``S`` are held as sorted read-only int64 arrays of flat
-    indices; tuples appear only in the JSON form."""
+    """Verified (n, |S|, k, mu1, mu2) structure of a GDS, with its set S,
+    which must hold the identity (ValueError otherwise).  ``C`` and ``S``
+    are held as sorted read-only int64 arrays of flat indices; tuples
+    appear only in the JSON form."""
 
     group: AbelianGroup
     C: np.ndarray
@@ -65,17 +66,18 @@ class GdsCertificate:
     k: int
     mu1: int
     mu2: int
-    identity_in_S: bool
 
     def __post_init__(self):
         for name in ("C", "S"):
             idx = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
             idx.flags.writeable = False
             object.__setattr__(self, name, idx)
+        if not self.S.size or self.S[0] != 0:
+            raise ValueError("a certificate's S must contain the identity")
 
     def _key(self):
         return (self.group, self.C.tobytes(), self.S.tobytes(),
-                self.k, self.mu1, self.mu2, self.identity_in_S)
+                self.k, self.mu1, self.mu2)
 
     def __eq__(self, other):
         return isinstance(other, GdsCertificate) and self._key() == other._key()
@@ -102,7 +104,6 @@ class GdsCertificate:
             "mu1": self.mu1,
             "mu2": self.mu2,
             "S": [list(s) for s in self.group.elements_at(self.S)],
-            "identity_in_S": self.identity_in_S,
             "C": [list(c) for c in self.group.elements_at(self.C)],
         }
 
@@ -116,7 +117,6 @@ class GdsCertificate:
             k=obj["k"],
             mu1=obj["mu1"],
             mu2=obj["mu2"],
-            identity_in_S=obj["identity_in_S"],
         )
 
 
@@ -128,7 +128,7 @@ def _certificate(group, C, mu):
     if ((mu != mu1) & (mu != mu2)).any():
         return None
     return GdsCertificate(group=group, C=C, S=np.flatnonzero(in_S), k=len(C),
-                          mu1=mu1.item(), mu2=mu2.item(), identity_in_S=True)
+                          mu1=mu1.item(), mu2=mu2.item())
 
 
 def verify_gds(group, C):
@@ -292,5 +292,5 @@ def search_gds(n):
                                   mu1.tolist(), mu2.tolist()):
             C = np.flatnonzero(row)
             cert = GdsCertificate(group=group, C=C, S=np.flatnonzero(S), k=C.size,
-                                  mu1=m1, mu2=m2, identity_in_S=True)
+                                  mu1=m1, mu2=m2)
             yield cert.C, cert

@@ -48,9 +48,12 @@ class SearchHit:
 def _chunks(n, min_degree):
     """An iterator of ``(s, k, ind, second, boundary)`` for the hits among
     each chunk of ``SCAN_CHUNK`` encodings, in increasing encoding order (see
-    :func:`_hits`).  n is checked here, before any chunk is scanned."""
+    :func:`_hits`).  n and ``min_degree >= 1`` are checked here, before any
+    chunk is scanned."""
     if not 3 <= n <= MAX_N:
         raise ValueError(f"n must be in [3, {MAX_N}], got {n}")
+    if min_degree < 1:
+        raise ValueError(f"min_degree must be >= 1, got {min_degree}")
     end = 1 << (n // 2)
     return (_hits(n, min_degree, np.arange(start, min(start + SCAN_CHUNK, end)))
             for start in range(1, end, SCAN_CHUNK))

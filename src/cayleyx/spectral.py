@@ -427,8 +427,6 @@ def gds_sufficient_filters(cert):
 def gds_predicted_eigenvalues(cert):
     """The eigenvalue envelope +-sqrt(k - mu1 + (mu1 - mu2) * chi(S)) over
     the nonprincipal characters, for a certificate presented with 0 in S."""
-    if not cert.identity_in_S:
-        raise ValueError("predicted set implemented for the 0-in-S presentation")
     group = cert.group
     table = group.character_sum_table(group.indicator(cert.S))
     values = set()

@@ -191,7 +191,7 @@ def adjacency_matrix(graph):
     for c, d in zip(coords, group.factors):
         diff *= d
         diff += (c[None, :] - c[:, None]) % d
-    return graph.indicator.ravel()[diff]
+    return graph.group.indicator(graph.connection.indices).ravel()[diff]
 
 
 def spectrum_oracle(graph):
@@ -279,19 +279,18 @@ def gds_certificate(group, C, mu):
     # mu1 < mu2 <= k = mu_0, so the identity is added by hand
     S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
     return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
-                          identity_in_S=True)
+)
 
 
 def check_group_ring_identity(cert):
     """Exact termwise check of the group-ring identity behind the certificate.
 
     With 0 in S the product C*C^(-1) must equal
-    (k - mu1)*0 + mu1*S + mu2*(G - S); in the 0-not-in-S presentation the
-    identity coefficient is (k - mu2) instead.
+    (k - mu1)*0 + mu1*S + mu2*(G - S).
     """
     group = cert.group
     expected = cert.mu2 + (cert.mu1 - cert.mu2) * group.indicator(cert.S).ravel()
-    expected[0] += (cert.k - cert.mu1) if cert.identity_in_S else (cert.k - cert.mu2)
+    expected[0] += cert.k - cert.mu1
     return bool(np.array_equal(_difference_array(group, cert.C), expected))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from cayleyx import (
     CayleyGraph,
+    Gf2Field,
     KloostermanTable,
     bent_hadamard_set,
     cyclic,
@@ -73,7 +74,7 @@ def test_criterion_01_worked_example_z20():
 
 def test_criterion_02_worked_example_product_16():
     rep = theorem33_set(4, 4)
-    assert rep.connection.elements == frozenset(
+    assert rep.graph.connection.elements == frozenset(
         {(0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)}
     )
     assert _multiset(rep.spectrum) == {6: 1, 2: 6, -2: 9}
@@ -114,7 +115,7 @@ def test_criterion_04_kloosterman_consistency():
 def test_criterion_05_kloosterman_trace_family():
     for m in range(2, 11):
         rep = kloosterman_trace_set(m)
-        fld, D = rep.field, rep.field_elements
+        fld, D = Gf2Field(m), rep.graph.connection.indices.tolist()
         k1 = kloosterman(m, 1)
         assert rep.graph.k == len(D) == (k1 + (1 << m) + 1) // 4
         assert rep.stats.bipartite
@@ -235,7 +236,7 @@ def test_criterion_11_bent_hadamard():
         n = 1 << (2 * u)
         k = (1 << (2 * u - 1)) - (1 << (u - 1))
         lam = (1 << (2 * u - 2)) - (1 << (u - 1))
-        assert verify_difference_set(rep.graph.group, rep.connection.elements) == (n, k, lam)
+        assert verify_difference_set(rep.graph.group, rep.graph.connection.elements) == (n, k, lam)
         assert set(rep.spectrum.values()) <= {k, 1 << (u - 1), -(1 << (u - 1))}
         if not rep.verdict.is_ramanujan:
             failures.append(

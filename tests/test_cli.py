@@ -225,7 +225,8 @@ def test_analyze_oracle_catches_a_wrong_character_table(n, tmp_path, monkeypatch
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"factors": [n],
                                  "connection_set": [[c] for c in C + [n - c for c in C]]}))
-    target = CayleyGraph.from_json(json.loads(gpath.read_text())).indicator
+    graph = CayleyGraph.from_json(json.loads(gpath.read_text()))
+    target = graph.group.indicator(graph.connection.indices)
     table = AbelianGroup.character_sum_table
 
     def wrong(self, x):
@@ -505,8 +506,31 @@ def test_search_ramanujan_refuses_min_degree_below_1(value, tmp_path, capsys):
     """--minDegree is checked, like n, before any hit file is opened."""
     out = tmp_path / "d"
     assert run(["search", "ramanujan", "--n", "8", "--minDegree", value, "--out", str(out)]) == 2
-    assert f"--minDegree must be >= 1, got {value}" in capsys.readouterr().err
+    assert f"min_degree must be >= 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "search"])
+def test_complex_character_sums_exit_3(command, tmp_path, monkeypatch, capsys):
+    """A character table off Z_2^m whose sums of a symmetric set are not
+    real fails the exactness check of analyze and of the circulant search."""
+    table = AbelianGroup.character_sum_table
+
+    def skewed(self, x):
+        t = table(self, x)
+        if t.dtype.kind == "c":
+            t = t.copy()
+            t[..., 1] += 1e-3j
+        return t
+
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", skewed)
+    gpath, out = tmp_path / "g.json", tmp_path / "out"
+    gpath.write_text(json.dumps({"factors": [8], "connection_set": [[1], [7]]}))
+    argv = (["analyze", str(gpath)] if command == "analyze"
+            else ["search", "ramanujan", "--n", "8"])
+    assert run(argv + ["--out", str(out)]) == 3
+    assert ("error: exactness check failed: character sums of a symmetric set must be real"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["7", "2"])

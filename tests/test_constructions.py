@@ -4,7 +4,9 @@ import pytest
 
 from cayleyx import (
     AbelianGroup,
+    CayleyGraph,
     Gf2Field,
+    GraphStats,
     bent_hadamard_set,
     dij_cardinality,
     dij_set,
@@ -15,6 +17,7 @@ from cayleyx import (
     theorem33_set,
     verify_difference_set,
 )
+from cayleyx.constructions import _certify
 from reference import (
     additive_character_sum,
     bent_tuples,
@@ -27,15 +30,16 @@ from reference import (
 # -- scalar references for the array enumeration of the GF(2) sets -------------
 
 def field_element_to_coords(m, e):
-    """Field element (poly-basis int) as a Z_2^m coordinate tuple, bit i first:
-    the labeling the GF(2) constructions use."""
-    return tuple((e >> i) & 1 for i in range(m))
+    """Field element (poly-basis int) as a Z_2^m coordinate tuple, most
+    significant bit first: the labeling the GF(2) constructions use, where
+    an element is its own flat index."""
+    return tuple((e >> (m - 1 - i)) & 1 for i in range(m))
 
 
 def coords_to_field_element(coords):
     e = 0
-    for i, b in enumerate(coords):
-        e |= (b & 1) << i
+    for b in coords:
+        e = (e << 1) | (b & 1)
     return e
 
 
@@ -67,9 +71,10 @@ def test_kloosterman_set_matches_scalar_reference():
     for m in range(1, 11):
         want = trace_pair_reference(m, 1, 1)
         rep = kloosterman_trace_set(m)
-        assert rep.field_elements == want
-        assert all(type(z) is int for z in rep.field_elements)
-        assert rep.connection.elements == _coords(m, want)
+        got = rep.graph.connection.indices.tolist()
+        assert got == want
+        assert all(type(z) is int for z in got)
+        assert rep.graph.connection.elements == _coords(m, want)
 
 
 def test_dij_sets_match_scalar_reference():
@@ -77,10 +82,11 @@ def test_dij_sets_match_scalar_reference():
     for m in range(2, 11):
         for i in (0, 1):
             for j in (0, 1):
-                want = _coords(m, trace_pair_reference(m, i, j))
+                want = trace_pair_reference(m, i, j)
                 got = dij_set(m, i, j)
                 if want:
-                    assert got.elements == want
+                    assert got.indices.tolist() == want
+                    assert got.elements == _coords(m, want)
                 else:
                     assert isinstance(got, frozenset) and got == frozenset()
                     empty += 1
@@ -91,9 +97,10 @@ def test_polar_set_matches_scalar_reference():
     for m in range(1, 6):
         want = polar_reference(m)
         rep = polar_trace_set(m)
-        assert rep.field_elements == want
-        assert all(type(x) is int for x in rep.field_elements)
-        assert rep.connection.elements == _coords(2 * m, want)
+        got = rep.graph.connection.indices.tolist()
+        assert got == want
+        assert all(type(x) is int for x in got)
+        assert rep.graph.connection.elements == _coords(2 * m, want)
 
 
 def test_gf2_sets_never_call_scalar_field_methods(monkeypatch):
@@ -141,7 +148,7 @@ def test_condition_examples():
 def test_product_44_report():
     rep = theorem33_set(4, 4)
     want_D = {(0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)}
-    assert rep.connection.elements == frozenset(want_D)
+    assert rep.graph.connection.elements == frozenset(want_D)
     assert rep.predicted_degree == 6 and rep.graph.k == 6
     assert {v: m for v, m, _ in rep.spectrum.entries} == {6: 1, 2: 6, -2: 9}
     assert rep.verdict.is_ramanujan
@@ -161,7 +168,7 @@ def test_product_set_matches_tuple_reference():
     for s in range(4, 19, 2):
         for r in range(4, 19, 2):
             want = AbelianGroup([s, r]).indices(theorem33_tuples(s, r))
-            assert theorem33_set(s, r).connection.indices.tolist() == want.tolist()
+            assert theorem33_set(s, r).graph.connection.indices.tolist() == want.tolist()
 
 
 def test_product_sweep_spectrum_containment():
@@ -174,18 +181,26 @@ def test_product_sweep_spectrum_containment():
             assert not any("eigenvalue" in d for d in rep.discrepancies)
 
 
+def test_certify_reports_a_wrong_degree_and_a_stray_eigenvalue():
+    """A closed form that misses the degree or an eigenvalue is reported,
+    not patched: the product set on Z_4 x Z_4 has spectrum {6, 2, -2}."""
+    rep = _certify(theorem33_set(4, 4).graph.connection, 5, {2}, True, "claim")
+    assert rep.discrepancies == ["degree: computed 6, closed form 5",
+                                 "eigenvalues outside predicted set: [-2]"]
+
+
 # -- Kloosterman trace construction ---------------------------------------------
 
 def test_trace_set_m1():
     rep = kloosterman_trace_set(1)
     assert rep.graph.n == 2 and rep.graph.k == 1
-    assert rep.connection.elements == frozenset({(1,)})
+    assert rep.graph.connection.elements == frozenset({(1,)})
 
 
 def test_trace_set_m2():
     rep = kloosterman_trace_set(2)
     # the two primitive cube roots: elements of GF(4) outside GF(2)
-    assert rep.field_elements == [2, 3]
+    assert rep.graph.connection.indices.tolist() == [2, 3]
     assert rep.graph.k == (3 + 4 + 1) // 4 == 2
 
 
@@ -213,7 +228,7 @@ def test_trace_set_eigenvalue_formula_pointwise():
     from cayleyx import KloostermanTable
     for m in (2, 3, 4, 5, 6, 7):
         rep = kloosterman_trace_set(m)
-        fld, D = rep.field, rep.field_elements
+        fld, D = Gf2Field(m), rep.graph.connection.indices.tolist()
         table = KloostermanTable.compute(m)
         for a in range(1, fld.order):
             ev = additive_character_sum(fld, a, D)
@@ -259,7 +274,7 @@ def test_dij_enumeration_matches_formula():
 
 def test_dij_d11_is_the_trace_set():
     rep = kloosterman_trace_set(4)
-    assert dij_set(4, 1, 1).elements == rep.connection.elements
+    assert dij_set(4, 1, 1).elements == rep.graph.connection.elements
 
 
 def test_dij_validation():
@@ -284,6 +299,12 @@ def test_polar_m2_report():
     assert rep.discrepancies == []
 
 
+def test_polar_reports_a_graph_that_is_not_connected_bipartite(monkeypatch):
+    monkeypatch.setattr(CayleyGraph, "stats", lambda self: GraphStats(1, False, 4))
+    rep = polar_trace_set(2)
+    assert rep.discrepancies == ["polar construction: graph not connected bipartite as claimed"]
+
+
 def test_polar_degree_parity_formula():
     for m in range(1, 6):
         rep = polar_trace_set(m)
@@ -296,7 +317,7 @@ def test_polar_case_table():
     # character values classified by (Tr(a), Tr(a*conj(a))) in both parity regimes
     for m in (1, 2, 3, 4, 5):
         rep = polar_trace_set(m)
-        fld, D = rep.field, rep.field_elements
+        fld, D = Gf2Field(2 * m), rep.graph.connection.indices.tolist()
         half = 1 << (m - 1)
         for a in range(2, fld.order):
             ev = additive_character_sum(fld, a, D)
@@ -318,8 +339,8 @@ def test_polar_budget():
 
 def test_bent_u1():
     rep = bent_hadamard_set(1)
-    assert rep.connection.elements == frozenset({(1, 1)})
-    assert verify_difference_set(rep.graph.group, rep.connection.elements) == (4, 1, 0)
+    assert rep.graph.connection.elements == frozenset({(1, 1)})
+    assert verify_difference_set(rep.graph.group, rep.graph.connection.elements) == (4, 1, 0)
     # 2 disjoint edges: the eigenvalue bound is met but the graph is disconnected
     assert rep.stats.component_count == 2
     assert not rep.verdict.is_ramanujan and not rep.verdict.connected
@@ -328,7 +349,7 @@ def test_bent_u1():
 
 def test_bent_u2():
     rep = bent_hadamard_set(2)
-    assert verify_difference_set(rep.graph.group, rep.connection.elements) == (16, 6, 2)
+    assert verify_difference_set(rep.graph.group, rep.graph.connection.elements) == (16, 6, 2)
     assert {v: m for v, m, _ in rep.spectrum.entries} == {6: 1, 2: 6, -2: 9}
     assert rep.verdict.is_ramanujan
 
@@ -336,7 +357,7 @@ def test_bent_u2():
 def test_bent_u3_u4():
     for u, (n, k, lam) in ((3, (64, 28, 12)), (4, (256, 120, 56))):
         rep = bent_hadamard_set(u)
-        assert verify_difference_set(rep.graph.group, rep.connection.elements) == (n, k, lam)
+        assert verify_difference_set(rep.graph.group, rep.graph.connection.elements) == (n, k, lam)
         assert set(rep.spectrum.values()) == {k, 1 << (u - 1), -(1 << (u - 1))}
         assert rep.verdict.is_ramanujan
 
@@ -345,7 +366,7 @@ def test_bent_set_matches_tuple_reference():
     for u in range(1, 7):
         group = AbelianGroup([2] * (2 * u))
         want = group.indices(bent_tuples(group, u))
-        assert bent_hadamard_set(u).connection.indices.tolist() == want.tolist()
+        assert bent_hadamard_set(u).graph.connection.indices.tolist() == want.tolist()
 
 
 def test_bent_budget():

@@ -117,7 +117,7 @@ def test_difference_counts_total_and_symmetry():
 def test_verify_gds_canonical_certificate():
     cert = verify_gds(Z20, SUBGROUP_SET)
     assert cert.parameters == (20, 16, 4, 0, 3)
-    assert cert.identity_in_S and cert.S[0] == 0
+    assert cert.S[0] == 0
     assert cert.S.tolist() == Z20.indices(set(Z20.elements()) - set(SUBGROUP_SET)).tolist()
     assert cert.C.tolist() == [4, 8, 12, 16]
     assert not cert.is_difference_set()
@@ -155,7 +155,7 @@ def test_group_ring_identity_detects_corruption():
     cert = verify_gds(Z20, SUBGROUP_SET)
     bad = GdsCertificate(
         group=cert.group, C=cert.C, S=cert.S, k=cert.k,
-        mu1=cert.mu1, mu2=cert.mu2 + 1, identity_in_S=cert.identity_in_S,
+        mu1=cert.mu1, mu2=cert.mu2 + 1,
     )
     assert not check_group_ring_identity(bad)
 
@@ -168,6 +168,13 @@ def test_certificate_json_roundtrip():
     assert back.to_json() == cert.to_json()
     assert cert.to_json()["S"] == sorted(cert.to_json()["S"])
     assert not cert.C.flags.writeable and not cert.S.flags.writeable
+
+
+def test_certificate_json_refuses_an_S_without_the_identity():
+    obj = verify_gds(Z20, SUBGROUP_SET).to_json()
+    obj["S"] = obj["S"][1:]
+    with pytest.raises(ValueError, match="must contain the identity"):
+        GdsCertificate.from_json(obj)
 
 
 def test_translation_invariance():

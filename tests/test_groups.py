@@ -406,7 +406,7 @@ def test_binary_groups_never_call_the_fft(monkeypatch, tmp_path):
 @pytest.mark.parametrize("make_set", [
     pytest.param(lambda: ConnectionSet(AbelianGroup([2] * 4), np.array([1, 2, 4, 8, 15])),
                  id="Clebsch"),
-    pytest.param(lambda: theorem33_set(4, 4).connection, id="product(4,4)"),
+    pytest.param(lambda: theorem33_set(4, 4).graph.connection, id="product(4,4)"),
 ])
 def test_graph_transforms_its_connection_set_once(make_set, monkeypatch, tmp_path):
     """Every query of a graph reads the character table that its constructor

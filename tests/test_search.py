@@ -87,6 +87,14 @@ def test_min_degree_filter():
     assert all(h.degree >= 4 for h in hits)
 
 
+@pytest.mark.parametrize("min_degree", [0, -5])
+def test_min_degree_below_1_is_refused(min_degree):
+    """The library refuses what ``--minDegree`` refuses, before any scan."""
+    hits = search_ramanujan_circulant(12, min_degree=min_degree)
+    with pytest.raises(ValueError, match=f"min_degree must be >= 1, got {min_degree}"):
+        next(hits)
+
+
 def test_disconnected_sets_never_emitted():
     for h in search_ramanujan_circulant(12):
         assert h.verdict.connected
