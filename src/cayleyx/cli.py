@@ -1,7 +1,7 @@
-"""Command-line front door: construct, analyze, search, export.
+"""Command-line front door: construct, analyze, search.
 
 Human-readable summary goes to stdout; machine artifacts (graph.json,
-spectrum.csv, verdict.json, hits.jsonl, hits.csv, graph.dot) go to --out.
+spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.
 Exit codes: 0 success, 2 usage/parameter error, 3 data-invariant violation
 or failed exactness check (an ArithmeticError of the exact routes).
 """
@@ -22,13 +22,12 @@ import numpy as np
 from . import constructions, groupring, search
 from .graphs import DOT_MAX_EDGES, CayleyGraph, InvariantError
 from .groupring import _certificate
-from .groups import AbelianGroup
+from .groups import AbelianGroup, check_order
 from .spectral import quotient_cuts, table_identity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
-ANALYZE_MAX_N = constructions.MAX_ORDER  # so construct writes no graph analyze refuses
 COORDINATE_ROWS = 4096  # rows per formatted chunk of a streamed coordinate list
 COORDINATE_TABLE = 4096  # entries of a table of formatted coordinates, at most
 HIT_DIGIT_BITS = 8  # bits of a hit's mask read per token-table lookup
@@ -193,8 +192,10 @@ def cmd_analyze(args):
         return EXIT_USAGE
     try:
         n = AbelianGroup.from_json(obj).order  # before anything of size n exists
-        if n > ANALYZE_MAX_N:
-            raise ParameterError(f"analyze is limited to n <= {ANALYZE_MAX_N}, got {n}")
+        try:  # the limit of every construction, so analyze refuses no graph construct writes
+            check_order(n, "analyze")
+        except ValueError as e:
+            raise ParameterError(str(e))
         graph = CayleyGraph.from_json(obj)
     except InvariantError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -263,22 +264,19 @@ def _fill(template, *columns):
 
 def _ramanujan_text(n):
     """The formatter of the circulant hits of Z_n: a function from a chunk
-    (see :func:`cayleyx.search._chunks`) to its hits.jsonl lines and hits.csv
-    rows, byte for byte ``json.dumps({"C", "boundary_flag", "lambda2_abs",
-    "n", "s"}, sort_keys=True)`` of each hit and ``csv.writer`` rows: ints
-    print as themselves and floats by ``repr``, as both do.  Each C is read
-    from a :class:`_SetText` table; the hits share few distinct eigenvalues,
-    so their ``repr`` is kept per value and type.  Each file's text of a
-    chunk is one ``%`` format."""
+    (see :func:`cayleyx.search._chunks`) to its hits.jsonl lines, byte for
+    byte ``json.dumps({"C", "boundary_flag", "lambda2_abs", "n", "s"},
+    sort_keys=True)`` of each hit: ints print as themselves and floats by
+    ``repr``.  Each C is read from a :class:`_SetText` table; the hits share
+    few distinct eigenvalues, so their ``repr`` is kept per value and type.
+    The chunk's text is one ``%`` format."""
     C_text, number = _SetText(n), functools.lru_cache(maxsize=None, typed=True)(repr)
     line = '{"C": [%s], "boundary_flag": %s, "lambda2_abs": %s, "n": ' + str(n) + ', "s": %d}\n'
-    row = str(n) + ",%d,%d,%s,1\r\n"
 
     def text(chunk):
-        s, k, masks, second, boundary = chunk
-        lam, s = list(map(number, second)), s.tolist()
+        s, _, masks, second, boundary = chunk
         flag = np.where(boundary, "true", "false").tolist()
-        return _fill(line, C_text(masks), flag, lam, s), _fill(row, s, k.tolist(), lam)
+        return _fill(line, C_text(masks), flag, list(map(number, second)), s.tolist())
     return text
 
 
@@ -301,10 +299,9 @@ def _gds_text(n):
 
 
 def cmd_search(args):
-    """Write the hits of one search to hits.jsonl (and hits.csv for
-    circulants), one write per file per chunk of hits.  n, and that
-    ``--minDegree`` (default 2) is given to the circulant search only and is
-    at least 1, are checked before any file is opened."""
+    """Write the hits of one search to hits.jsonl, one write per chunk of
+    hits.  n, and that ``--minDegree`` (default 2) is given to the circulant
+    search only and is at least 1, are checked before any file is opened."""
     t0 = time.perf_counter()
     n, outdir = args.n, args.out
     try:
@@ -321,18 +318,9 @@ def cmd_search(args):
     path = os.path.join(outdir, "hits.jsonl")
     count = 0
     with open(path, "w") as f:
-        if args.mode == "ramanujan":
-            with open(os.path.join(outdir, "hits.csv"), "w") as g:
-                g.write(",".join(search.CSV_HEADER) + "\r\n")
-                for chunk in chunks:
-                    lines, rows = text(chunk)
-                    f.write(lines)
-                    g.write(rows)
-                    count += len(chunk[0])
-        else:
-            for chunk in chunks:
-                f.write(text(chunk))
-                count += len(chunk[0])
+        for chunk in chunks:
+            f.write(text(chunk))
+            count += len(chunk[0])
     print(f"search {args.mode} n={n}: {count} hits in {time.perf_counter() - t0:.2f}s "
           f"-> {path}")
     return EXIT_OK

@@ -3,12 +3,14 @@
 Field elements are ints below ``2**m``, read as polynomial-basis coordinate
 vectors (bit ``i`` is the coefficient of ``x^i``).  The modulus defaults to
 the lexicographically smallest irreducible polynomial of the right degree,
-found by sieve, so field construction is deterministic.
+found by sieve, so field construction is deterministic.  A field's order
+2^m is checked against :data:`cayleyx.groups.MAX_ORDER` when it is built, so
+that one limit bounds every table over it.
 
 The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` is
 computed by three independent routes (direct evaluation, the three-term
 recursion for ``k_m(1)``, and the Carlitz closed form) so each can check the
-others.  The full value table ``a -> k_m(a)`` (m <= 20) is one Walsh-Hadamard
+others.  The full value table ``a -> k_m(a)`` is one Walsh-Hadamard
 transform: ``a -> Tr(a*x)`` is the character of ``Z_2^m`` at the trace-dual
 label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so ``k_m(a)`` is the transform of
 ``x -> (-1)^Tr(1/x)`` at ``b(a)``.
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import AbelianGroup
+from .groups import AbelianGroup, check_order_log2
 
 __all__ = [
     "Gf2Field",
@@ -34,9 +36,6 @@ __all__ = [
     "kloosterman_lifted",
     "kloosterman_value_set",
 ]
-
-MAX_DEGREE = 24                # budget for direct sums
-KLOOSTERMAN_MAX_DEGREE = 20    # budget for full value tables and the trace set
 
 
 # -- polynomial arithmetic over GF(2), ints as coefficient bitstrings --------
@@ -121,10 +120,10 @@ class Gf2Field:
     """GF(2^m) in polynomial basis; immutable and shareable."""
 
     def __init__(self, m, modulus=None):
-        if not 1 <= m <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {m}")
+        if m < 1:
+            raise ValueError(f"degree must be >= 1, got {m}")
         self.m = m
-        self.order = 1 << m
+        self.order = check_order_log2(m, f"GF(2^{m})")
         self.modulus = smallest_irreducible(m) if modulus is None else int(modulus)
         if not is_irreducible(self.modulus, m):
             raise ValueError(f"modulus {self.modulus:#x} is not irreducible of degree {m}")
@@ -306,8 +305,6 @@ class KloostermanTable:
 
     @classmethod
     def compute(cls, m):
-        if not 1 <= m <= KLOOSTERMAN_MAX_DEGREE:
-            raise ValueError(f"table degree must be in [1, {KLOOSTERMAN_MAX_DEGREE}], got {m}")
         fld = Gf2Field(m)
         return cls(m, _kloosterman_values(fld, _sign_tables(fld)[-1]), fld.modulus)
 
@@ -318,7 +315,8 @@ class KloostermanTable:
 
 
 def kloosterman_value_set(m):
-    """The set ``{k_m(lambda) : lambda in GF(2^m)}`` (enumerated, m <= 20)."""
-    if not 2 <= m <= KLOOSTERMAN_MAX_DEGREE:
-        raise ValueError(f"m must be in [2, {KLOOSTERMAN_MAX_DEGREE}] for the value set")
+    """The set ``{k_m(lambda) : lambda in GF(2^m)}``, enumerated by
+    :meth:`KloostermanTable.compute` (m >= 2; 2^m is bounded by ``MAX_ORDER``)."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2 for the value set, got {m}")
     return set(KloostermanTable.compute(m).values.tolist())

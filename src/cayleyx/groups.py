@@ -31,7 +31,31 @@ import operator
 
 import numpy as np
 
-__all__ = ["AbelianGroup", "cyclic"]
+__all__ = ["AbelianGroup", "MAX_ORDER", "check_order", "check_order_log2", "cyclic"]
+
+# The one size limit of every graph and GF(2^m) table: at 2^24 a construct took
+# 7-16 s and 1.0-1.8 GB in a fresh process (2 vCPUs, one BLAS thread, 2026-10).
+MAX_ORDER = 1 << 24
+
+
+def check_order(n, what):
+    """Refuse an order ``n`` above ``MAX_ORDER`` (read at call time) with
+    ValueError, before anything of size n exists."""
+    if n > MAX_ORDER:
+        _refuse(what, n if n.bit_length() <= 64 else f">= 2^{n.bit_length() - 1}")
+
+
+def check_order_log2(m, what):
+    """Return n = 2^m, refused as by :func:`check_order` but by comparing
+    exponents: an m from outside the program builds no m-bit int."""
+    if m >= MAX_ORDER.bit_length():
+        _refuse(what, 1 << m if m <= 64 else f"2^{m}")
+    return 1 << m
+
+
+def _refuse(what, got):  # got beyond 64 bits is a power of 2: str() refuses > 4300 digits
+    raise ValueError(f"{what} is limited to n <= {MAX_ORDER}, got {got}")
+
 
 # Index bits per Kronecker factor H_{2^b}, whose entry (i, j) is (-1)^popcount(i & j).
 _BLOCK_BITS = 5

@@ -28,7 +28,6 @@ from .spectral import RamanujanVerdict, _ramanujan_rows
 __all__ = ["SearchHit", "search_ramanujan_circulant"]
 
 MAX_N = 32
-CSV_HEADER = ("n", "s", "k", "lambda2_abs", "ramanujan")  # one hit per row
 # Encodings per batch.  The verdict sorts and clusters each chunk's
 # connected rows of n sums; 256 rows keep those arrays, and the peak RSS,
 # small (1024 raised the peak by about 2.5 MB).

@@ -25,15 +25,12 @@ tests can compare the array routes against them:
   constructions;
 * the GDS search over the full mask range, every proper subset of Z_n
   through the two-value kernel (no orbit or complement is skipped);
-* the lines of hits.jsonl and hits.csv, one hit at a time through
-  ``json.dumps`` and ``csv.writer``;
+* the lines of hits.jsonl, one hit at a time through ``json.dumps``;
 * crossing counts by the inverse route: A x for each column as a product
   of tables turned back into counts, then x . A x.
 """
 
 import cmath
-import csv
-import io
 import json
 import math
 from functools import reduce
@@ -440,7 +437,7 @@ def gds_full_range_scan(n):
     return masks, np.bitwise_count(rows & _rotl(rows, np.arange(1, n, dtype=np.uint64), n))
 
 
-# -- search hits as json.dumps and csv.writer write them ---------------------------
+# -- search hits as json.dumps writes them ---------------------------
 
 def ramanujan_hit_line(hit):
     """The hits.jsonl line of a circulant-search hit (a ``SearchHit``),
@@ -452,14 +449,6 @@ def ramanujan_hit_line(hit):
         "lambda2_abs": hit.second_largest_abs,
         "boundary_flag": hit.verdict.boundary_flag,
     }, sort_keys=True)
-
-
-def ramanujan_csv_row(hit):
-    """The hits.csv row of a circulant-search hit, as ``csv.writer`` ends it."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([hit.n, hit.encoding, hit.degree, hit.second_largest_abs,
-                              int(hit.verdict.is_ramanujan)])
-    return buf.getvalue()
 
 
 def gds_hit_line(n, C, cert):

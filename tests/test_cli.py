@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,16 @@ from cayleyx import (
     AbelianGroup,
     CayleyGraph,
     GdsCertificate,
+    Gf2Field,
+    KloostermanTable,
     bent_hadamard_set,
     cli,
-    constructions,
     cyclic,
+    dij_set,
+    groups,
     kloosterman_trace_set,
+    kloosterman_value_set,
+    polar_trace_set,
     spectral,
     theorem33_set,
     verify_gds,
@@ -158,26 +164,65 @@ def test_construct_and_analyze_write_the_same_statistics(argv, tmp_path):
     assert [built[k] for k in keys] == [analyzed[k] for k in keys]
 
 
-def test_construct_theorem33_refuses_orders_analyze_refuses(tmp_path, capsys, monkeypatch):
-    """s*r above analyze's limit exits 2 before any array of that size
-    exists, with no output directory; at the limit (set to 24 here) it is
-    built."""
-    assert cli.ANALYZE_MAX_N == constructions.MAX_ORDER == 1 << 24
+@pytest.mark.parametrize("argv, what, n", [
+    (["theorem33", "--s", "4", "--r", str(1 << 23)], "theorem33", 1 << 25),
+    (["kloosterman-trace", "--m", "25"], "GF(2^25)", 1 << 25),
+    (["polar-trace", "--m", "13"], "GF(2^26)", 1 << 26),
+    (["bent-hadamard", "--u", "13"], "bent-hadamard", 1 << 26),
+    (["kloosterman-trace", "--m", str(1 << 63)], f"GF(2^{1 << 63})", f"2^{1 << 63}"),
+    (["bent-hadamard", "--u", "100000000000"], "bent-hadamard", "2^200000000000"),
+    (["theorem33", "--s", "2" * 4000, "--r", "2" * 4000], "theorem33", ">= 2^26571"),
+], ids=["theorem33", "kloosterman-trace", "polar-trace", "bent-hadamard",
+        "kloosterman-exponent", "bent-exponent", "theorem33-digits"])
+def test_construct_refuses_orders_analyze_refuses(argv, what, n, tmp_path, capsys):
+    """An order above ``MAX_ORDER``, analyze's limit too, exits 2 before
+    any array of that size exists, with no output directory.  A power of
+    two is compared by its exponent, so a huge exponent builds no huge int;
+    an order beyond 64 bits is stated as a power of two, since str()
+    refuses ints of more than 4300 digits."""
+    assert groups.MAX_ORDER == 1 << 24
     tracemalloc.start()
     try:
-        code = run(["construct", "theorem33", "--s", "4", "--r", str(1 << 23),
-                    "--out", str(tmp_path / "o")])
+        code = run(["construct"] + argv + ["--out", str(tmp_path / "o")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2 and peak < 1 << 20
     err = capsys.readouterr().err
-    assert f"error: theorem33 is limited to s*r <= 16777216, got {1 << 25}\n" in err
+    assert f"error: {what} is limited to n <= 16777216, got {n}\n" in err
     assert not (tmp_path / "o").exists()
-    monkeypatch.setattr(constructions, "MAX_ORDER", 24)
-    assert theorem33_set(4, 6).graph.n == 24
-    with pytest.raises(ValueError, match="limited to s\\*r <= 24, got 32"):
-        theorem33_set(4, 8)
+
+
+def test_max_order_is_the_one_size_limit(tmp_path, capsys, monkeypatch):
+    """``groups.MAX_ORDER``, read at call time, bounds every construction,
+    every GF(2^m) table and analyze: patched to 64, each accepts its largest
+    size <= 64 and refuses the next, and analyze reads the graph of n = 64
+    construct writes and refuses n = 128."""
+    monkeypatch.setattr(groups, "MAX_ORDER", 64)
+    accepted = [lambda: kloosterman_trace_set(6).graph.n, lambda: polar_trace_set(3).graph.n,
+                lambda: bent_hadamard_set(3).graph.n, lambda: theorem33_set(8, 8).graph.n,
+                lambda: Gf2Field(6).order, lambda: KloostermanTable.compute(6).values.size,
+                lambda: dij_set(6, 1, 1).group.order]
+    assert [f() for f in accepted] == [64] * len(accepted)
+    refused = [(lambda: kloosterman_trace_set(7), "GF(2^7)", 128),
+               (lambda: polar_trace_set(4), "GF(2^8)", 256),
+               (lambda: bent_hadamard_set(4), "bent-hadamard", 256),
+               (lambda: theorem33_set(8, 10), "theorem33", 80),
+               (lambda: Gf2Field(7), "GF(2^7)", 128),
+               (lambda: KloostermanTable.compute(7), "GF(2^7)", 128),
+               (lambda: kloosterman_value_set(7), "GF(2^7)", 128),
+               (lambda: dij_set(7, 1, 1), "GF(2^7)", 128)]
+    for f, what, n in refused:
+        with pytest.raises(ValueError, match=re.escape(f"{what} is limited to n <= 64, got {n}")):
+            f()
+    assert run(["construct", "polar-trace", "--m", "3", "--out", str(tmp_path / "c")]) == 0
+    assert run(["analyze", str(tmp_path / "c" / "graph.json"), "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    gpath = tmp_path / "big.json"
+    gpath.write_text(json.dumps({"factors": [128], "connection_set": [[1], [127]]}))
+    assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
+    assert "error: analyze is limited to n <= 64, got 128\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_product_graph(tmp_path, capsys):
@@ -475,9 +520,7 @@ def test_search_ramanujan_cli(tmp_path, capsys):
     assert run(["search", "ramanujan", "--n", "3", "--out", str(out)]) == 0
     lines = (out / "hits.jsonl").read_text().strip().splitlines()
     assert json.loads(lines[0])["C"] == [1, 2]
-    rows = (out / "hits.csv").read_text().splitlines()
-    assert rows[0] == "n,s,k,lambda2_abs,ramanujan"
-    assert [r.split(",")[1] for r in rows[1:]] == [str(json.loads(l)["s"]) for l in lines]
+    assert [p.name for p in out.iterdir()] == ["hits.jsonl"]
 
 
 def test_search_gds_cli(tmp_path):
@@ -550,11 +593,11 @@ def test_search_ramanujan_min_degree_defaults_to_2(tmp_path):
     for name, extra in (("default", []), ("explicit", ["--minDegree", "2"])):
         out = tmp_path / name
         assert run(["search", "ramanujan", "--n", "16", "--out", str(out)] + extra) == 0
-        files[name] = [(out / f).read_bytes() for f in ("hits.jsonl", "hits.csv")]
-    assert files["default"][0] and files["default"] == files["explicit"]
+        files[name] = (out / "hits.jsonl").read_bytes()
+    assert files["default"] and files["default"] == files["explicit"]
     out = tmp_path / "four"
     assert run(["search", "ramanujan", "--n", "16", "--minDegree", "4", "--out", str(out)]) == 0
-    assert (out / "hits.jsonl").read_bytes() != files["default"][0]
+    assert (out / "hits.jsonl").read_bytes() != files["default"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -248,7 +248,7 @@ def test_trace_set_predicts_every_eigenvalue_beyond_m12():
 
 def test_trace_set_budget():
     with pytest.raises(ValueError):
-        kloosterman_trace_set(21)
+        kloosterman_trace_set(25)
 
 
 # -- D_{i,j} partition sets ------------------------------------------------------
@@ -332,7 +332,7 @@ def test_polar_case_table():
 
 def test_polar_budget():
     with pytest.raises(ValueError):
-        polar_trace_set(11)
+        polar_trace_set(13)
 
 
 # -- bent Hadamard construction ----------------------------------------------------
@@ -371,7 +371,7 @@ def test_bent_set_matches_tuple_reference():
 
 def test_bent_budget():
     with pytest.raises(ValueError):
-        bent_hadamard_set(7)
+        bent_hadamard_set(13)
 
 
 def test_field_element_coords_roundtrip():

@@ -21,14 +21,12 @@ from cayleyx import (
     search_ramanujan_circulant,
 )
 from cayleyx.cli import main
-from cayleyx.search import CSV_HEADER
 from cayleyx.spectral import _ramanujan_rows
 from reference import (
     connection_from_encoding,
     degree_of_encoding,
     gds_hit_line,
     group_eigenvalues,
-    ramanujan_csv_row,
     ramanujan_hit_line,
     ramanujan_verdict,
 )
@@ -146,16 +144,12 @@ def test_searches_build_no_graph(monkeypatch, tmp_path):
         assert (tmp_path / mode / "hits.jsonl").read_text()
 
 
-def _expected_files(mode, n):
-    """hits.jsonl (and hits.csv) text built one hit at a time through
-    json.dumps and csv.writer from the API searches."""
+def _expected_lines(mode, n):
+    """hits.jsonl text built one hit at a time through json.dumps from the
+    API searches."""
     if mode == "gds":
-        return {"hits.jsonl": "".join(gds_hit_line(n, C, cert) + "\n"
-                                      for C, cert in search_gds(n))}
-    hits = list(search_ramanujan_circulant(n))
-    return {"hits.jsonl": "".join(ramanujan_hit_line(h) + "\n" for h in hits),
-            "hits.csv": ",".join(CSV_HEADER) + "\r\n"
-                        + "".join(ramanujan_csv_row(h) for h in hits)}
+        return "".join(gds_hit_line(n, C, cert) + "\n" for C, cert in search_gds(n))
+    return "".join(ramanujan_hit_line(h) + "\n" for h in search_ramanujan_circulant(n))
 
 
 # n = 24 holds a hit with boundary_flag true; a GDS mask of Z_17 spans three
@@ -170,14 +164,14 @@ def test_cli_hit_files_match_json_dumps(mode, n, chunk, monkeypatch, tmp_path, c
         monkeypatch.setattr(search, "SCAN_CHUNK", chunk)
         monkeypatch.setattr(groupring, "SCAN_CHUNK", chunk)
         monkeypatch.setattr(groupring, "HIT_CHUNK", chunk)
-    expected = _expected_files(mode, n)
-    assert expected["hits.jsonl"]
+    expected = _expected_lines(mode, n)
+    assert expected
     assert main(["search", mode, "--n", str(n), "--out", str(tmp_path)]) == 0
-    lines = expected["hits.jsonl"].count("\n")
+    lines = expected.count("\n")
     assert f"{lines} hits" in capsys.readouterr().out
-    for name, text in expected.items():
-        with open(tmp_path / name, newline="") as f:
-            assert f.read() == text, name
+    assert [p.name for p in tmp_path.iterdir()] == ["hits.jsonl"]
+    with open(tmp_path / "hits.jsonl", newline="") as f:
+        assert f.read() == expected
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -304,6 +298,4 @@ def test_serialization():
     hit = next(iter(search_ramanujan_circulant(5)))
     payload = json.loads(ramanujan_hit_line(hit))
     assert set(payload) == {"C", "boundary_flag", "lambda2_abs", "n", "s"}
-    assert ",".join(CSV_HEADER) == "n,s,k,lambda2_abs,ramanujan"
-    assert ramanujan_csv_row(hit) == f"5,{hit.encoding},{hit.degree},{hit.second_largest_abs},1\r\n"
     assert isinstance(hit, SearchHit)
