@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf2 import Gf2Field, _kloosterman_values, _sign_tables, kloosterman
 from .graphs import CayleyGraph, ConnectionSet, GraphStats
-from .groups import AbelianGroup, check_order, check_order_log2
+from .groups import AbelianGroup, check_order, check_order_log2, sorted_unique
 from .spectral import (
     RamanujanVerdict,
     Spectrum,
@@ -161,7 +161,7 @@ def kloosterman_trace_set(m):
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
     a = np.arange(2, fld.order)
-    predicted = {-degree, *np.unique((table[a ^ 1] - table[a]) // 4).tolist()}
+    predicted = {-degree, *sorted_unique((table[a ^ 1] - table[a]) // 4).tolist()}
     return _certify(
         ConnectionSet(AbelianGroup([2] * m), D),
         predicted_degree=degree,
@@ -186,12 +186,14 @@ def dij_cardinality(m, i, j):
 
 def dij_set(m, i, j):
     """The set {z != 0 : Tr(z) = i, Tr(1/z) = j} of field elements, as
-    their own flat indices, in a ConnectionSet when it is one (nonempty;
-    always symmetric since -z = z), else an empty frozenset."""
+    their own flat indices, in a ConnectionSet (always symmetric since
+    -z = z); an empty set raises ValueError."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("i and j must be bits")
     D = _trace_pair_set(_sign_tables(Gf2Field(m)), i, j)
-    return ConnectionSet(AbelianGroup([2] * m), D) if D.size else frozenset()
+    if not D.size:
+        raise ValueError(f"D_{i},{j} is empty for m={m}")
+    return ConnectionSet(AbelianGroup([2] * m), D)
 
 
 # -- polar trace set over GF(2^{2m}) --------------------------------------------

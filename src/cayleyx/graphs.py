@@ -123,6 +123,9 @@ class CayleyGraph:
         """Component count, bipartiteness and diameter, by a frontier search
         from 0: N = supp(L_t * 1_C), L_{t+1} = N minus everything reached.
 
+        Levels 0 and 1 are known: L_0 = {0} and L_1 = C (C is identity-free,
+        so N meets no L_0), and L_1's table is ``characters``.  So a graph of
+        eccentricity e takes e - 1 forward and e inverse transforms.
         Components are translates of the one through 0, so components =
         n / |reached|; bipartite iff no N meets its L_t (an edge inside a
         level closes an odd cycle); diameter = steps taken, if all reached.
@@ -130,18 +133,20 @@ class CayleyGraph:
         if self._stats is not None:
             return self._stats
         g = self.group
-        frontier = g.indicator([0]).astype(bool)
+        frontier = g.indicator(self.connection.indices).astype(bool)
         reached = frontier.copy()
+        reached.flat[0] = True
         bipartite = True
-        steps = 0
+        steps = 1
+        nxt = g.counts(self.characters, self.characters) > 0
         while True:
-            nxt = g.counts(g.character_sum_table(frontier), self.characters) > 0
             bipartite = bipartite and not (nxt & frontier).any()
             frontier = nxt & ~reached
             if not frontier.any():
                 break
             reached |= frontier
             steps += 1
+            nxt = g.counts(g.character_sum_table(frontier), self.characters) > 0
         size = int(reached.sum())
         diameter = steps if size == self.n else math.inf
         self._stats = GraphStats(self.n // size, bipartite, diameter)

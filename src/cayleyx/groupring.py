@@ -255,7 +255,7 @@ def _orbit_hits(n):
     seeds = np.concatenate(seeds)
     # one rotation at a time into one array, and repeats dropped after an
     # in-place sort: at n = 18 a broadcast rotation's temporaries raise the
-    # traced peak from 0.55 to 0.9 MB, and np.unique to 1.9 MB
+    # traced peak from 0.55 to 0.9 MB, and numpy's unique to 1.9 MB
     hits = np.empty((n, seeds.size), dtype=np.uint64)
     for g in range(n):
         hits[g] = _rotl(seeds, g, n)

@@ -31,7 +31,8 @@ import operator
 
 import numpy as np
 
-__all__ = ["AbelianGroup", "MAX_ORDER", "check_order", "check_order_log2", "cyclic"]
+__all__ = ["AbelianGroup", "MAX_ORDER", "check_order", "check_order_log2", "cyclic",
+           "sorted_unique"]
 
 # The one size limit of every graph and GF(2^m) table: at 2^24 a construct took
 # 7-16 s and 1.0-1.8 GB in a fresh process (2 vCPUs, one BLAS thread, 2026-10).
@@ -55,6 +56,19 @@ def check_order_log2(m, what):
 
 def _refuse(what, got):  # got beyond 64 bits is a power of 2: str() refuses > 4300 digits
     raise ValueError(f"{what} is limited to n <= {MAX_ORDER}, got {got}")
+
+
+def sorted_unique(values, return_counts=False):
+    """The ascending distinct values of an array, and with ``return_counts``
+    how often each occurs, by a sort and a neighbour compare.  (numpy 2.4's
+    hash-based unique took 9.5-10 s on 2^23 distinct int64 values where this
+    takes 0.2 s, and it imports ``numpy.ma``.)"""
+    x = np.sort(np.ravel(values))
+    first = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    if not return_counts:
+        return x[first]
+    return x[first], np.diff(np.append(np.flatnonzero(first), x.size))
 
 
 # Index bits per Kronecker factor H_{2^b}, whose entry (i, j) is (-1)^popcount(i & j).
@@ -154,7 +168,7 @@ class AbelianGroup:
         except (TypeError, ValueError):
             idx = None
         if idx is not None:
-            unique = np.unique(idx)
+            unique = sorted_unique(idx)
             if not distinct or unique.size == idx.size:
                 return unique
         return self._parse_elements(elements, distinct)

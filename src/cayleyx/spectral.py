@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import sorted_unique
+
 __all__ = [
     "Spectrum",
     "RamanujanVerdict",
@@ -132,7 +134,7 @@ def _group_eigenvalues(raw, n):
     """The :class:`Spectrum` of one row: the snapped integers of :func:`_groups`
     counted, then its clusters, by descending value (integers first on ties)."""
     ints, means, sizes = (a[0] for a in _groups(raw, n))
-    values, counts = np.unique(ints[~np.isnan(ints)], return_counts=True)
+    values, counts = sorted_unique(ints[~np.isnan(ints)], return_counts=True)
     at = ~np.isnan(means)
     entries = [(v, c, True) for v, c in zip(values.astype(np.int64).tolist(), counts.tolist())]
     entries += [(v, c, False) for v, c in zip(means[at].tolist(), sizes[at].tolist())]

@@ -176,6 +176,27 @@ def test_stats_known_values():
     assert _circulant(24, [3, 21]).stats() == GraphStats(3, True, math.inf)
 
 
+@pytest.mark.parametrize("make_graph, stats, forward, inverse", [
+    (lambda: _circulant(5, [1, 2, 3, 4]), GraphStats(1, False, 1), 0, 1),
+    (lambda: _circulant(12, [1, 11]), GraphStats(1, True, 6), 5, 6),
+    (lambda: CayleyGraph.build(AbelianGroup([2] * 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+     GraphStats(1, True, 3), 2, 3),
+    (lambda: _circulant(20, [4, 8, 12, 16]), GraphStats(4, False, math.inf), 0, 1),
+], ids=["K5", "C12", "cube", "Z20-disconnected"])
+def test_stats_transforms_only_unknown_levels(make_graph, stats, forward, inverse, monkeypatch):
+    """A graph of eccentricity e takes e - 1 forward and e inverse transforms:
+    level 0 is {0} and level 1 is C, whose table the graph holds."""
+    graph = make_graph()
+    calls = []
+    table, counts = AbelianGroup.character_sum_table, AbelianGroup.counts
+    monkeypatch.setattr(AbelianGroup, "character_sum_table",
+                        lambda self, x: calls.append("forward") or table(self, x))
+    monkeypatch.setattr(AbelianGroup, "counts",
+                        lambda self, a, b: calls.append("inverse") or counts(self, a, b))
+    assert graph.stats() == stats
+    assert (calls.count("forward"), calls.count("inverse")) == (forward, inverse)
+
+
 def test_connection_set_invariants():
     g = cyclic(10)
     with pytest.raises(InvariantError):

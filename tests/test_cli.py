@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -528,6 +531,36 @@ def test_search_gds_cli(tmp_path):
     assert run(["search", "gds", "--n", "7", "--out", str(out)]) == 0
     sets = [json.loads(l)["C"] for l in (out / "hits.jsonl").read_text().splitlines()]
     assert [1, 2, 4] in sets
+
+
+def test_pipeline_takes_uniqueness_by_sort(tmp_path, capsys, monkeypatch):
+    """No command calls ``np.unique``: every construct name, analyze and
+    both searches run with it refused, and a fresh ``python -m cayleyx.cli``
+    construct never imports ``numpy.ma``, which ``np.unique`` pulls in."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    (tmp_path / "cycle.json").write_text(json.dumps({"factors": [7], "connection_set": [[1], [6]]}))
+    for i, argv in enumerate([
+            ["construct", "theorem33", "--s", "4", "--r", "6"],
+            ["construct", "kloosterman-trace", "--m", "4"],
+            ["construct", "polar-trace", "--m", "2"],
+            ["construct", "bent-hadamard", "--u", "2"],
+            ["construct", "dij", "--m", "4", "--i", "1", "--j", "0"],
+            ["analyze", str(tmp_path / "0" / "graph.json")],
+            ["analyze", str(tmp_path / "cycle.json")],
+            ["search", "ramanujan", "--n", "8"],
+            ["search", "gds", "--n", "8"]]):
+        assert run(argv + ["--out", str(tmp_path / str(i))]) == 0, argv
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv in (["theorem33", "--s", "4", "--r", "4"], ["kloosterman-trace", "--m", "4"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cayleyx.cli", "construct",
+                               *argv, "--out", str(tmp_path / argv[0])],
+                              env=env, capture_output=True, text=True, check=True)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "numpy" in imported and "numpy.ma" not in imported, argv
 
 
 def test_search_budget_exit(tmp_path):

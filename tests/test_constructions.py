@@ -83,12 +83,14 @@ def test_dij_sets_match_scalar_reference():
         for i in (0, 1):
             for j in (0, 1):
                 want = trace_pair_reference(m, i, j)
-                got = dij_set(m, i, j)
                 if want:
+                    got = dij_set(m, i, j)
                     assert got.indices.tolist() == want
                     assert got.elements == _coords(m, want)
                 else:
-                    assert isinstance(got, frozenset) and got == frozenset()
+                    with pytest.raises(ValueError, match="is empty"):
+                        dij_set(m, i, j)
+                    assert dij_cardinality(m, i, j) == 0
                     empty += 1
     assert empty  # D_{0,0} is empty at m = 3
 
@@ -265,9 +267,12 @@ def test_dij_enumeration_matches_formula():
         sizes = 0
         for i in (0, 1):
             for j in (0, 1):
-                got = dij_set(m, i, j)
-                size = len(got.elements) if hasattr(got, "elements") else len(got)
-                assert size == dij_cardinality(m, i, j)
+                size = dij_cardinality(m, i, j)
+                if size:
+                    assert len(dij_set(m, i, j).elements) == size
+                else:
+                    with pytest.raises(ValueError, match="is empty"):
+                        dij_set(m, i, j)
                 sizes += size
         assert sizes == (1 << m) - 1  # the four sets partition the nonzero elements
 

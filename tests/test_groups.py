@@ -27,7 +27,7 @@ from cayleyx import (
     verify_gds,
 )
 from cayleyx.cli import main
-from cayleyx.groups import _wht
+from cayleyx.groups import _wht, sorted_unique
 from cayleyx.spectral import crossing_lemma_bound
 from reference import (
     add,
@@ -153,6 +153,23 @@ def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
     monkeypatch.setattr(AbelianGroup, "_parse_elements", None)
     assert group.indices(elements).tolist() == want
     assert group.indices(elements, distinct=True).tolist() == want
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(0, dtype=np.int64),
+    np.full(50, 7, dtype=np.int64),
+    np.random.default_rng(0).integers(-20, 0, 200),
+    np.random.default_rng(1).integers(-2 ** 40, 2 ** 40, 300),
+    np.random.default_rng(2).integers(-5, 5, 1000) * (2 ** 33),
+    np.random.default_rng(3).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 100),
+], ids=["empty", "all-equal", "negative", "beyond-2^31", "repeated-beyond-2^31", "int64-range"])
+def test_sorted_unique_matches_np_unique(values):
+    want, want_counts = np.unique(values, return_counts=True)
+    got = sorted_unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, got_counts = sorted_unique(values, return_counts=True)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_counts.dtype == want_counts.dtype and np.array_equal(got_counts, want_counts)
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):
