@@ -201,12 +201,11 @@ def cmd_analyze(args):
         print(f"error: malformed graph JSON: {e}", file=sys.stderr)
         return EXIT_USAGE
     _check_format(args, graph)
+    common = graph.common_neighbor_counts()  # C = -C: the difference counts; stats' first step
     report = constructions.certify(graph)
     oracle_ok = table_identity(graph, args.seed)
     st = report.stats
-    # C = -C, so the common-neighbour counts are the difference counts
-    cert = _certificate(graph.group, graph.connection.indices,
-                        graph.common_neighbor_counts().ravel()[1:])
+    cert = _certificate(graph.group, graph.connection.indices, common.ravel()[1:])
     srg = None
     if st.component_count == 1:
         srg = graph.srg_check()

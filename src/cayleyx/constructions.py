@@ -140,8 +140,8 @@ def theorem33_set(s, r):
 def _trace_pair_set(tables, i, j):
     """Ascending int64 array of the z != 0 with Tr(z) = i and Tr(1/z) = j,
     read from a field's :func:`cayleyx.gf2._sign_tables`."""
-    signs, _, _, inv_signs = tables
-    return np.flatnonzero((signs[1:] == 1 - 2 * i) & (inv_signs == 1 - 2 * j)) + 1
+    signs, inv_signs = tables  # inv_signs[0] = 0 matches no j
+    return np.flatnonzero((signs == 1 - 2 * i) & (inv_signs == 1 - 2 * j))
 
 
 def kloosterman_trace_set(m):
@@ -156,7 +156,7 @@ def kloosterman_trace_set(m):
     fld = Gf2Field(m)
     tables = _sign_tables(fld)  # the trace pairs and the transform both read them
     D = _trace_pair_set(tables, 1, 1)
-    table = _kloosterman_values(fld, tables[-1])
+    table = _kloosterman_values(fld, tables[1])
     k1 = int(table[1])
     degree = (k1 + fld.order + 1) // 4
     assert (k1 + fld.order + 1) % 4 == 0
@@ -207,17 +207,18 @@ def polar_trace_set(m):
         raise ValueError(f"m must be >= 1, got {m}")
     n_deg = 2 * m
     fld = Gf2Field(n_deg)
-    exp, log = fld._dlog_tables()
-    x = np.arange(1, fld.order)
-    log_norm = (log[x] * ((1 << m) + 1)) % exp.size  # norm x * xbar, nonzero
-    norm = exp[log_norm]
-    assert np.array_equal(exp[(log_norm << m) % exp.size], norm), "norm outside GF(2^m)"
-    norm_trace = np.zeros_like(norm)
+    exp, s = fld._exp_table, (1 << m) - 1
+    # the norm x * xbar of x = g^i is g^((2^m+1)i), which depends on i mod s
+    # only: column j of exp on the (2^m+1) x s grid has the norm exp[(2^m+1)j]
+    log_norm = ((1 << m) + 1) * np.arange(s)
+    assert np.array_equal(exp[(log_norm << m) % exp.size], exp[log_norm]), "norm outside GF(2^m)"
+    norm_trace = np.zeros(s, dtype=np.int64)
     for i in range(m):  # Tr_m(y) = sum_{i < m} y^(2^i)
         norm_trace ^= exp[(log_norm << i) % exp.size]
     assert norm_trace.max() <= 1
-    # Tr_m(x + xbar) = Tr(x), the absolute trace of GF(2^{2m})
-    D = x[(fld.trace_signs()[x] == -1) & (norm_trace == 1)]
+    # the columns with Tr_m(x * xbar) = 1, then their x with Tr_m(x + xbar) = Tr(x) = 1
+    D = exp.reshape(-1, s)[:, norm_trace == 1]
+    D = D[fld.trace_signs()[D] == -1]
     degree = (1 << (n_deg - 2)) + (m % 2) * (1 << (m - 1))
     predicted = {degree, -degree, 1 << (m - 1), -(1 << (m - 1)), 0}
     report = _certify(

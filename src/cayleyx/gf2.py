@@ -8,9 +8,9 @@ found by sieve, so field construction is deterministic.  A field's order
 that one limit bounds every table over it.
 
 The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` is
-computed by three independent routes (direct evaluation, the three-term
-recursion for ``k_m(1)``, and the Carlitz closed form) so each can check the
-others.  The full value table ``a -> k_m(a)`` is one Walsh-Hadamard
+computed by three independent routes (a direct sum over x = g^i, read from
+the field's one exponent table, the recursion for ``k_m(1)``, and the
+Carlitz closed form) so each can check the others.  The full value table ``a -> k_m(a)`` is one Walsh-Hadamard
 transform: ``a -> Tr(a*x)`` is the character of ``Z_2^m`` at the trace-dual
 label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so ``k_m(a)`` is the transform of
 ``x -> (-1)^Tr(1/x)`` at ``b(a)``.
@@ -19,7 +19,7 @@ label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so ``k_m(a)`` is the transform of
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -125,13 +125,11 @@ class Gf2Field:
         self.m = m
         self.order = check_order_log2(m, f"GF(2^{m})")
         self.modulus = smallest_irreducible(m) if modulus is None else int(modulus)
-        if not is_irreducible(self.modulus, m):
+        if modulus is not None and not is_irreducible(self.modulus, m):
             raise ValueError(f"modulus {self.modulus:#x} is not irreducible of degree {m}")
         # trace is F2-linear: Tr(e) = parity(e & mask) where the mask collects
         # the basis monomials of trace 1
         self._trace_mask = sum(1 << i for i in range(m) if self._trace_slow(1 << i))
-        self._log = None
-        self._exp = None
 
     def __repr__(self):
         return f"Gf2Field(m={self.m}, modulus={self.modulus:#x})"
@@ -170,33 +168,30 @@ class Gf2Field:
         assert t in (0, 1)
         return t
 
-    # -- discrete-log tables for vectorized sums ----------------------------
+    # -- the exponent table for vectorized sums -------------------------------
 
-    def _dlog_tables(self):
-        """(exp, log): exp[i] = g^i for the smallest primitive element g, and
-        log[exp[i]] = i (log[0] = 0 is a placeholder).
+    @cached_property
+    def _exp_table(self):
+        """exp[i] = g^i for i < q - 1 and the smallest primitive element g, so
+        that a product is a sum of exponents and 1/exp[i] = exp[-i].
 
         g is the first element with g^((q-1)/p) != 1 for every prime p
         dividing q - 1.  The table is filled by doubling, ``exp[k:2k] =
         exp[:k] * g^k``, each step one carry-less multiply of an array.
         """
-        if self._log is None:
-            q, modulus, m = self.order, self.modulus, self.m
-            g = next(c for c in range(1, q)
-                     if all(_poly_pow(c, (q - 1) // p, modulus, m) != 1
-                            for p in _prime_divisors(q - 1)))
-            exp = np.empty(q - 1, dtype=np.int64)
-            exp[0] = 1
-            k, g_k = 1, g
-            while k < q - 1:
-                w = min(k, q - 1 - k)
-                exp[k:k + w] = _poly_mul_mod(exp[:w], g_k, modulus, m)
-                k += w
-                g_k = _poly_mul_mod(g_k, g_k, modulus, m)
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
-            self._exp, self._log = exp, log
-        return self._exp, self._log
+        q, modulus, m = self.order, self.modulus, self.m
+        g = next(c for c in range(1, q)
+                 if all(_poly_pow(c, (q - 1) // p, modulus, m) != 1
+                        for p in _prime_divisors(q - 1)))
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        k, g_k = 1, g
+        while k < q - 1:
+            w = min(k, q - 1 - k)
+            exp[k:k + w] = _poly_mul_mod(exp[:w], g_k, modulus, m)
+            k += w
+            g_k = _poly_mul_mod(g_k, g_k, modulus, m)
+        return exp
 
     def trace_signs(self):
         """ndarray of (-1)^Tr(x) over all x, via the linear trace mask."""
@@ -209,22 +204,23 @@ class Gf2Field:
 # -- Kloosterman sums ----------------------------------------------------------
 
 def _sign_tables(fld):
-    """``(signs, exp, log, inv_signs)`` of a field: ``signs[x] = (-1)^Tr(x)``
-    over all x, the discrete-log tables, and ``inv_signs[x - 1] =
-    (-1)^Tr(1/x)`` for x = 1..q-1, where ``1/x = exp[-log x]`` (negative
-    indices wrap modulo q - 1)."""
-    signs = fld.trace_signs()
-    exp, log = fld._dlog_tables()
-    return signs, exp, log, signs[exp[-log[1:]]]
+    """``(signs, inv_signs)`` of a field: ``signs[x] = (-1)^Tr(x)`` and
+    ``inv_signs[x] = (-1)^Tr(1/x)`` over all x (``inv_signs[0] = 0``), one
+    scatter of signs[exp[-i]] to x = exp[i], as 1/exp[i] = exp[-i]."""
+    signs, exp = fld.trace_signs(), fld._exp_table
+    inv_signs = np.zeros_like(signs)
+    inv_signs[exp] = signs[np.roll(exp[::-1], 1)]
+    return signs, inv_signs
 
 
 def kloosterman(m, a, field=None):
     """Exact ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}``."""
     fld = field if field is not None else Gf2Field(m)
     fld._chk(a)
-    signs, exp, log, inv_signs = _sign_tables(fld)
-    if a:
-        inv_signs = inv_signs * signs[exp[(log[a] + log[1:]) % (fld.order - 1)]]
+    signs, inv_signs = _sign_tables(fld)
+    if a:  # summed over x = exp[i], where a*x = exp[i + log a]
+        exp = fld._exp_table
+        inv_signs = inv_signs[exp] * signs[np.roll(exp, -np.flatnonzero(exp == a)[0])]
     return int(inv_signs.sum())
 
 
@@ -279,8 +275,7 @@ def _kloosterman_values(fld, inv_signs):
     """
     m = fld.m
     group = AbelianGroup([2] * m)
-    f = np.concatenate(([0], inv_signs))
-    transform = group.character_sum_table(f.reshape(group.factors)).ravel()
+    transform = group.character_sum_table(inv_signs.reshape(group.factors)).ravel()
     traces, e = [], 1  # Tr(x^k) for k < 2m - 1
     for _ in range(2 * m - 1):
         traces.append(bin(e & fld._trace_mask).count("1") & 1)
@@ -306,7 +301,7 @@ class KloostermanTable:
     @classmethod
     def compute(cls, m):
         fld = Gf2Field(m)
-        return cls(m, _kloosterman_values(fld, _sign_tables(fld)[-1]), fld.modulus)
+        return cls(m, _kloosterman_values(fld, _sign_tables(fld)[1]), fld.modulus)
 
     def __getitem__(self, a):
         if not 0 <= a < self.values.size:

@@ -125,7 +125,8 @@ class CayleyGraph:
 
         Levels 0 and 1 are known: L_0 = {0} and L_1 = C (C is identity-free,
         so N meets no L_0), and L_1's table is ``characters``.  So a graph of
-        eccentricity e takes e - 1 forward and e inverse transforms.
+        eccentricity e takes e - 1 forward and e inverse transforms, one
+        fewer inverse if :meth:`common_neighbor_counts` (L_1's step) is held.
         Components are translates of the one through 0, so components =
         n / |reached|; bipartite iff no N meets its L_t (an edge inside a
         level closes an odd cycle); diameter = steps taken, if all reached.
@@ -138,7 +139,8 @@ class CayleyGraph:
         reached.flat[0] = True
         bipartite = True
         steps = 1
-        nxt = g.counts(self.characters, self.characters) > 0
+        common = self._common
+        nxt = (g.counts(self.characters, self.characters) if common is None else common) > 0
         while True:
             bipartite = bipartite and not (nxt & frontier).any()
             frontier = nxt & ~reached

@@ -290,9 +290,11 @@ class AbelianGroup:
                 raise ArithmeticError("character tables of a non-integral array")
             return (z >> len(self.factors)).reshape(p.shape)
         axes = tuple(range(-len(self.factors), 0))
-        z = np.fft.fftn(np.multiply(a, b), axes=axes) / self.order
+        z = np.multiply(a, b, dtype=complex)  # transformed, scaled and checked in place
+        np.fft.fftn(z, axes=axes, out=z)
+        z /= self.order
         counts = np.rint(z.real)
-        if np.abs(z - counts).max() > 0.25:
+        if np.abs(np.subtract(z, counts, out=z)).max() > 0.25:
             raise ArithmeticError("character tables of a non-integral array")
         return counts.astype(np.int64)
 

@@ -1,6 +1,6 @@
 """Reference arithmetic on coordinate tuples and GF(2^m) scalars.
 
-The library computes on flat indices and on log/exp arrays.  The functions
+The library computes on flat indices and on exponent tables.  The functions
 here do the same work one element at a time, as the paper states it, so the
 tests can compare the array routes against them:
 

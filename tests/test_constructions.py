@@ -1,5 +1,8 @@
 """The explicit constructions and their certification reports."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 from cayleyx import (
@@ -8,6 +11,7 @@ from cayleyx import (
     Gf2Field,
     GraphStats,
     bent_hadamard_set,
+    constructions,
     dij_cardinality,
     dij_set,
     kloosterman,
@@ -106,7 +110,7 @@ def test_polar_set_matches_scalar_reference():
 
 
 def test_gf2_sets_never_call_scalar_field_methods(monkeypatch):
-    """The GF(2) sets are enumerated on the log/exp tables; the scalar field
+    """The GF(2) sets are enumerated on the exponent tables; the scalar field
     methods are public API and test reference only."""
     def refuse(*args, **kwargs):
         raise AssertionError("scalar field method called by a construction")
@@ -333,6 +337,21 @@ def test_polar_case_table():
                 assert ev == (-half if tr_norm == 1 else half)
             else:
                 assert ev == 0
+
+
+def test_polar_enumeration_peaks_at_four_field_sized_arrays(monkeypatch):
+    """The norms are read on the 2^m - 1 elements of GF(2^m)*, not on all of
+    GF(2^{2m}): enumerating m = 9 peaks at no more than 4 int64 arrays of the
+    field's order (with a discrete-log table and norms of every element, 8)."""
+    monkeypatch.setattr(constructions, "_certify", lambda *args, **kwargs: SimpleNamespace(
+        stats=GraphStats(1, True, 2), discrepancies=[]))
+    tracemalloc.start()
+    try:
+        polar_trace_set(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * 2 ** 18
 
 
 def test_polar_budget():

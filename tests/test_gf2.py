@@ -14,7 +14,7 @@ from cayleyx import (
     kloosterman_one_recursive,
     kloosterman_value_set,
 )
-from cayleyx.gf2 import is_irreducible, smallest_irreducible
+from cayleyx.gf2 import _sign_tables, is_irreducible, smallest_irreducible
 from reference import (
     embed_subfield,
     frobenius,
@@ -118,6 +118,16 @@ def test_polar_decomposition():
         polar_decompose(Gf2Field(2), 0)
 
 
+@pytest.mark.parametrize("m, modulus", [(m, None) for m in range(1, 12)] + [(8, 0x11D)])
+def test_inverse_signs_match_the_scalar_trace(m, modulus):
+    """The inverse signs, read from 1/exp[i] = exp[-i], are (-1)^Tr(1/x) at
+    every x != 0 (q - 1 is prime at m = 2, 3, 5, 7), and 0 at x = 0."""
+    f = Gf2Field(m, modulus)
+    signs, inv_signs = _sign_tables(f)
+    assert signs.tolist() == [1 - 2 * f.trace(x) for x in range(f.order)]
+    assert inv_signs.tolist() == [0] + [1 - 2 * f.trace(f.inv(x)) for x in range(1, f.order)]
+
+
 def test_kloosterman_three_routes_agree():
     for m in range(1, 13):
         direct = kloosterman(m, 1)
@@ -150,7 +160,7 @@ def test_weil_bound():
 
 
 def test_table_matches_direct_sums():
-    """The one-transform table against the direct log-table sum, pointwise."""
+    """The one-transform table against the direct exponent-table sum, pointwise."""
     for m in (3, 6, 10):
         f = Gf2Field(m)
         table = KloostermanTable.compute(m)

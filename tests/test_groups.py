@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,26 @@ def test_convolve_counts_sums():
     y = (rng.random(h.factors) < 0.5).astype(float)
     got = h.counts(h.character_sum_table(x), h.character_sum_table(y))
     assert got.dtype == np.int64 and np.array_equal(got, fft_convolve(h, x, y))
+
+
+def test_counts_holds_one_table_besides_its_inputs():
+    """Off Z_2^m, counts transforms, scales and checks its product in place:
+    on Z_256^2 it peaks at the product and the rounded counts with their
+    check, two complex tables' worth (a new array per FFT axis took three),
+    and its inputs are left as they were."""
+    g = AbelianGroup([256, 256])
+    C = g.indicator(np.array([1, 255, 256, 65280]))
+    table = g.character_sum_table(C)
+    before = table.copy()
+    tracemalloc.start()
+    try:
+        got = g.counts(table, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table.nbytes
+    assert np.array_equal(table, before)
+    assert np.array_equal(got, fft_convolve(g, C, C))
 
 
 def test_convolve_rejects_non_integral_result():
