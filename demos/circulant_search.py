@@ -3,7 +3,8 @@ Exhaustive search for Ramanujan circulants
 ==========================================
 
 Scan every symmetric subset of Z_n (bit i of the encoding selects the pair
-{i, n-i}) and keep the connection sets whose circulant certifies Ramanujan.
+{i, n-i}) and keep the connection sets whose circulant certifies Ramanujan;
+then scan every subset of Z_12 for generalized difference sets.
 """
 
 import cayleyx as cx
@@ -26,3 +27,11 @@ print("C =", target)
 print("  multiplier -1:", has_multiplier_minus_one(g, [(c,) for c in target]))
 print("  spectrum:", report.spectrum.entries)
 print("  Ramanujan:", report.verdict.is_ramanujan)
+print()
+
+# every GDS of Z_12, translates and complements included
+hits = list(cx.search_gds(12))
+print(f"n=12: {len(hits)} generalized difference sets")
+for C, cert in hits[:3]:
+    print(f"  C={C.tolist()}  (n, |S|, k, mu1, mu2)={cert.parameters}")
+print("  ...")

@@ -22,7 +22,7 @@ print("  GDS parameters (n, |S|, k, mu1, mu2):", cert.parameters)
 graph = cx.CayleyGraph.build(g, C)
 report = cx.certify(graph)
 print("  spectrum:", report.spectrum.entries)  # 4 (x4) and -1 (x16)
-print("  components:", graph.components())  # the subgroup <4> gives 4 copies of K_5
+print("  components:", report.stats.component_count)  # the subgroup <4> gives 4 copies of K_5
 
 # the predicted eigenvalue envelope from the certificate contains everything
 print("  predicted envelope:", sorted(cx.gds_predicted_eigenvalues(cert)))

@@ -4,10 +4,6 @@ from .groups import AbelianGroup, cyclic
 from .gf2 import (
     Gf2Field,
     KloostermanTable,
-    kloosterman,
-    kloosterman_one_carlitz,
-    kloosterman_one_recursive,
-    kloosterman_lifted,
     kloosterman_value_set,
 )
 from .groupring import (
@@ -15,27 +11,21 @@ from .groupring import (
     difference_counts,
     has_multiplier_minus_one,
     search_gds,
-    verify_difference_set,
     verify_gds,
 )
 from .graphs import CayleyGraph, ConnectionSet, DisconnectedGraphError, GraphStats, InvariantError
 from .spectral import (
     RamanujanVerdict,
     Spectrum,
-    crossing_lemma_bound,
     gds_predicted_eigenvalues,
-    gds_sufficient_filters,
     ramanujan_check,
-    spectral_gap,
     spectrum_by_characters,
     table_identity,
-    vertex_expansion,
 )
 from .constructions import (
     ConstructionReport,
     bent_hadamard_set,
     certify,
-    dij_cardinality,
     dij_set,
     kloosterman_trace_set,
     polar_trace_set,
@@ -51,16 +41,11 @@ __all__ = [
     "cyclic",
     "Gf2Field",
     "KloostermanTable",
-    "kloosterman",
-    "kloosterman_one_carlitz",
-    "kloosterman_one_recursive",
-    "kloosterman_lifted",
     "kloosterman_value_set",
     "GdsCertificate",
     "difference_counts",
     "has_multiplier_minus_one",
     "search_gds",
-    "verify_difference_set",
     "verify_gds",
     "CayleyGraph",
     "ConnectionSet",
@@ -69,18 +54,13 @@ __all__ = [
     "InvariantError",
     "RamanujanVerdict",
     "Spectrum",
-    "crossing_lemma_bound",
     "gds_predicted_eigenvalues",
-    "gds_sufficient_filters",
     "ramanujan_check",
-    "spectral_gap",
     "spectrum_by_characters",
     "table_identity",
-    "vertex_expansion",
     "ConstructionReport",
     "bent_hadamard_set",
     "certify",
-    "dij_cardinality",
     "dij_set",
     "kloosterman_trace_set",
     "polar_trace_set",

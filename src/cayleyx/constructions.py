@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gf2 import Gf2Field, _kloosterman_values, _sign_tables, kloosterman
+from .gf2 import Gf2Field, _kloosterman_values, _sign_tables
 from .graphs import CayleyGraph, ConnectionSet, GraphStats
 from .groups import AbelianGroup, check_order, check_order_log2, sorted_unique
 from .spectral import (
@@ -39,7 +39,6 @@ __all__ = [
     "theorem33_condition",
     "kloosterman_trace_set",
     "dij_set",
-    "dij_cardinality",
     "polar_trace_set",
     "bent_hadamard_set",
 ]
@@ -172,18 +171,6 @@ def kloosterman_trace_set(m):
     )
 
 
-def dij_cardinality(m, i, j):
-    """Closed-form |D_{i,j}| = (2^m - 1 - (-1)^j - (-1)^i + (-1)^(i+j) k_m(1))/4."""
-    if m < 2:
-        raise ValueError("cardinality formulas need m >= 2 (divisibility)")
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError("i and j must be bits")
-    k1 = kloosterman(m, 1)
-    num = (1 << m) - 1 - (-1) ** j - (-1) ** i + (-1) ** (i + j) * k1
-    assert num % 4 == 0
-    return num // 4
-
-
 def dij_set(m, i, j):
     """The set {z != 0 : Tr(z) = i, Tr(1/z) = j} of field elements, as
     their own flat indices, in a ConnectionSet (always symmetric since
@@ -211,7 +198,6 @@ def polar_trace_set(m):
     # the norm x * xbar of x = g^i is g^((2^m+1)i), which depends on i mod s
     # only: column j of exp on the (2^m+1) x s grid has the norm exp[(2^m+1)j]
     log_norm = ((1 << m) + 1) * np.arange(s)
-    assert np.array_equal(exp[(log_norm << m) % exp.size], exp[log_norm]), "norm outside GF(2^m)"
     norm_trace = np.zeros(s, dtype=np.int64)
     for i in range(m):  # Tr_m(y) = sum_{i < m} y^(2^i)
         norm_trace ^= exp[(log_norm << i) % exp.size]

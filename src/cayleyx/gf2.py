@@ -7,18 +7,18 @@ found by sieve, so field construction is deterministic.  A field's order
 2^m is checked against :data:`cayleyx.groups.MAX_ORDER` when it is built, so
 that one limit bounds every table over it.
 
-The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` is
-computed by three independent routes (a direct sum over x = g^i, read from
-the field's one exponent table, the recursion for ``k_m(1)``, and the
-Carlitz closed form) so each can check the others.  The full value table ``a -> k_m(a)`` is one Walsh-Hadamard
-transform: ``a -> Tr(a*x)`` is the character of ``Z_2^m`` at the trace-dual
-label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so ``k_m(a)`` is the transform of
-``x -> (-1)^Tr(1/x)`` at ``b(a)``.
+The Kloosterman sum ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}`` has
+one route, the value table ``a -> k_m(a)`` (:class:`KloostermanTable`),
+which is one Walsh-Hadamard transform: ``a -> Tr(a*x)`` is the character of
+``Z_2^m`` at the trace-dual label ``b(a)``, ``b(a)_i = Tr(a*x^i)``, so
+``k_m(a)`` is the transform of ``x -> (-1)^Tr(1/x)`` at ``b(a)``.  The
+scalar operations of :class:`Gf2Field` (``add``, ``mul``, ``pow``, ``inv``,
+``trace``) are the element-at-a-time definitions the tests check the
+tables against.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -30,10 +30,6 @@ __all__ = [
     "KloostermanTable",
     "smallest_irreducible",
     "is_irreducible",
-    "kloosterman",
-    "kloosterman_one_recursive",
-    "kloosterman_one_carlitz",
-    "kloosterman_lifted",
     "kloosterman_value_set",
 ]
 
@@ -211,58 +207,6 @@ def _sign_tables(fld):
     inv_signs = np.zeros_like(signs)
     inv_signs[exp] = signs[np.roll(exp[::-1], 1)]
     return signs, inv_signs
-
-
-def kloosterman(m, a, field=None):
-    """Exact ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}``."""
-    fld = field if field is not None else Gf2Field(m)
-    fld._chk(a)
-    signs, inv_signs = _sign_tables(fld)
-    if a:  # summed over x = exp[i], where a*x = exp[i + log a]
-        exp = fld._exp_table
-        inv_signs = inv_signs[exp] * signs[np.roll(exp, -np.flatnonzero(exp == a)[0])]
-    return int(inv_signs.sum())
-
-
-def kloosterman_one_recursive(m):
-    """``k_m(1)`` from the recursion k_{m+2} = -k_{m+1} - 2*k_m, seeds 1, 3."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k1, k2 = 1, 3
-    if m == 1:
-        return k1
-    for _ in range(m - 2):
-        k1, k2 = k2, -k2 - 2 * k1
-    return k2
-
-
-def kloosterman_one_carlitz(m):
-    """``k_m(1)`` by the alternating binomial closed form."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    total = 0
-    for j in range(m // 2 + 1):
-        term = m * math.comb(m - j, j) * (2 ** j)
-        assert term % (m - j) == 0
-        total += (-1) ** (m - j) * (term // (m - j))
-    return -total
-
-
-def kloosterman_lifted(m, s, a, field=None):
-    """Value of the lifted sum over F_{q^s}, q = 2^m, by the lifting recursion.
-
-    Seeds: the s = 0 value is -2 by convention, s = 1 is k_m(a).
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s == 0:
-        return -2
-    q = 1 << m
-    prev, cur = -2, kloosterman(m, a, field)
-    k1 = cur
-    for _ in range(s - 1):
-        prev, cur = cur, -cur * k1 - q * prev
-    return cur
 
 
 def _kloosterman_values(fld, inv_signs):

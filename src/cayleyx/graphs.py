@@ -154,18 +154,6 @@ class CayleyGraph:
         self._stats = GraphStats(self.n // size, bipartite, diameter)
         return self._stats
 
-    def components(self):
-        return self.stats().component_count
-
-    def is_bipartite(self):
-        return self.stats().bipartite
-
-    def diameter(self):
-        return self.stats().diameter
-
-    def is_connected(self):
-        return self.components() == 1
-
     # -- strong regularity ----------------------------------------------------
 
     def common_neighbor_counts(self):
@@ -184,7 +172,7 @@ class CayleyGraph:
         Raises DisconnectedGraphError on disconnected input (the srg notion
         is used here only for connected graphs).
         """
-        if not self.is_connected():
+        if self.stats().component_count != 1:
             raise DisconnectedGraphError("srg check requires a connected graph")
         counts = self.common_neighbor_counts().ravel()
         adj = np.zeros(self.n, dtype=bool)

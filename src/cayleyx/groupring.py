@@ -32,7 +32,6 @@ __all__ = [
     "GdsCertificate",
     "difference_counts",
     "verify_gds",
-    "verify_difference_set",
     "has_multiplier_minus_one",
     "search_gds",
 ]
@@ -93,9 +92,6 @@ class GdsCertificate:
     def parameters(self):
         return (self.n, len(self.S), self.k, self.mu1, self.mu2)
 
-    def is_difference_set(self):
-        return self.mu1 == self.mu2
-
     def to_json(self):
         return {
             "factors": list(self.group.factors),
@@ -140,14 +136,6 @@ def verify_gds(group, C):
     if C.size >= group.order:
         return None
     return _certificate(group, C, _difference_array(group, C)[1:])
-
-
-def verify_difference_set(group, C):
-    """(n, k, lambda) iff every nonidentity difference count is equal."""
-    cert = verify_gds(group, C)
-    if cert is None or not cert.is_difference_set():
-        return None
-    return (cert.n, cert.k, cert.mu1)
 
 
 def has_multiplier_minus_one(group, C):

@@ -270,7 +270,9 @@ class AbelianGroup:
             bound = self.order if x.dtype.kind == "b" else _row_bound(rows)
             return _wht(rows, bound).astype(np.int64).reshape(x.shape)
         axes = tuple(range(-len(self.factors), 0))
-        return np.conj(np.fft.fftn(indicator, axes=axes))  # fftn uses exp(-2*pi*i...); we want +
+        z = np.array(indicator, dtype=complex)  # transformed and conjugated in place
+        np.fft.fftn(z, axes=axes, out=z)
+        return np.conjugate(z, out=z)  # fftn uses exp(-2*pi*i...); we want +
 
     def counts(self, a, b):
         """The integer grid array whose character table is ``a * b`` (leading

@@ -13,8 +13,7 @@ lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
 the integers of every construction this package ships.  The expander mixing
 bound is checked (:func:`quotient_cuts`) on the quotient cuts at lambda_2's
 character and at the Ramanujan witness, read from C alone with no
-transform, together with those two table entries.  Edges across a given cut
-(:func:`crossing_lemma_bound`) come from the groups module's exact inverse.
+transform, together with those two table entries.
 """
 
 from __future__ import annotations
@@ -33,20 +32,15 @@ __all__ = [
     "spectrum_by_characters",
     "table_identity",
     "ramanujan_check",
-    "spectral_gap",
     "second_largest_by_index",
-    "crossing_lemma_bound",
     "quotient_cuts",
-    "vertex_expansion",
     "gds_predicted_eigenvalues",
-    "gds_sufficient_filters",
 ]
 
 SNAP_TOL = 1e-6          # |lambda - round(lambda)| below this: exact integer
 BOUNDARY_TOL = 1e-6      # non-exact value this close to 2*sqrt(k-1): flag it
 TABLE_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
 TABLE_TRIALS = 2
-EXPANSION_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +58,6 @@ class Spectrum:
 
     def multiplicity(self, value):
         return sum(m for v, m, _ in self.entries if v == value)
-
-    def trace(self):
-        return sum(v * m for v, m, _ in self.entries)
-
-    def trace_of_square(self):
-        return sum(v * v * m for v, m, _ in self.entries)
 
     def to_csv(self):
         """The rows value, multiplicity, exact (0/1) as ``csv.writer`` writes
@@ -276,14 +264,6 @@ def _ramanujan_rows(raw, k, n):
     return ~(bad_ints.any(axis=1) | bad_means.any(axis=1)), second, boundary
 
 
-def spectral_gap(spectrum, k):
-    """k minus the largest eigenvalue strictly below k (by value)."""
-    below = [v for v, _, _ in spectrum.entries if v < k]
-    if not below:
-        return 0
-    return k - max(below)
-
-
 def second_largest_by_index(spectrum, k):
     """lambda_2 in the ordering lambda_1 = k >= lambda_2 >= ...: equals k when
     the top eigenvalue repeats (disconnected graph), which is what the edge
@@ -370,60 +350,6 @@ def quotient_cuts(graph, spec):
         cuts.append({"character": a, "order": e, "cut": cut, "bound": bound,
                      "direct": direct})
     return {"cuts": cuts, "violations": violations}
-
-
-def crossing_lemma_bound(graph, omega1):
-    """Crossing bound (k - lambda2)|Omega1||Omega2| / n and the exact count
-    of edges between the parts, k|Omega1| - sum_{v in Omega1} (A x)[v] for
-    the indicator x of Omega1, with A x = x * 1_C by ``AbelianGroup.counts``."""
-    group, n, k = graph.group, graph.n, graph.k
-    idx = group.indices(omega1)
-    ax = group.counts(group.character_sum_table(group.indicator(idx)), graph.characters)
-    actual = k * idx.size - int(ax.ravel()[idx].sum())
-    gap = k - second_largest_by_index(spectrum_by_characters(graph), k)
-    return gap * idx.size * (n - idx.size) / n, actual
-
-
-def vertex_expansion(graph):
-    """Exact min over nonempty Omega with |Omega| <= n/2 of |Gamma(Omega)|/|Omega|,
-    with the neighborhood taken outside Omega.  Exhaustive 2^n scan."""
-    n = graph.n
-    if n > EXPANSION_MAX_N:
-        raise ValueError(f"vertex expansion is exhaustive; n <= {EXPANSION_MAX_N} required")
-    nbr_masks = []
-    for i in range(n):
-        m = 0
-        for j in graph.neighbor_indices(i):
-            m |= 1 << j
-        nbr_masks.append(m)
-    best = math.inf
-    half = n // 2
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size > half:
-            continue
-        gamma = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            gamma |= nbr_masks[i]
-            m &= m - 1
-        gamma &= ~mask
-        ratio = gamma.bit_count() / size
-        if ratio < best:
-            best = ratio
-    return best
-
-
-def gds_sufficient_filters(cert):
-    """The two closed-form sufficient conditions for a GDS Cayley graph to be
-    an expander, evaluated (recorded, never asserted: they are one-directional
-    and the spectrum-based verdict is authoritative)."""
-    s = len(cert.S)
-    return {
-        "strict": -cert.mu1 + (cert.mu1 - cert.mu2) * s < 3 * cert.k - 4,
-        "weak": (cert.mu1 - cert.mu2) * s <= 3 * cert.k + cert.mu1 - 4,
-    }
 
 
 def gds_predicted_eigenvalues(cert):

@@ -16,18 +16,24 @@ tests can compare the array routes against them:
   no character values), compared with another spectrum by
   :func:`spectra_agree`;
 * a spectrum grouped one value at a time (snapped integers, then clusters
-  of the other values), its Ramanujan verdict one entry at a time, a
-  GDS certificate from one list of difference counts, and the exact
-  group-ring identity a certificate states;
-* GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar decomposition, subfield embeddings, the two-parameter
-  Kloosterman sum and additive character sums;
+  of the other values), its power sums tr A^j, its Ramanujan verdict one
+  entry at a time, a GDS certificate from one list of difference counts,
+  the difference-set parameters read off one, and the exact group-ring
+  identity a certificate states;
+* GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar
+  decomposition, subfield embeddings and additive character sums;
+* the Kloosterman routes besides the library's table: the direct sum
+  k_m(a) over x = g^i, the two-parameter sum, the recursion and the Carlitz
+  closed form for k_m(1), and the lift to GF(2^(ms)); and the closed-form
+  sizes |D_{i,j}| they give;
 * the circulant-search encodings, and the tuple sets of the product and bent
   constructions;
 * the GDS search over the full mask range, every proper subset of Z_n
   through the two-value kernel (no orbit or complement is skipped);
 * the lines of hits.jsonl, one hit at a time through ``json.dumps``;
 * crossing counts by the inverse route: A x for each column as a product
-  of tables turned back into counts, then x . A x.
+  of tables turned back into counts, then x . A x, next to the crossing
+  bound (k - lambda_2)|Omega1||Omega2|/n.
 """
 
 import cmath
@@ -37,7 +43,8 @@ from functools import reduce
 
 import numpy as np
 
-from cayleyx import GdsCertificate, Gf2Field
+from cayleyx import GdsCertificate, Gf2Field, spectrum_by_characters, verify_gds
+from cayleyx.gf2 import _sign_tables
 from cayleyx.groupring import _difference_array, _rotl, _two_valued
 from cayleyx.spectral import (
     BOUNDARY_TOL,
@@ -45,6 +52,7 @@ from cayleyx.spectral import (
     RamanujanVerdict,
     Spectrum,
     _group_eigenvalues,
+    second_largest_by_index,
 )
 
 # Tolerance factor for "this character sum is real" decisions; the absolute
@@ -241,6 +249,12 @@ def group_eigenvalues(raw, n):
     return Spectrum(tuple(entries))
 
 
+def power_sum(spectrum, j):
+    """sum of m * v^j over the entries: tr A^j of the graph (tr A = 0 and
+    tr A^2 = nk for a k-regular graph without loops)."""
+    return sum(m * v ** j for v, m, _ in spectrum.entries)
+
+
 def ramanujan_verdict(spectrum, k, connected):
     """Def: connected and every eigenvalue with |lambda| != k has
     lambda^2 <= 4(k-1).  Both +k and -k are exempt (the -k of a bipartite
@@ -277,6 +291,15 @@ def gds_certificate(group, C, mu):
     S = [0] + ([g for g, m in enumerate(mu, 1) if m == mu1] if mu1 != mu2 else [])
     return GdsCertificate(group=group, C=C, S=S, k=len(C), mu1=mu1, mu2=mu2,
 )
+
+
+def verify_difference_set(group, C):
+    """(n, k, lambda) iff every nonidentity difference count of C is equal,
+    i.e. C's GDS certificate has mu1 = mu2; None otherwise."""
+    cert = verify_gds(group, C)
+    if cert is None or cert.mu1 != cert.mu2:
+        return None
+    return (cert.n, cert.k, cert.mu1)
 
 
 def check_group_ring_identity(cert):
@@ -371,6 +394,69 @@ def embed_subfield(sub, big):
     return table
 
 
+def kloosterman(m, a, field=None):
+    """Exact ``k_m(a) = sum_{x != 0} (-1)^{Tr(a*x + x^{-1})}``, summed over
+    x = exp[i] of the field's exponent table, where a*x = exp[i + log a]
+    (log a found once)."""
+    fld = field if field is not None else Gf2Field(m)
+    fld._chk(a)
+    signs, inv_signs = _sign_tables(fld)
+    if a:
+        exp = fld._exp_table
+        inv_signs = inv_signs[exp] * signs[np.roll(exp, -np.flatnonzero(exp == a)[0])]
+    return int(inv_signs.sum())
+
+
+def kloosterman_one_recursive(m):
+    """``k_m(1)`` from the recursion k_{m+2} = -k_{m+1} - 2*k_m, seeds 1, 3."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    k1, k2 = 1, 3
+    if m == 1:
+        return k1
+    for _ in range(m - 2):
+        k1, k2 = k2, -k2 - 2 * k1
+    return k2
+
+
+def kloosterman_one_carlitz(m):
+    """``k_m(1)`` by Carlitz's alternating binomial closed form."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    total = 0
+    for j in range(m // 2 + 1):
+        term = m * math.comb(m - j, j) * (2 ** j)
+        assert term % (m - j) == 0
+        total += (-1) ** (m - j) * (term // (m - j))
+    return -total
+
+
+def kloosterman_lifted(m, s, a, field=None):
+    """The lifted sum over F_{q^s}, q = 2^m, by the lifting recursion
+    K_s = -K_{s-1} k_m(a) - q K_{s-2}, seeds K_0 = -2 and K_1 = k_m(a)."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if s == 0:
+        return -2
+    q = 1 << m
+    prev, cur = -2, kloosterman(m, a, field)
+    k1 = cur
+    for _ in range(s - 1):
+        prev, cur = cur, -cur * k1 - q * prev
+    return cur
+
+
+def dij_cardinality(m, i, j):
+    """Closed-form |D_{i,j}| = (2^m - 1 - (-1)^j - (-1)^i + (-1)^(i+j) k_m(1))/4."""
+    if m < 2:
+        raise ValueError("cardinality formulas need m >= 2 (divisibility)")
+    if i not in (0, 1) or j not in (0, 1):
+        raise ValueError("i and j must be bits")
+    num = (1 << m) - 1 - (-1) ** j - (-1) ** i + (-1) ** (i + j) * kloosterman(m, 1)
+    assert num % 4 == 0
+    return num // 4
+
+
 def kloosterman_pair(m, a, b, field=None):
     """Two-parameter sum ``k_m(a, b) = sum_{x != 0} (-1)^{Tr(a*x + b*x^{-1})}``."""
     fld = field if field is not None else Gf2Field(m)
@@ -462,9 +548,11 @@ def gds_hit_line(n, C, cert):
 
 def crossing_counts_by_inverse(graph, indicators):
     """Edge counts between Omega1 and its complement for a batch of 0/1
-    indicator columns (n x batch): each column's A x = x * 1_C by one
-    forward transform of the columns, times the graph's table, and the
-    inverse ``counts``; then the edges inside, x . A x."""
+    indicator columns (n x batch), the sizes |Omega1| and the crossing
+    bounds (k - lambda_2)|Omega1||Omega2|/n, lambda_2 by index.  Each
+    column's A x = x * 1_C is one forward transform of the columns, times
+    the graph's table, and the inverse ``counts``; then the edges inside,
+    x . A x."""
     group = graph.group
     X = np.asarray(indicators, dtype=float)
     grids = X.T.reshape(-1, *group.factors)
@@ -472,4 +560,7 @@ def crossing_counts_by_inverse(graph, indicators):
     AX = AX.reshape(X.shape[1], -1).T
     sizes = X.sum(axis=0)
     inside_twice = np.einsum("ij,ij->j", X, AX)
-    return (graph.k * sizes - inside_twice).round().astype(int), sizes.astype(int)
+    sizes = sizes.astype(int)
+    gap = graph.k - second_largest_by_index(spectrum_by_characters(graph), graph.k)
+    bounds = gap * sizes * (graph.n - sizes) / graph.n
+    return (graph.k * sizes - inside_twice).round().astype(int), sizes, bounds

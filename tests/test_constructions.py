@@ -12,22 +12,22 @@ from cayleyx import (
     GraphStats,
     bent_hadamard_set,
     constructions,
-    dij_cardinality,
     dij_set,
-    kloosterman,
     kloosterman_trace_set,
     polar_trace_set,
     theorem33_condition,
     theorem33_set,
-    verify_difference_set,
 )
 from cayleyx.constructions import _certify
 from reference import (
     additive_character_sum,
     bent_tuples,
+    dij_cardinality,
     frobenius,
+    kloosterman,
     subfield_trace,
     theorem33_tuples,
+    verify_difference_set,
 )
 
 

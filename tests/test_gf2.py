@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cayleyx import (
-    Gf2Field,
-    KloostermanTable,
-    kloosterman,
-    kloosterman_lifted,
-    kloosterman_one_carlitz,
-    kloosterman_one_recursive,
-    kloosterman_value_set,
-)
+from cayleyx import Gf2Field, KloostermanTable, kloosterman_value_set
 from cayleyx.gf2 import _sign_tables, is_irreducible, smallest_irreducible
 from reference import (
     embed_subfield,
     frobenius,
     in_subfield,
+    kloosterman,
+    kloosterman_lifted,
+    kloosterman_one_carlitz,
+    kloosterman_one_recursive,
     kloosterman_pair,
     polar_decompose,
     subfield_trace,
@@ -129,8 +125,11 @@ def test_inverse_signs_match_the_scalar_trace(m, modulus):
 
 
 def test_kloosterman_three_routes_agree():
+    """k_m(1) of the table equals the direct sum, the recursion and the
+    Carlitz form."""
     for m in range(1, 13):
         direct = kloosterman(m, 1)
+        assert KloostermanTable.compute(m)[1] == direct
         assert direct == kloosterman_one_recursive(m) == kloosterman_one_carlitz(m)
         if m <= 10:
             assert direct == K1[m]
@@ -189,12 +188,15 @@ def test_value_set_congruence():
 
 def test_lifted_recursion_matches_extension_field():
     # the lift of k_m over the degree-s extension equals the sum computed
-    # directly in GF(2^(m*s)) at the embedded argument
+    # directly in GF(2^(m*s)) at the embedded argument, and so does the
+    # table of GF(2^(m*s))
     for m, s in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4)):
         sub, big = Gf2Field(m), Gf2Field(m * s)
         emb = embed_subfield(sub, big)
+        table = KloostermanTable.compute(m * s)
         for a in range(1, sub.order):
             assert kloosterman_lifted(m, s, a, sub) == kloosterman(m * s, emb[a], big)
+            assert table[emb[a]] == kloosterman(m * s, emb[a], big)
     assert kloosterman_lifted(3, 0, 1) == -2
     assert kloosterman_lifted(3, 1, 1) == kloosterman(3, 1)
 

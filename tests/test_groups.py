@@ -1,8 +1,10 @@
 """Group arithmetic, characters, and character sums."""
 
+import ast
 import cmath
 import importlib
 import json
+import pathlib
 import pkgutil
 import re
 import tracemalloc
@@ -29,7 +31,6 @@ from cayleyx import (
 )
 from cayleyx.cli import main
 from cayleyx.groups import _wht, sorted_unique
-from cayleyx.spectral import crossing_lemma_bound
 from reference import (
     add,
     butterfly,
@@ -181,7 +182,6 @@ def test_pipeline_never_calls_the_tuple_api(monkeypatch):
 
     monkeypatch.setattr(AbelianGroup, "index_of", refuse)
     graph = CayleyGraph.build(AbelianGroup([4, 6]), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)])
-    crossing_lemma_bound(graph, graph.vertices[:3])  # Omega1 is parsed at the edge
     cert = verify_gds(cyclic(20), [(4,), (8,), (12,), (16,)])
     assert has_multiplier_minus_one(cyclic(20), [(1,), (3,), (4,)]) is False
     # past the edge: no tuple is parsed or produced
@@ -295,6 +295,25 @@ def test_counts_holds_one_table_besides_its_inputs():
     assert peak < 2.5 * table.nbytes
     assert np.array_equal(table, before)
     assert np.array_equal(got, fft_convolve(g, C, C))
+
+
+def test_character_sum_table_holds_one_table():
+    """Off Z_2^m, the table is a complex copy of the indicator transformed
+    and conjugated in place: on Z_256^2 it peaks at the one table it returns
+    (a new array per FFT axis and one for the conjugate took 2.1), its input
+    is left as it was, and it equals the conjugated DFT."""
+    g = AbelianGroup([256, 256])
+    C = g.indicator(np.array([1, 255, 256, 65280]))
+    before = C.copy()
+    tracemalloc.start()
+    try:
+        table = g.character_sum_table(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table.nbytes
+    assert np.array_equal(C, before)
+    assert np.array_equal(table, np.conj(np.fft.fftn(C)))
 
 
 def test_convolve_rejects_non_integral_result():
@@ -468,7 +487,6 @@ def test_graph_transforms_its_connection_set_once(make_set, monkeypatch, tmp_pat
     spectrum_by_characters(graph)
     graph.stats()
     assert graph.srg_check() is not None
-    crossing_lemma_bound(graph, graph.vertices[:3])
     assert len(seen) == 1
     gpath = tmp_path / "g.json"
     gpath.write_text(graph.to_json_str())
@@ -510,3 +528,44 @@ def test_every_name_in_all_exists():
         exec(f"from {name} import *", namespace)  # a stale __all__ entry raises here
         listed = getattr(importlib.import_module(name), "__all__", ())  # cli has none
         assert set(listed) <= set(namespace), name
+
+
+# perfbench's tracer times groupring.difference_counts by name (the metric
+# groupring.difference_counts.s), and the pipeline reads difference counts
+# through the graph's common_neighbor_counts instead
+UNCALLED = {"difference_counts"}
+
+
+def _references(tree, name):
+    """Whether ``tree`` reads ``name`` (a bare name or an attribute) outside
+    a ``def``/``class`` of that name; imports and ``__all__`` strings do not
+    count."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_public_name_has_a_caller():
+    """Every name in a module's __all__ is read somewhere in src/ outside its
+    own definition, or in demos/: a name that only its tests call has left
+    the library (for tests/reference.py when the tests compare against it).
+    ``__init__.py`` re-exports and counts for none."""
+    src = pathlib.Path(cayleyx.__file__).parent
+    demos = pathlib.Path(__file__).resolve().parents[1] / "demos"
+    files = [p for p in src.glob("*.py") if p.name != "__init__.py"] + list(demos.glob("*.py"))
+    trees = [ast.parse(p.read_text(), str(p)) for p in files]
+    uncalled = set()
+    for info in pkgutil.iter_modules(cayleyx.__path__):
+        module = importlib.import_module(f"cayleyx.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            if not any(_references(tree, name) for tree in trees):
+                uncalled.add(f"{info.name}.{name}")
+    assert uncalled == {f"groupring.{name}" for name in UNCALLED}
