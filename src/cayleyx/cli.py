@@ -1,14 +1,17 @@
 """Command-line front door: construct, analyze, search.
 
 Human-readable summary goes to stdout; machine artifacts (graph.json,
-spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out.
-Exit codes: 0 success, 2 usage/parameter error, 3 data-invariant violation
-or failed exactness check (an ArithmeticError of the exact routes).
+spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out, each created
+afresh by :func:`_create`, never truncated in place or written through a link.
+Exit codes: 0 success, 2 usage/parameter error (an unwritable --out among
+them), 3 data-invariant violation or failed exactness check (an
+ArithmeticError of the exact routes).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -37,12 +40,32 @@ class ParameterError(Exception):
     pass
 
 
+def _make_out(outdir):
+    """Make the output directory (once per command, after its refusals)."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise ParameterError(f"cannot write {outdir}: {e.strerror}") from e
+    return outdir
+
+
+@contextlib.contextmanager
+def _create(path):
+    """``path`` opened for writing as a new file, what was there unlinked (on
+    ext4, truncating a file costs several times an unlink and a create).
+    An OSError while opening or writing is a :class:`ParameterError`."""
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "x") as f:
+            yield f
+    except OSError as e:
+        raise ParameterError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _write(outdir, name, text):
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as f:
+    with _create(os.path.join(outdir, name)) as f:
         f.write(text)
-    return path
 
 
 def _write_coordinates(f, factors, indices):
@@ -99,8 +122,7 @@ def _write_graph(outdir, factors, indices):
     """Write graph.json, ``json.dumps(..., sort_keys=True, indent=2) + "\\n"``
     of the graph's ``to_json()`` byte for byte, its connection set streamed
     by :func:`_write_coordinates`."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "graph.json"), "w") as f:
+    with _create(os.path.join(outdir, "graph.json")) as f:
         f.write('{\n  "connection_set": ')
         _write_coordinates(f, factors, indices)
         f.write("," + json.dumps({"factors": factors}, indent=2)[1:] + "\n")
@@ -120,7 +142,7 @@ def _emit_graph_artifacts(args, report, extra):
     statistics, updated by ``extra``) and, with ``--format dot``, graph.dot."""
     graph, st = report.graph, report.stats
     _check_format(args, graph)
-    outdir = args.out
+    outdir = _make_out(args.out)
     _write_graph(outdir, list(graph.group.factors), graph.connection.indices)
     _write(outdir, "spectrum.csv", report.spectrum.to_csv())
     payload = report.verdict.to_json()
@@ -310,10 +332,10 @@ def cmd_search(args):
             chunks, text = groupring._chunks(n), _gds_text(n)
     except ValueError as e:
         raise ParameterError(str(e))
-    os.makedirs(outdir, exist_ok=True)
+    _make_out(outdir)
     path = os.path.join(outdir, "hits.jsonl")
     count = 0
-    with open(path, "w") as f:
+    with _create(path) as f:
         for chunk in chunks:
             f.write(text(chunk))
             count += len(chunk[0])

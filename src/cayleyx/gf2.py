@@ -113,7 +113,12 @@ def smallest_irreducible(m):
 # -- the field ----------------------------------------------------------------
 
 class Gf2Field:
-    """GF(2^m) in polynomial basis; immutable and shareable."""
+    """GF(2^m) in polynomial basis; immutable and shareable.
+
+    ``Tr(e)`` is the parity of ``e & mask``; bit i of the mask, ``Tr(x^i)``,
+    is the power sum p_i of the modulus' roots.  Newton's identities give it
+    from the coefficient e_j of ``x^(m-j)``: p_0 = m and, mod 2,
+    p_k = sum_{0<j<k} e_j p_{k-j} + k e_k."""
 
     def __init__(self, m, modulus=None):
         if m < 1:
@@ -123,9 +128,11 @@ class Gf2Field:
         self.modulus = smallest_irreducible(m) if modulus is None else int(modulus)
         if modulus is not None and not is_irreducible(self.modulus, m):
             raise ValueError(f"modulus {self.modulus:#x} is not irreducible of degree {m}")
-        # trace is F2-linear: Tr(e) = parity(e & mask) where the mask collects
-        # the basis monomials of trace 1
-        self._trace_mask = sum(1 << i for i in range(m) if self._trace_slow(1 << i))
+        e = [(self.modulus >> (m - j)) & 1 for j in range(m + 1)]
+        p = [m & 1]
+        for k in range(1, m):
+            p.append((sum(e[j] & p[k - j] for j in range(1, k)) + k * e[k]) & 1)
+        self._trace_mask = sum(t << i for i, t in enumerate(p))
 
     def __repr__(self):
         return f"Gf2Field(m={self.m}, modulus={self.modulus:#x})"
@@ -155,14 +162,6 @@ class Gf2Field:
     def trace(self, e):
         """Absolute trace onto GF(2), as an int in {0, 1}."""
         return bin(self._chk(e) & self._trace_mask).count("1") & 1
-
-    def _trace_slow(self, e):
-        t, x = 0, e
-        for _ in range(self.m):
-            t ^= x
-            x = _poly_mul_mod(x, x, self.modulus, self.m)
-        assert t in (0, 1)
-        return t
 
     # -- the exponent table for vectorized sums -------------------------------
 

@@ -20,7 +20,8 @@ tests can compare the array routes against them:
   entry at a time, a GDS certificate from one list of difference counts,
   the difference-set parameters read off one, and the exact group-ring
   identity a certificate states;
-* GF(2^m) scalars: Frobenius, the index-2 subfield and its trace, polar
+* GF(2^m) scalars: the trace as a sum of squarings, Frobenius, the
+  index-2 subfield and its trace, polar
   decomposition, subfield embeddings and additive character sums;
 * the Kloosterman routes besides the library's table: the direct sum
   k_m(a) over x = g^i, the two-parameter sum, the recursion and the Carlitz
@@ -315,6 +316,16 @@ def check_group_ring_identity(cert):
 
 
 # -- GF(2^m) scalars ---------------------------------------------------------------
+
+def trace_by_squaring(fld, e):
+    """Tr(e) = sum_{i < m} e^(2^i), one squaring at a time."""
+    t = 0
+    for _ in range(fld.m):
+        t ^= e
+        e = fld.mul(e, e)
+    assert t in (0, 1)
+    return t
+
 
 def frobenius(fld, e, i=1):
     """e^(2^i)."""

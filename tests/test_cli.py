@@ -729,6 +729,7 @@ def test_coordinate_writer_streams(tmp_path):
     factors, peaks = (2,) * 18, []
     for size in (16384, 65536):
         idx = np.sort(rng.choice(2 ** 18, size, replace=False))
+        (tmp_path / str(size)).mkdir()  # the command, not the writer, makes --out
         tracemalloc.start()
         try:
             cli._write_graph(tmp_path / str(size), list(factors), idx)
@@ -737,3 +738,95 @@ def test_coordinate_writer_streams(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "65536" / "graph.json").stat().st_size > 10 ** 7
     assert peaks[1] < 1.25 * peaks[0]
+
+
+# -- the writer: every artifact is created afresh ------------------------------
+
+def _writer_runs(tmp_path):
+    """command -> (first argv, second argv, the artifacts both write), the
+    two runs writing different bytes to every artifact; --out is appended."""
+    for name, n in (("z7.json", 7), ("z9.json", 9)):
+        (tmp_path / name).write_text(json.dumps({"factors": [n], "connection_set": [[1], [n - 1]]}))
+    graph = ["graph.json", "spectrum.csv", "verdict.json", "graph.dot"]
+    return {
+        "construct": (["construct", "theorem33", "--s", "4", "--r", "4", "--format", "dot"],
+                      ["construct", "theorem33", "--s", "4", "--r", "6", "--format", "dot"],
+                      graph),
+        "analyze": (["analyze", str(tmp_path / "z7.json"), "--format", "dot"],
+                    ["analyze", str(tmp_path / "z9.json"), "--format", "dot"], graph),
+        "search": (["search", "gds", "--n", "7"], ["search", "gds", "--n", "13"],
+                   ["hits.jsonl"]),
+    }
+
+
+def _artifacts(out, names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "search"])
+def test_rerun_into_one_out_writes_the_same_bytes(command, tmp_path, capsys):
+    first, _, names = _writer_runs(tmp_path)[command]
+    out = tmp_path / "o"
+    assert run(first + ["--out", str(out)]) == 0
+    before = _artifacts(out, names)
+    assert run(first + ["--out", str(out)]) == 0
+    assert _artifacts(out, names) == before
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "search"])
+def test_rerun_leaves_a_hard_link_with_the_old_bytes(command, tmp_path, capsys):
+    """An artifact is unlinked and created afresh, never truncated or
+    rewritten in place: a hard link to it keeps the earlier run's bytes."""
+    first, second, names = _writer_runs(tmp_path)[command]
+    out, links = tmp_path / "o", tmp_path / "links"
+    assert run(first + ["--out", str(out)]) == 0
+    old = _artifacts(out, names)
+    links.mkdir()
+    for name in names:
+        os.link(out / name, links / name)
+    assert run(second + ["--out", str(out)]) == 0
+    assert run(second + ["--out", str(tmp_path / "fresh")]) == 0
+    new = _artifacts(tmp_path / "fresh", names)
+    assert all(old[name] != new[name] for name in names)
+    assert _artifacts(links, names) == old
+    assert _artifacts(out, names) == new
+    for name in names:
+        assert not os.path.samefile(links / name, out / name), name
+
+
+def test_a_symlink_at_an_artifact_is_replaced_not_written_through(tmp_path, capsys):
+    out, target = tmp_path / "o", tmp_path / "target.json"
+    out.mkdir()
+    target.write_text("keep\n")
+    (out / "graph.json").symlink_to(target)
+    assert run(["construct", "theorem33", "--s", "4", "--r", "4", "--out", str(out)]) == 0
+    assert not (out / "graph.json").is_symlink() and (out / "graph.json").is_file()
+    assert target.read_text() == "keep\n"
+    assert CayleyGraph.from_json(json.loads((out / "graph.json").read_text())).n == 16
+
+
+def test_analyze_rewrites_its_own_input_byte_for_byte(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["construct", "bent-hadamard", "--u", "2", "--out", str(out)]) == 0
+    before = (out / "graph.json").read_bytes()
+    assert run(["analyze", str(out / "graph.json"), "--out", str(out)]) == 0
+    assert (out / "graph.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "search"])
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "first-artifact-is-a-directory",
+                                     "last-artifact-is-a-directory"])
+def test_an_unwritable_out_exits_2(command, blocked, tmp_path, capsys):
+    """An --out that is a regular file, or a directory where the first or
+    the last artifact goes, exits 2 with ``cannot write``, not with a
+    traceback."""
+    argv, _, names = _writer_runs(tmp_path)[command]
+    out = tmp_path / "o"
+    if blocked == "out-is-a-file":
+        out.write_text("")
+        path, reason = out, "File exists"
+    else:
+        path, reason = out / names[0 if blocked.startswith("first") else -1], "Is a directory"
+        path.mkdir(parents=True)
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"

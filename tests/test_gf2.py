@@ -18,6 +18,7 @@ from reference import (
     kloosterman_pair,
     polar_decompose,
     subfield_trace,
+    trace_by_squaring,
 )
 
 # k_m(1) for m = 1..10, frozen from three mutually independent evaluations
@@ -70,11 +71,22 @@ def test_trace_matches_power_sum_definition():
     for m in range(1, 9):
         f = Gf2Field(m)
         for e in range(f.order):
-            t, x = 0, e
-            for _ in range(m):
-                t ^= x
-                x = f.mul(x, x)
-            assert f.trace(e) == t
+            assert f.trace(e) == trace_by_squaring(f, e)
+
+
+@pytest.mark.parametrize("fields", [
+    lambda: [Gf2Field(m) for m in range(1, 25)],
+    lambda: [Gf2Field(m, c) for m in range(2, 11) for c in range(1 << m, 1 << (m + 1))
+             if is_irreducible(c, m)],
+], ids=["default-modulus-m-1-to-24", "every-irreducible-modulus-m-2-to-10"])
+def test_trace_mask_by_newton_is_the_trace_by_squaring(fields):
+    """Bit i of the trace mask, read off the modulus by Newton's identities,
+    is Tr(x^i) as a sum of squarings: at the default modulus of every
+    m <= 24, and at all 224 irreducible moduli of degree 2 to 10."""
+    fields = fields()
+    assert len(fields) in (24, 224)
+    for f in fields:
+        assert f._trace_mask == sum(trace_by_squaring(f, 1 << i) << i for i in range(f.m)), f
 
 
 def test_trace_signs_table():
