@@ -151,6 +151,9 @@ def _emit_graph_artifacts(args, report, extra):
     _write(outdir, "verdict.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.format == "dot":
         _write(outdir, "graph.dot", graph.to_dot())
+    else:  # an earlier run's graph.dot would show another graph (a directory stays)
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.unlink(os.path.join(outdir, "graph.dot"))
 
 
 def _dij(m, i, j):

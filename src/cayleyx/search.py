@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import cyclic
-from .spectral import RamanujanVerdict, _ramanujan_rows
+from .spectral import RamanujanVerdict, _ramanujan_rows, _real
 
 __all__ = ["SearchHit", "search_ramanujan_circulant"]
 
@@ -80,10 +80,8 @@ def _hits(n, min_degree, s):
     keep = (k >= min_degree) & (np.gcd(np.gcd.reduce(B * pairs, axis=1), n) == 1)
     s, k, masks = s[keep], k[keep], masks[keep]
     # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
-    sums = cyclic(n).character_sum_table((masks[:, None] >> np.arange(n)) & 1)
-    if (np.abs(sums.imag).max(axis=1) > 1e-9 * k).any():  # k >= 1
-        raise ArithmeticError("character sums of a symmetric set must be real")
-    ok, second, boundary = _ramanujan_rows(sums.real, k, n)  # connected by the gcd test
+    sums = _real(cyclic(n).character_sum_table((masks[:, None] >> np.arange(n)) & 1), k)
+    ok, second, boundary = _ramanujan_rows(sums, k, n)  # connected by the gcd test
     return (s[ok], k[ok], masks[ok], [x for x, o in zip(second, ok.tolist()) if o],
             boundary[ok])
 

@@ -6,20 +6,21 @@ table with the same sum read from C alone, with no transform of size n:
 exactly in F_p on ``Z_2^m``, in floats elsewhere.
 On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
 transform, so every eigenvalue there is exact by construction.  Every other
-spectrum is grouped by one row-wise rule
-(:func:`_groups`: values within 1e-6 of an integer are snapped and stored
-exact, the rest clustered), and one decision (:func:`_verdicts`) tests
-lambda^2 <= 4(k-1) for one graph and for a search chunk alike, exactly on
-the integers of every construction this package ships.  The expander mixing
-bound is checked (:func:`quotient_cuts`) on the quotient cuts at lambda_2's
-character and at the Ramanujan witness, read from C alone with no
-transform, together with those two table entries.
+spectrum is grouped by one row-wise rule (:func:`_groups`: values within
+``snap`` of an integer are snapped and stored exact, the rest clustered),
+and one decision (:func:`_verdicts`) tests lambda^2 <= 4(k-1) for one graph
+and for a search chunk alike, exactly on the integers of every construction
+this package ships.  The expander mixing bound is checked
+(:func:`quotient_cuts`) on the quotient cuts at lambda_2 and the Ramanujan
+witness, read from C alone, and their two table entries.  Every float
+tolerance (``snap`` among them) is a field of one model, :func:`tolerance`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,6 @@ __all__ = [
     "gds_predicted_eigenvalues",
 ]
 
-SNAP_TOL = 1e-6          # |lambda - round(lambda)| below this: exact integer
-BOUNDARY_TOL = 1e-6      # non-exact value this close to 2*sqrt(k-1): flag it
 TABLE_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
 TABLE_TRIALS = 2
 
@@ -87,21 +86,40 @@ class RamanujanVerdict:
         }
 
 
-def _groups(raw, n):
-    """Snap and cluster the eigenvalue rows of ``raw`` (m rows, or one; the
-    order n scales the clustering gap).  Returns three m-row arrays: the
-    values within ``SNAP_TOL`` of an integer, snapped (NaN elsewhere), and
-    the mean and size of each cluster of the others at its last position
-    (NaN and 0 elsewhere).  Clusters are runs of the sorted values cut at
-    gaps above 1e-8*n, summed left to right as ``sum`` does: a loop over the
+Tolerance = namedtuple("Tolerance", "entry snap gap boundary")
+
+
+def tolerance(k, n):
+    """The error model: every float tolerance of the pipeline, for degree(s) k
+    and group order n (README, "Error model").  ``AbelianGroup.counts``' 0.25
+    rounding guard stays outside: it only raises, never decides an output."""
+    return Tolerance(1e-9 * k, 1e-6, 1e-8 * n, 1e-6)
+
+
+def _real(table, k):
+    """The real parts of character sums, a row of degree k or rows of degrees
+    ``k``; an imaginary part above ``entry`` raises ArithmeticError."""
+    if (np.abs(table.imag).max(axis=-1) > tolerance(k, table.shape[-1]).entry).any():
+        raise ArithmeticError("character sums of a symmetric set must be real")
+    return table.real
+
+
+def _groups(raw, k, n):
+    """Snap and cluster the eigenvalue rows of ``raw`` (m rows, or one) of
+    degrees ``k`` on a group of order n.  Returns three m-row arrays: the
+    values within ``snap`` of an integer, snapped (NaN elsewhere), and the
+    mean and size of each cluster of the others at its last position (NaN
+    and 0 elsewhere).  Clusters are runs of the sorted values cut at gaps
+    above ``gap``, summed left to right as ``sum`` does: a loop over the
     position inside a cluster, across all clusters of all rows at once."""
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    tol = tolerance(np.reshape(k, (-1, 1)), n)
     r = np.round(raw)
-    exact = np.abs(raw - r) < SNAP_TOL
+    exact = np.abs(raw - r) < tol.snap
     v = np.sort(np.where(exact, np.nan, raw), axis=1)  # NaN sorts last
     valid = ~np.isnan(v)
     start = valid.copy()
-    start[:, 1:] &= np.diff(v, axis=1) > 1e-8 * n
+    start[:, 1:] &= np.diff(v, axis=1) > tol.gap
     end = valid.copy()
     end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
     first, last = np.flatnonzero(start), np.flatnonzero(end)
@@ -118,10 +136,10 @@ def _groups(raw, n):
     return np.where(exact, r, np.nan), means, counts
 
 
-def _group_eigenvalues(raw, n):
+def _group_eigenvalues(raw, k, n):
     """The :class:`Spectrum` of one row: the snapped integers of :func:`_groups`
     counted, then its clusters, by descending value (integers first on ties)."""
-    ints, means, sizes = (a[0] for a in _groups(raw, n))
+    ints, means, sizes = (a[0] for a in _groups(raw, k, n))
     values, counts = sorted_unique(ints[~np.isnan(ints)], return_counts=True)
     at = ~np.isnan(means)
     entries = [(v, c, True) for v, c in zip(values.astype(np.int64).tolist(), counts.tolist())]
@@ -143,9 +161,7 @@ def spectrum_by_characters(graph):
         at = np.flatnonzero(counts)
         return Spectrum(tuple((v, c, True) for v, c in
                               zip((graph.k - at).tolist(), counts[at].tolist())))
-    if np.abs(table.imag).max() > 1e-9 * max(graph.k, 1):
-        raise ArithmeticError("character sums of a symmetric set must be real")
-    return _group_eigenvalues(table.real.ravel(), graph.n)
+    return _group_eigenvalues(_real(table.ravel(), graph.k), graph.k, graph.n)
 
 
 def table_identity(graph, seed):
@@ -169,11 +185,11 @@ def table_identity(graph, seed):
     probability at most m/p (Schwartz, JACM 1980).  Otherwise the real
     parts are compared in floats: r_i(x) = +-(1 + U[0, 1)), so every
     |r_a| >= 1, r^_i is one DFT of length d_i, and the sides must agree
-    within tau = 1e-9 k sum_a |r_a|, the per-entry bound of
-    :func:`spectrum_by_characters` weighted by the r_a: one entry off by
-    more than tau moves the left side by more than tau.
+    within tau = ``entry`` * sum_a |r_a|, the per-entry tolerance of the
+    table weighted by the r_a: one entry off by more than tau moves the left
+    side by more than tau.
     """
-    group, p = graph.group, TABLE_PRIME
+    group, p, tol = graph.group, TABLE_PRIME, tolerance(graph.k, graph.n)
     table = graph.characters.ravel()
     exact = table.dtype.kind == "i"
     rng = random.Random(seed)
@@ -201,36 +217,36 @@ def table_identity(graph, seed):
             lam %= p
             agree = int(lam.sum()) % p == int(terms.sum()) % p
         else:
-            tau = 1e-9 * graph.k * math.prod(float(np.abs(w).sum()) for w in weights)
+            tau = tol.entry * math.prod(float(np.abs(w).sum()) for w in weights)
             agree = abs(float(r @ table.real) - float(terms.sum().real)) <= tau
         if not agree:
             return False
     return True
 
 
-def _verdicts(ints, means, k):
-    """The Ramanujan decision for m rows of eigenvalues of degrees ``k``:
-    exact values in ``ints``, unsnapped ones in ``means`` (NaN-padded).
+def _verdicts(ints, means, k, n):
+    """The Ramanujan decision for m rows of eigenvalues of degrees ``k`` on
+    order n: exact values in ``ints``, unsnapped ones in ``means`` (NaN-padded).
 
     +-k is exempt (the -k of a bipartite graph; unsnapped: within
-    ``SNAP_TOL``).  Any other exact value fails when lambda^2 > 4(k-1)
+    ``snap``).  Any other exact value fails when lambda^2 > 4(k-1)
     (exact in floats for |lambda| < 2^26), an unsnapped one above
-    2*sqrt(k-1) + ``BOUNDARY_TOL``, within which it flags its row.  Returns
+    2*sqrt(k-1) + ``boundary``, within which it flags its row.  Returns
     both failure masks, the ``second_largest_abs`` list (the largest counted
     |lambda|: a Python int when exact, 0.0 when none) and the
     ``boundary_flag`` array.  An integer that ties an unsnapped value for
     the largest raises ArithmeticError: the choice would rest on order.
     """
     k = np.asarray(k, dtype=np.int64)[:, None]
-    bound = 2.0 * np.sqrt(np.maximum(k - 1, 0))
+    tol, bound = tolerance(k, n), 2.0 * np.sqrt(np.maximum(k - 1, 0))
     a = np.abs(ints)
     counted = ~np.isnan(a) & (a != k)
     bad_ints = counted & (ints * ints > 4 * (k - 1))
     top_int = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
     a = np.abs(means)
-    counted = np.abs(a - k) > SNAP_TOL  # False on NaN
-    bad_means = counted & (a > bound + BOUNDARY_TOL)
-    boundary = (counted & (np.abs(a - bound) <= BOUNDARY_TOL)).any(axis=1)
+    counted = np.abs(a - k) > tol.snap  # False on NaN
+    bad_means = counted & (a > bound + tol.boundary)
+    boundary = (counted & (np.abs(a - bound) <= tol.boundary)).any(axis=1)
     top_mean = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
     if ((top_int == top_mean) & (top_int >= 0)).any():
         raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
@@ -248,7 +264,8 @@ def ramanujan_check(spectrum, k, connected):
     values = np.array([v for v, _, _ in spectrum.entries], dtype=float)
     exact = np.array([e for _, _, e in spectrum.entries], dtype=bool)
     bad_ints, bad_means, (second,), (boundary,) = _verdicts(
-        np.where(exact, values, np.nan)[None], np.where(exact, np.nan, values)[None], [k])
+        np.where(exact, values, np.nan)[None], np.where(exact, np.nan, values)[None], [k],
+        spectrum.n)
     bad = np.flatnonzero(bad_ints[0] | bad_means[0])
     reason = f"eigenvalue {spectrum.entries[bad[0]][0]} exceeds bound" if bad.size else ""
     connected = bool(connected)
@@ -257,10 +274,10 @@ def ramanujan_check(spectrum, k, connected):
 
 
 def _ramanujan_rows(raw, k, n):
-    """Row-wise ``ramanujan_check(_group_eigenvalues(row, n), k, connected=True)``
+    """Row-wise ``ramanujan_check(_group_eigenvalues(row, k, n), k, connected=True)``
     for the rows of ``raw`` and their degrees ``k`` (each >= 1): the arrays
     ``is_ramanujan`` and ``boundary_flag`` and the ``second_largest_abs`` list."""
-    bad_ints, bad_means, second, boundary = _verdicts(*_groups(raw, n)[:2], k)
+    bad_ints, bad_means, second, boundary = _verdicts(*_groups(raw, k, n)[:2], k, n)
     return ~(bad_ints.any(axis=1) | bad_means.any(axis=1)), second, boundary
 
 
@@ -278,12 +295,12 @@ def _witnesses(table, k):
     """The nontrivial character indices the quotient cuts are taken at: the
     first attaining lambda_2 (the largest nontrivial entry, k when the graph
     is disconnected), then, if it is another, the first attaining the
-    largest |lambda| other than +-k (off ``Z_2^m``: more than ``SNAP_TOL``
-    from k), when any entry has one."""
+    largest |lambda| more than ``snap`` from k (on ``Z_2^m``: other than
+    +-k), when any entry has one."""
     rest = table[1:].real
     found = [1 + int(np.argmax(rest))]
     a = np.abs(rest)
-    counted = a != k if table.dtype.kind == "i" else np.abs(a - k) > SNAP_TOL
+    counted = np.abs(a - k) > tolerance(k, table.size).snap
     if counted.any():
         w = 1 + int(np.argmax(np.where(counted, a, -1)))
         if w != found[0]:
@@ -309,17 +326,16 @@ def quotient_cuts(graph, spec):
     t factors: no array of size n (nor of size e) and no transform.
 
     A violation is a cut below its bound (compared exactly in integers when
-    lambda_2 is exact, otherwise with lambda_2 taken 1e-9*k higher), or a
-    direct value off its table entry: exactly on ``Z_2^m``, otherwise by
-    more than 1e-9*k, the bound :func:`spectrum_by_characters` allows the
-    imaginary parts.  Violations are counted, never raised.  Returns
+    lambda_2 is exact, otherwise with lambda_2 taken ``entry`` higher), or
+    a direct value off its table entry: exactly on ``Z_2^m``, otherwise by
+    more than ``entry``.  Violations are counted, never raised.  Returns
     ``{"cuts": [...], "violations": int}``, one cut per witness with its
     character (coordinates), order, cut, bound and direct value.
     """
     group, n, k = graph.group, graph.n, graph.k
     table = graph.characters.ravel()
     exact = table.dtype.kind == "i"
-    lam2 = second_largest_by_index(spec, k)
+    lam2, tol = second_largest_by_index(spec, k), tolerance(k, n)
     witnesses = _witnesses(table, k)
     chars = np.array([x for _, x in group.digits(witnesses)][::-1]).T.tolist()  # a row each
     orders = [math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, group.factors)))
@@ -339,13 +355,13 @@ def quotient_cuts(graph, spec):
             bound = gap // n if gap % n == 0 else gap / n
         else:
             bound = (k - lam2) * size * (n - size) / n
-            low = cut < bound - 1e-9 * k * size * (n - size) / n
+            low = cut < bound - tol.entry * size * (n - size) / n
         if exact:  # e = 2: the characters of Z_2^m are +-1
             direct = k - 2 * int(pi.sum())
             off = direct != table[at]
         else:
             direct = float(np.cos(2 * np.pi / e * pi).sum())
-            off = abs(direct - table[at]) > 1e-9 * k
+            off = abs(direct - table[at]) > tol.entry
         violations += int(low) + int(off)
         cuts.append({"character": a, "order": e, "cut": cut, "bound": bound,
                      "direct": direct})
@@ -354,19 +370,20 @@ def quotient_cuts(graph, spec):
 
 def gds_predicted_eigenvalues(cert):
     """The eigenvalue envelope +-sqrt(k - mu1 + (mu1 - mu2) * chi(S)) over
-    the nonprincipal characters, for a certificate presented with 0 in S."""
-    group = cert.group
-    table = group.character_sum_table(group.indicator(cert.S))
+    the nonprincipal characters, for 0 in S; a chi(S) off the reals raises
+    ArithmeticError (S = -S makes every chi(S) real)."""
+    group, tol = cert.group, tolerance(len(cert.S), cert.n)
+    table = group.character_sum_table(group.indicator(cert.S)).ravel()
     values = set()
-    for chi_s in table.real.ravel()[1:].tolist():  # flat index 0 is the principal character
+    for chi_s in _real(table, len(cert.S))[1:].tolist():  # flat index 0 is the principal character
         radicand = cert.k - cert.mu1 + (cert.mu1 - cert.mu2) * chi_s
         if radicand < 0:
-            if radicand < -1e-6:
+            if radicand < -tol.snap:
                 raise ArithmeticError(f"negative radicand {radicand}")
             radicand = 0.0
         root = math.sqrt(radicand)
         snapped = round(root)
-        if abs(root - snapped) < SNAP_TOL:
+        if abs(root - snapped) < tol.snap:
             values.add(snapped)
             values.add(-snapped)
         else:

@@ -48,12 +48,11 @@ from cayleyx import GdsCertificate, Gf2Field, spectrum_by_characters, verify_gds
 from cayleyx.gf2 import _sign_tables
 from cayleyx.groupring import _difference_array, _rotl, _two_valued
 from cayleyx.spectral import (
-    BOUNDARY_TOL,
-    SNAP_TOL,
     RamanujanVerdict,
     Spectrum,
     _group_eigenvalues,
     second_largest_by_index,
+    tolerance,
 )
 
 # Tolerance factor for "this character sum is real" decisions; the absolute
@@ -203,7 +202,7 @@ def adjacency_matrix(graph):
 def spectrum_oracle(graph):
     """The spectrum of one unsplit dense symmetric eigensolve of A, grouped
     as :func:`cayleyx.spectral.spectrum_by_characters` groups the table."""
-    return _group_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(graph)), graph.n)
+    return _group_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(graph)), graph.k, graph.n)
 
 
 def spectra_agree(spec_a, spec_b):
@@ -226,23 +225,24 @@ def is_symmetric_about_zero(spectrum, tol=1e-9):
     )
 
 
-def group_eigenvalues(raw, n):
-    """Snap near-integers, then group equal/near-equal values."""
+def group_eigenvalues(raw, k, n):
+    """Snap near-integers, then group equal/near-equal values, with the
+    package's tolerances for degree k and order n."""
+    tol = tolerance(k, n)
     exact_counts = {}
     real_values = []
     for v in raw:
         r = round(v)
-        if abs(v - r) < SNAP_TOL:
+        if abs(v - r) < tol.snap:
             exact_counts[r] = exact_counts.get(r, 0) + 1
         else:
             real_values.append(v)
     entries = [(int(v), m, True) for v, m in exact_counts.items()]
     if real_values:
-        tol = 1e-8 * n
         real_values.sort()
         start = 0
         for i in range(1, len(real_values) + 1):
-            if i == len(real_values) or real_values[i] - real_values[i - 1] > tol:
+            if i == len(real_values) or real_values[i] - real_values[i - 1] > tol.gap:
                 cluster = real_values[start:i]
                 entries.append((sum(cluster) / len(cluster), len(cluster), False))
                 start = i
@@ -261,17 +261,18 @@ def ramanujan_verdict(spectrum, k, connected):
     lambda^2 <= 4(k-1).  Both +k and -k are exempt (the -k of a bipartite
     graph does not break the bound)."""
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
+    tol = tolerance(k, spectrum.n)
     boundary = False
     second = 0.0
     failure = ""
     for v, _, exact in spectrum.entries:
         a = abs(v)
-        if (a == k) if exact else (abs(a - k) <= SNAP_TOL):
+        if (a == k) if exact else (abs(a - k) <= tol.snap):
             continue
         second = max(second, a)
-        if not exact and abs(a - bound) <= BOUNDARY_TOL:
+        if not exact and abs(a - bound) <= tol.boundary:
             boundary = True
-        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + BOUNDARY_TOL)
+        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + tol.boundary)
         if not ok and not failure:
             failure = f"eigenvalue {v} exceeds bound"
     if not connected:

@@ -794,6 +794,23 @@ def test_rerun_leaves_a_hard_link_with_the_old_bytes(command, tmp_path, capsys):
         assert not os.path.samefile(links / name, out / name), name
 
 
+@pytest.mark.parametrize("command", ["construct", "analyze"])
+def test_a_run_without_dot_removes_an_earlier_graph_dot(command, tmp_path, capsys):
+    """A graph.dot left by an earlier --format dot run would describe another
+    graph than the graph.json beside it, so a run that writes no dot removes
+    it.  A directory at that path is no artifact, and stays."""
+    first, second, _ = _writer_runs(tmp_path)[command]
+    out = tmp_path / "o"
+    assert run(first + ["--out", str(out)]) == 0
+    assert (out / "graph.dot").is_file()
+    assert run(second[:-2] + ["--out", str(out)]) == 0
+    assert not os.path.lexists(out / "graph.dot")
+    assert run(second[:-2] + ["--out", str(out)]) == 0  # nothing to remove
+    (out / "graph.dot").mkdir()
+    assert run(second[:-2] + ["--out", str(out)]) == 0
+    assert (out / "graph.dot").is_dir()
+
+
 def test_a_symlink_at_an_artifact_is_replaced_not_written_through(tmp_path, capsys):
     out, target = tmp_path / "o", tmp_path / "target.json"
     out.mkdir()

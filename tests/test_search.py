@@ -43,7 +43,7 @@ def search_by_rebuilding_graphs(n, min_degree=2):
         if k < min_degree or math.gcd(n, *C) != 1:
             continue
         graph = CayleyGraph(ConnectionSet(group, np.asarray(C)))
-        spectrum = group_eigenvalues(graph.characters.real.ravel().tolist(), n)
+        spectrum = group_eigenvalues(graph.characters.real.ravel().tolist(), k, n)
         verdict = ramanujan_verdict(spectrum, k, connected=True)
         if verdict.is_ramanujan:
             yield SearchHit(n=n, encoding=s, C=C, degree=k,
@@ -217,7 +217,7 @@ def _assert_rows_match_scalar(raw, k, n):
     ok, second, boundary = _ramanujan_rows(raw, k, n)
     assert len(second) == len(raw)
     for r, row in enumerate(raw.tolist()):
-        want = ramanujan_verdict(group_eigenvalues(row, n), int(k[r]), connected=True)
+        want = ramanujan_verdict(group_eigenvalues(row, int(k[r]), n), int(k[r]), connected=True)
         assert (bool(ok[r]), second[r], type(second[r]), bool(boundary[r])) \
             == _verdict_fields(want), (r, row)
 
@@ -263,7 +263,7 @@ def test_ramanujan_rows_hand_built():
     _assert_rows_match_scalar(rows, k, n)
     ok, second, boundary = _ramanujan_rows(np.array(rows), k, n)
     assert ((a + b) + c) / 3 not in ((a + (b + c)) / 3, (a + b + c) * (1.0 / 3))
-    assert (((a + b) + c) / 3, 3, False) in group_eigenvalues(rows[0], n).entries
+    assert (((a + b) + c) / 3, 3, False) in group_eigenvalues(rows[0], 3, n).entries
     assert ok.tolist() == [True, True, True, True, False]
     assert boundary.tolist() == [False, True, False, False, False]
     assert second[2] == 2 and type(second[2]) is int
@@ -276,9 +276,9 @@ def test_ramanujan_rows_refuse_a_tie():
     a chunk of rows and for one spectrum alike.  Such a cluster must
     straddle the snapped band around 2, so the clustering gap 1e-8 * n has
     to exceed 2e-6: n = 1000 here (no n <= 32 allows it)."""
-    eps = 2.0 ** -19  # above SNAP_TOL, and 2 - eps, 2 + eps average to 2 exactly
+    eps = 2.0 ** -19  # above the snap tolerance, and 2 - eps, 2 + eps average to 2 exactly
     row = [5.0, 2.0, -(2.0 - eps), -(2.0 + eps), 0.0, 0.0, 0.0, -1.0]
-    scalar = group_eigenvalues(row, 1000)
+    scalar = group_eigenvalues(row, 5, 1000)
     assert (2, 1, True) in scalar.entries and (-2.0, 2, False) in scalar.entries
     with pytest.raises(ArithmeticError):
         _ramanujan_rows(np.array([row]), np.array([5]), 1000)

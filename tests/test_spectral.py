@@ -11,12 +11,14 @@ from cayleyx import (
     AbelianGroup,
     CayleyGraph,
     ConnectionSet,
+    GdsCertificate,
     bent_hadamard_set,
     cyclic,
     dij_set,
     gds_predicted_eigenvalues,
     kloosterman_trace_set,
     polar_trace_set,
+    search_ramanujan_circulant,
     spectral,
     spectrum_by_characters,
     table_identity,
@@ -132,7 +134,7 @@ def test_spectra_and_verdicts_match_the_scalar_references():
     for graph in graphs:
         spec = spectrum_by_characters(graph)
         table = graph.characters
-        want = group_eigenvalues(table.real.ravel().tolist(), graph.n)
+        want = group_eigenvalues(table.real.ravel().tolist(), graph.k, graph.n)
         assert _typed_entries(spec) == _typed_entries(want), graph.group.factors
         for connected in (True, False):
             got = ramanujan_check(spec, graph.k, connected)
@@ -463,6 +465,68 @@ def test_gds_predicted_difference_set_case():
     assert gds_predicted_eigenvalues(cert) == {1, -1}
 
 
+def test_gds_predicted_eigenvalues_refuse_an_asymmetric_S():
+    """A certificate read from JSON may carry any S that holds 0.  On Z_7
+    with S = {0, 1} the chi(S) = 1 + w^j have imaginary parts up to 0.97,
+    so an envelope of their real parts would be wrong: it raises instead."""
+    cert = GdsCertificate.from_json({"factors": [7], "n": 7, "k": 3, "mu1": 0, "mu2": 1,
+                                     "S": [[0], [1]], "C": [[1], [2], [4]]})
+    with pytest.raises(ArithmeticError, match="must be real"):
+        gds_predicted_eigenvalues(cert)
+
+
+def test_every_tolerance_site_reads_the_model(monkeypatch):
+    """Every float tolerance is a field of ``spectral.tolerance``: patching
+    one field moves each site that reads it.  The heptagon's eigenvalues
+    are 2, 2cos(2pi/7) = 1.247, -0.445 and -1.802, each irrational one twice."""
+    model = spectral.tolerance
+
+    def patch(**fields):
+        monkeypatch.setattr(spectral, "tolerance", lambda k, n: model(k, n)._replace(**fields))
+
+    def verdict(spec):  # of degree 3: the bound is 2 sqrt(2) = 2.83
+        v = ramanujan_check(spec, 3, True)
+        return v.is_ramanujan, v.second_largest_abs, v.boundary_flag
+
+    heptagon = _circulant(7, [1, 6])
+    spec = spectrum_by_characters(heptagon)
+    near_k = spectral.Spectrum(((3, 1, True), (2.5, 2, False), (-1, 4, True)))
+    above = spectral.Spectrum(((3, 1, True), (2.9, 2, False), (-1, 4, True)))
+    table = np.array([3.0, 2.5, -2.9, 1.0])
+    # radicand 1 - 1 + (1 - 0) chi(S) = 1 + 2cos(2pi j/7) reaches -0.802
+    cert = GdsCertificate(group=cyclic(7), C=[1, 6], S=[0, 1, 6], k=1, mu1=1, mu2=0)
+    assert table_identity(heptagon, 0)
+    assert spectral.quotient_cuts(heptagon, spec)["violations"] == 0
+    assert verdict(near_k) == (True, 2.5, False)
+    assert verdict(above) == (False, 2.9, False)
+    assert spectral._witnesses(table, 3) == [1, 2]
+    with pytest.raises(ArithmeticError, match="negative radicand"):
+        gds_predicted_eigenvalues(cert)
+
+    patch(snap=0.25)  # 1.247 and -1.802 snap to 1 and -2
+    assert [(v, m) for v, m, e in spectrum_by_characters(heptagon).entries if e] \
+        == [(2, 1), (1, 2), (-2, 2)]
+    patch(gap=10.0)  # the irrational values form one cluster
+    assert [(m, e) for _, m, e in spectrum_by_characters(heptagon).entries] \
+        == [(1, True), (6, False)]
+    patch(snap=0.6)  # 2.5 lies within snap of k = 3: exempt
+    assert verdict(near_k) == (True, 1, False)
+    patch(boundary=0.1)  # 2.9 lies within boundary of the bound: it passes, flagged
+    assert verdict(above) == (True, 2.9, True)
+    patch(snap=0.2)  # |-2.9| lies within snap of k = 3: the witness is 2.5 alone
+    assert spectral._witnesses(table, 3) == [1]
+    patch(snap=1.0)  # the radicand -0.802 is floored to 0, and every root snaps
+    assert gds_predicted_eigenvalues(cert) == {0, 1, -1}
+    patch(entry=-1e9)  # every entry check fails
+    for fails in (lambda: spectrum_by_characters(heptagon),
+                  lambda: list(search_ramanujan_circulant(8))):
+        with pytest.raises(ArithmeticError, match="must be real"):
+            fails()
+    assert not table_identity(heptagon, 0)
+    cuts = spectral.quotient_cuts(heptagon, spec)  # a low cut and an off entry at each
+    assert cuts["violations"] == 2 * len(cuts["cuts"]) == 4
+
+
 def test_snapping_and_grouping():
     spec = spectrum_by_characters(_circulant(7, [1, 6]))
     # heptagon eigenvalues: 2 and three irrational conjugate pairs
@@ -472,7 +536,7 @@ def test_snapping_and_grouping():
 
 
 @pytest.mark.xfail(strict=True, reason="2cos(2pi/10000) and its conjugate lie within "
-                   "SNAP_TOL of 2 and are snapped to the degree (ROADMAP item 3)")
+                   "the snap tolerance of 2 and are snapped to the degree (ROADMAP item 3)")
 def test_cycle_10000_has_the_degree_once():
     """C_10000 is connected, so k = 2 is a simple eigenvalue; today the
     spectrum reads it with multiplicity 3."""
