@@ -3,6 +3,8 @@
 Human-readable summary goes to stdout; machine artifacts (graph.json,
 spectrum.csv, verdict.json, hits.jsonl, graph.dot) go to --out, each created
 afresh by :func:`_create`, never truncated in place or written through a link.
+construct and analyze run no check themselves: both write the report of
+:func:`cayleyx.constructions.certify` (construct adds its predictions).
 Exit codes: 0 success, 2 usage/parameter error (an unwritable --out among
 them), 3 data-invariant violation or failed exactness check (an
 ArithmeticError of the exact routes).
@@ -15,7 +17,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -24,9 +25,7 @@ import numpy as np
 
 from . import constructions, groupring, search
 from .graphs import DOT_MAX_EDGES, CayleyGraph, InvariantError
-from .groupring import _certificate
 from .groups import AbelianGroup, check_order
-from .spectral import quotient_cuts, table_identity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,18 +136,15 @@ def _check_format(args, graph):
                              f"this graph has {edges}")
 
 
-def _emit_graph_artifacts(args, report, extra):
-    """Write graph.json, spectrum.csv, verdict.json (the report's verdict and
-    statistics, updated by ``extra``) and, with ``--format dot``, graph.dot."""
-    graph, st = report.graph, report.stats
+def _emit_graph_artifacts(args, report, verdict):
+    """Write graph.json, spectrum.csv, verdict.json (the dict ``verdict``)
+    and, with ``--format dot``, graph.dot."""
+    graph = report.graph
     _check_format(args, graph)
     outdir = _make_out(args.out)
     _write_graph(outdir, list(graph.group.factors), graph.connection.indices)
     _write(outdir, "spectrum.csv", report.spectrum.to_csv())
-    payload = report.verdict.to_json()
-    payload.update(components=st.component_count, bipartite=st.bipartite,
-                   diameter=st.diameter if st.diameter != math.inf else None, **extra)
-    _write(outdir, "verdict.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(outdir, "verdict.json", json.dumps(verdict, sort_keys=True, indent=2) + "\n")
     if args.format == "dot":
         _write(outdir, "graph.dot", graph.to_dot())
     else:  # an earlier run's graph.dot would show another graph (a directory stays)
@@ -189,11 +185,9 @@ def cmd_construct(args):
     except ValueError as e:
         raise ParameterError(str(e))
     _emit_graph_artifacts(args, report, {
-        "predicted_degree": report.predicted_degree,
+        **report.to_json(), "predicted_degree": report.predicted_degree,
         "predicted_ramanujan": report.predicted_ramanujan,
-        "discrepancies": report.discrepancies,
-        "notes": report.notes,
-    })
+        "discrepancies": report.discrepancies, "notes": report.notes})
     graph, st = report.graph, report.stats
     print(f"{args.name}: n={graph.n} degree={graph.k} "
           f"components={st.component_count} bipartite={st.bipartite} "
@@ -226,27 +220,16 @@ def cmd_analyze(args):
         print(f"error: malformed graph JSON: {e}", file=sys.stderr)
         return EXIT_USAGE
     _check_format(args, graph)
-    common = graph.common_neighbor_counts()  # C = -C: the difference counts; stats' first step
-    report = constructions.certify(graph)
-    oracle_ok = table_identity(graph, args.seed)
+    report = constructions.certify(graph, args.seed)
+    _emit_graph_artifacts(args, report, report.to_json())
     st = report.stats
-    cert = _certificate(graph.group, graph.connection.indices, common.ravel()[1:])
-    srg = None
-    if st.component_count == 1:
-        srg = graph.srg_check()
-    _emit_graph_artifacts(args, report, {
-        "crossing_checks": quotient_cuts(graph, report.spectrum),
-        "oracle_agrees": oracle_ok,
-        "gds": list(cert.parameters) if cert else None,
-        "srg": list(srg) if srg else None,
-    })
     print(f"n={graph.n} k={graph.k} components={st.component_count} "
           f"bipartite={st.bipartite} diameter={st.diameter}")
-    print(f"ramanujan={report.verdict.is_ramanujan} oracle_agrees={oracle_ok}")
-    if cert:
-        print(f"gds={cert.parameters}")
-    if srg:
-        print(f"srg={srg}")
+    print(f"ramanujan={report.verdict.is_ramanujan} oracle_agrees={report.oracle_agrees}")
+    if report.gds:
+        print(f"gds={report.gds.parameters}")
+    if report.srg:
+        print(f"srg={report.srg}")
     return EXIT_OK
 
 
@@ -347,6 +330,7 @@ def cmd_search(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="cayleyx",
                                 description="Cayley graph spectra and expander certification")

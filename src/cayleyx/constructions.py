@@ -18,19 +18,17 @@ before it builds anything, the GF(2^m) sets through :class:`cayleyx.gf2.Gf2Field
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gf2 import Gf2Field, _kloosterman_values, _sign_tables
 from .graphs import CayleyGraph, ConnectionSet, GraphStats
+from .groupring import GdsCertificate, _certificate
 from .groups import AbelianGroup, check_order, check_order_log2, sorted_unique
-from .spectral import (
-    RamanujanVerdict,
-    Spectrum,
-    ramanujan_check,
-    spectrum_by_characters,
-)
+from .spectral import (RamanujanVerdict, Spectrum, quotient_cuts, ramanujan_check,
+                       spectrum_by_characters, table_identity)
 
 __all__ = [
     "ConstructionReport",
@@ -46,29 +44,48 @@ __all__ = [
 
 @dataclass
 class ConstructionReport:
-    """A graph's certification (:func:`certify`); a named construction adds
-    its closed-form predictions and the mismatches with them.  The
-    connection set is ``graph.connection``."""
+    """A graph's certification (:func:`certify`): its spectrum, statistics,
+    verdict and checks; a named construction adds its closed-form
+    predictions and the mismatches.  The connection set is ``graph.connection``."""
 
     graph: CayleyGraph
     spectrum: Spectrum
     verdict: RamanujanVerdict
     stats: GraphStats
+    oracle_agrees: bool  # the table identity
+    crossing_checks: dict  # the quotient cuts
+    gds: GdsCertificate  # None if C's difference counts take three values or more
+    srg: tuple  # (v, k, lambda, mu); None if not strongly regular or not connected
     predicted_degree: int = None
     predicted_eigenvalues: set = field(default_factory=set)
     predicted_ramanujan: bool = None
     discrepancies: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
+    def to_json(self):
+        """verdict.json's dict, a construction's predictions aside."""
+        st = self.stats
+        return {**self.verdict.to_json(), "components": st.component_count,
+                "bipartite": st.bipartite,
+                "diameter": st.diameter if st.diameter != math.inf else None,
+                "oracle_agrees": self.oracle_agrees, "crossing_checks": self.crossing_checks,
+                "gds": list(self.gds.parameters) if self.gds else None,
+                "srg": list(self.srg) if self.srg else None}
 
-def certify(graph):
-    """The spectrum, statistics and Ramanujan verdict of ``graph``, as a
-    report with no predictions: the one certification of every named
-    construction and of ``cayleyx analyze``."""
-    spec = spectrum_by_characters(graph)
-    stats = graph.stats()
+
+def certify(graph, seed=0):
+    """The one certification of every named construction and of ``cayleyx
+    analyze``, with no predictions.  C*C comes first: the statistics take
+    their level-1 step from it, and the GDS certificate (C = -C) and the srg
+    check read it.  The table identity draws its weights from ``seed``."""
+    common = graph.common_neighbor_counts()
+    spec, stats = spectrum_by_characters(graph), graph.stats()
     verdict = ramanujan_check(spec, graph.k, stats.component_count == 1)
-    return ConstructionReport(graph, spec, verdict, stats)
+    return ConstructionReport(
+        graph, spec, verdict, stats, oracle_agrees=table_identity(graph, seed),
+        crossing_checks=quotient_cuts(graph, spec),
+        gds=_certificate(graph.group, graph.connection.indices, common.ravel()[1:]),
+        srg=graph.srg_check() if verdict.connected else None)
 
 
 def _certify(connection, predicted_degree, predicted_eigenvalues, predicted_ramanujan,

@@ -55,7 +55,8 @@ def difference_counts(group, C):
 @dataclass(frozen=True, eq=False)
 class GdsCertificate:
     """Verified (n, |S|, k, mu1, mu2) structure of a GDS, with its set S,
-    which must hold the identity (ValueError otherwise).  ``C`` and ``S``
+    which must hold the identity (ValueError otherwise; :meth:`from_json`
+    also checks the rest against :func:`verify_gds`).  ``C`` and ``S``
     are held as sorted read-only int64 arrays of flat indices; tuples
     appear only in the JSON form."""
 
@@ -105,15 +106,14 @@ class GdsCertificate:
 
     @classmethod
     def from_json(cls, obj):
+        """The certificate ``obj``, which must be :func:`verify_gds`'s of its
+        group and C (ValueError otherwise)."""
         group = AbelianGroup(obj["factors"])
-        return cls(
-            group=group,
-            C=group.indices(obj["C"]),
-            S=group.indices(obj["S"]),
-            k=obj["k"],
-            mu1=obj["mu1"],
-            mu2=obj["mu2"],
-        )
+        cert = cls(group=group, C=group.indices(obj["C"]), S=group.indices(obj["S"]),
+                   k=obj["k"], mu1=obj["mu1"], mu2=obj["mu2"])
+        if cert != verify_gds(group, obj["C"]):
+            raise ValueError("the certificate is not verify_gds's of its group and C")
+        return cert
 
 
 def _certificate(group, C, mu):

@@ -315,7 +315,9 @@ def test_srg_matches_dense_square(make_graph):
 
 
 def test_common_neighbor_counts_computed_once(monkeypatch):
-    graph = theorem33_set(4, 4).graph
+    # a graph that holds its statistics but not C*C (certify's holds both)
+    graph = CayleyGraph(theorem33_set(4, 4).graph.connection)
+    graph.stats()
     calls = []
     counts = AbelianGroup.counts
     monkeypatch.setattr(AbelianGroup, "counts",

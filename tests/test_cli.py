@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, round trips."""
 
+import argparse
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from cayleyx import (
     KloostermanTable,
     bent_hadamard_set,
     cli,
+    constructions,
     cyclic,
     dij_set,
     groups,
@@ -121,6 +123,7 @@ def test_construct_dij_writes_the_common_schema(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     assert set(verdict) == {"is_ramanujan", "second_largest_abs", "bound", "connected",
                             "boundary_flag", "reason", "components", "bipartite", "diameter",
+                            "oracle_agrees", "crossing_checks", "gds", "srg",
                             "predicted_degree", "predicted_ramanujan", "discrepancies", "notes"}
     assert (verdict["components"], verdict["bipartite"], verdict["diameter"]) == (2, False, None)
     assert verdict["predicted_degree"] is None and verdict["predicted_ramanujan"] is None
@@ -158,13 +161,15 @@ def test_construct_choices_are_the_table():
     ["dij", "--m", "10", "--i", "0", "--j", "1"],
 ])
 def test_construct_and_analyze_write_the_same_statistics(argv, tmp_path):
-    """construct's components, bipartite and diameter equal analyze's for the
-    graph.json construct wrote."""
+    """construct's verdict.json is analyze's for the graph.json construct
+    wrote, key for key (the checks among them), plus the four predictions."""
     assert run(["construct"] + argv + ["--out", str(tmp_path / "c")]) == 0
     assert run(["analyze", str(tmp_path / "c" / "graph.json"), "--out", str(tmp_path / "a")]) == 0
-    keys = ("components", "bipartite", "diameter", "is_ramanujan")
     built, analyzed = (json.loads((tmp_path / d / "verdict.json").read_text()) for d in "ca")
-    assert [built[k] for k in keys] == [analyzed[k] for k in keys]
+    predictions = {"predicted_degree", "predicted_ramanujan", "discrepancies", "notes"}
+    assert set(built) == set(analyzed) | predictions and not predictions & set(analyzed)
+    assert {k: v for k, v in built.items() if k not in predictions} == analyzed
+    assert analyzed["oracle_agrees"] is True and analyzed["crossing_checks"]["violations"] == 0
 
 
 @pytest.mark.parametrize("argv, what, n", [
@@ -242,9 +247,9 @@ def test_analyze_product_graph(tmp_path, capsys):
 
 def test_analyze_computes_common_neighbours_once(tmp_path, monkeypatch):
     """The statistics, the GDS certificate and the srg check share one
-    common-neighbour table: an analyze op computes C*C (the graph's character
-    table times itself) once, and writes the verdict of a run that
-    recomputes it at every call."""
+    common-neighbour table: an analyze op, and a construct op of the same
+    graph, computes C*C (the graph's character table times itself) once,
+    and writes the verdict of a run that recomputes it at every call."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(theorem33_set(4, 6).graph.to_json()))
     graphs, calls = [], []
@@ -253,18 +258,37 @@ def test_analyze_computes_common_neighbours_once(tmp_path, monkeypatch):
                         lambda self, connection: graphs.append(self) or init(self, connection))
     monkeypatch.setattr(AbelianGroup, "counts", lambda self, a, b: calls.append(
         any(a is g.characters and b is g.characters for g in graphs)) or counts(self, a, b))
+    commands = {"analyze": ["analyze", str(gpath)],
+                "construct": ["construct", "theorem33", "--s", "4", "--r", "6"]}
 
-    def analyze(out):
+    def write(command, out):
         calls.clear()
-        assert run(["analyze", str(gpath), "--out", str(tmp_path / out)]) == 0
+        assert run(commands[command] + ["--out", str(tmp_path / out)]) == 0
         return sum(calls), (tmp_path / out / "verdict.json").read_text()
 
-    once = analyze("once")
+    once = {c: write(c, c + "-once") for c in commands}
     monkeypatch.setattr(CayleyGraph, "common_neighbor_counts",
                         lambda self: self.group.counts(self.characters, self.characters))
-    recomputed = analyze("recomputed")
-    assert once == (1, recomputed[1])
-    assert recomputed[0] > 1
+    for command in commands:
+        recomputed = write(command, command + "-recomputed")
+        assert once[command] == (1, recomputed[1])
+        assert recomputed[0] > 1
+
+
+def _move_a_table_entry(monkeypatch, graph):
+    """Move entry 1 of ``graph``'s character table by 1e-3 in every table
+    taken of its indicator from now on."""
+    target = graph.group.indicator(graph.connection.indices)
+    table = AbelianGroup.character_sum_table
+
+    def wrong(self, x):
+        t = table(self, x)
+        if np.shape(x) == target.shape and np.array_equal(x, target):
+            t = t.copy()
+            t.flat[1] += 1e-3
+        return t
+
+    monkeypatch.setattr(AbelianGroup, "character_sum_table", wrong)
 
 
 @pytest.mark.parametrize("n", [4095, 2048])
@@ -277,21 +301,59 @@ def test_analyze_oracle_catches_a_wrong_character_table(n, tmp_path, monkeypatch
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"factors": [n],
                                  "connection_set": [[c] for c in C + [n - c for c in C]]}))
-    graph = CayleyGraph.from_json(json.loads(gpath.read_text()))
-    target = graph.group.indicator(graph.connection.indices)
-    table = AbelianGroup.character_sum_table
-
-    def wrong(self, x):
-        t = table(self, x)
-        if np.shape(x) == target.shape and np.array_equal(x, target):
-            t = t.copy()
-            t.flat[1] += 1e-3
-        return t
-
-    monkeypatch.setattr(AbelianGroup, "character_sum_table", wrong)
+    _move_a_table_entry(monkeypatch, CayleyGraph.from_json(json.loads(gpath.read_text())))
     out = tmp_path / "out"
     assert run(["analyze", str(gpath), "--out", str(out)]) == 0
     assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is False
+
+
+def test_construct_oracle_catches_a_wrong_character_table(tmp_path, monkeypatch):
+    """construct runs the same oracle: with one entry of the table of the
+    product set on Z_4 x Z_6 (off Z_2^m) moved by 1e-3, it still exits 0
+    and reports that the table fails its check."""
+    _move_a_table_entry(monkeypatch, theorem33_set(4, 6).graph)
+    out = tmp_path / "out"
+    assert run(["construct", "theorem33", "--s", "4", "--r", "6", "--out", str(out)]) == 0
+    assert json.loads((out / "verdict.json").read_text())["oracle_agrees"] is False
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+def test_each_command_writes_the_one_report(command, tmp_path, monkeypatch):
+    """construct and analyze call ``certify`` once and write its report's
+    ``to_json()``, construct with its four predictions added."""
+    built = theorem33_set(4, 4)
+    (tmp_path / "g.json").write_text(json.dumps(built.graph.to_json()))
+    reports, certify = [], constructions.certify
+    monkeypatch.setattr(constructions, "certify",
+                        lambda *a: reports.append(certify(*a)) or reports[-1])
+    argv = (["analyze", str(tmp_path / "g.json"), "--seed", "3"] if command == "analyze"
+            else ["construct", "theorem33", "--s", "4", "--r", "4"])
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    assert len(reports) == 1
+    want = json.loads(json.dumps(reports[0].to_json()))
+    if command == "construct":
+        want.update(predicted_degree=built.predicted_degree, notes=built.notes,
+                    predicted_ramanujan=built.predicted_ramanujan,
+                    discrepancies=built.discrepancies)
+    assert verdict == want
+    assert verdict["srg"] == [16, 6, 2, 2] and verdict["gds"] == list(built.gds.parameters)
+
+
+def test_the_parser_is_built_once(tmp_path, monkeypatch):
+    """Two commands parse with one parser, built once, and the second sees
+    none of the first's values."""
+    seen, parse = [], argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, argv: seen.append((self, parse(self, argv))) or seen[-1][1])
+    assert run(["construct", "theorem33", "--s", "4", "--r", "4", "--format", "dot",
+                "--out", str(tmp_path / "t")]) == 0
+    assert run(["construct", "bent-hadamard", "--u", "2", "--out", str(tmp_path / "b")]) == 0
+    (first, a), (second, b) = seen
+    assert second is first
+    assert (a.s, a.r, a.u, a.format) == (4, 4, None, "dot")
+    assert (b.s, b.r, b.u, b.format) == (None, None, 2, "json")
+    assert not (tmp_path / "b" / "graph.dot").exists()
 
 
 def test_analyze_checks_the_table_above_4096(tmp_path, capsys):

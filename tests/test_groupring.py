@@ -177,6 +177,26 @@ def test_certificate_json_refuses_an_S_without_the_identity():
         GdsCertificate.from_json(obj)
 
 
+def test_certificate_json_is_checked_against_verify_gds():
+    """from_json refuses a certificate that is not verify_gds's of its C: on
+    Z_7, C = {1, 6} has counts 1 at +-2 and 0 elsewhere, so k = 1 with
+    S = {0, 1, 6} is refused, as is the true certificate with one field
+    moved; a C whose counts take three values has no certificate at all."""
+    bad = {"factors": [7], "n": 7, "k": 1, "mu1": 1, "mu2": 0,
+           "S": [[0], [1], [6]], "C": [[1], [6]]}
+    with pytest.raises(ValueError, match="not verify_gds's"):
+        GdsCertificate.from_json(bad)
+    good = verify_gds(cyclic(7), [(1,), (6,)]).to_json()
+    assert (good["k"], good["mu1"], good["mu2"], good["S"]) == (2, 0, 1, [[0], [1], [3], [4], [6]])
+    assert GdsCertificate.from_json(good).to_json() == good
+    for key, value in (("k", 3), ("mu1", 1), ("mu2", 2), ("S", [[0], [1], [3], [4]])):
+        with pytest.raises(ValueError, match="not verify_gds's"):
+            GdsCertificate.from_json({**good, key: value})
+    assert verify_gds(cyclic(7), [(1,), (2,), (3,)]) is None  # counts 2, 1, 0, 0, 1, 2
+    with pytest.raises(ValueError, match="not verify_gds's"):
+        GdsCertificate.from_json({**good, "k": 3, "C": [[1], [2], [3]]})
+
+
 def test_translation_invariance():
     rng = random.Random(7)
     for n in (9, 12, 15):

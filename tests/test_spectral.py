@@ -466,11 +466,11 @@ def test_gds_predicted_difference_set_case():
 
 
 def test_gds_predicted_eigenvalues_refuse_an_asymmetric_S():
-    """A certificate read from JSON may carry any S that holds 0.  On Z_7
-    with S = {0, 1} the chi(S) = 1 + w^j have imaginary parts up to 0.97,
-    so an envelope of their real parts would be wrong: it raises instead."""
-    cert = GdsCertificate.from_json({"factors": [7], "n": 7, "k": 3, "mu1": 0, "mu2": 1,
-                                     "S": [[0], [1]], "C": [[1], [2], [4]]})
+    """A certificate built by its constructor may carry any S that holds 0.
+    On Z_7 with S = {0, 1} the chi(S) = 1 + w^j have imaginary parts up to
+    0.97, so an envelope of their real parts would be wrong: it raises
+    instead."""
+    cert = GdsCertificate(group=cyclic(7), C=[1, 2, 4], S=[0, 1], k=3, mu1=0, mu2=1)
     with pytest.raises(ArithmeticError, match="must be real"):
         gds_predicted_eigenvalues(cert)
 
