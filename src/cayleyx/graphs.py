@@ -124,9 +124,9 @@ class CayleyGraph:
         from 0: N = supp(L_t * 1_C), L_{t+1} = N minus everything reached.
 
         Levels 0 and 1 are known: L_0 = {0} and L_1 = C (C is identity-free,
-        so N meets no L_0), and L_1's table is ``characters``.  So a graph of
-        eccentricity e takes e - 1 forward and e inverse transforms, one
-        fewer inverse if :meth:`common_neighbor_counts` (L_1's step) is held.
+        so N meets no L_0), and L_1's step is :meth:`common_neighbor_counts`.
+        So a graph of eccentricity e takes e - 1 forward and e inverse
+        transforms, the first of them C*C, which the graph keeps.
         Components are translates of the one through 0, so components =
         n / |reached|; bipartite iff no N meets its L_t (an edge inside a
         level closes an odd cycle); diameter = steps taken, if all reached.
@@ -139,8 +139,7 @@ class CayleyGraph:
         reached.flat[0] = True
         bipartite = True
         steps = 1
-        common = self._common
-        nxt = (g.counts(self.characters, self.characters) if common is None else common) > 0
+        nxt = self.common_neighbor_counts() > 0
         while True:
             bipartite = bipartite and not (nxt & frontier).any()
             frontier = nxt & ~reached

@@ -7,20 +7,19 @@ exactly in F_p on ``Z_2^m``, in floats elsewhere.
 On ``Z_2^m`` the character sums are the integers of an exact Walsh-Hadamard
 transform, so every eigenvalue there is exact by construction.  Every other
 spectrum is grouped by one row-wise rule (:func:`_groups`: values within
-``snap`` of an integer are snapped and stored exact, the rest clustered),
+eps of an integer are snapped and stored exact, the rest clustered),
 and one decision (:func:`_verdicts`) tests lambda^2 <= 4(k-1) for one graph
 and for a search chunk alike, exactly on the integers of every construction
 this package ships.  The expander mixing bound is checked
 (:func:`quotient_cuts`) on the quotient cuts at lambda_2 and the Ramanujan
 witness, read from C alone, and their two table entries.  Every float
-tolerance (``snap`` among them) is a field of one model, :func:`tolerance`.
+tolerance is a multiple of one stated error bound, :func:`tolerance`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,20 +85,23 @@ class RamanujanVerdict:
         }
 
 
-Tolerance = namedtuple("Tolerance", "entry snap gap boundary")
-
-
 def tolerance(k, n):
-    """The error model: every float tolerance of the pipeline, for degree(s) k
-    and group order n (README, "Error model").  ``AbelianGroup.counts``' 0.25
-    rounding guard stays outside: it only raises, never decides an output."""
-    return Tolerance(1e-9 * k, 1e-6, 1e-8 * n, 1e-6)
+    """The error model, eps = 7 u ceil(log2 n) sqrt(n k) with u = 2^-53: the
+    one float tolerance of the pipeline, for degree(s) k and group order n
+    (README, "Error model").  It is Higham's normwise bound for a radix-2
+    FFT (*Accuracy and Stability of Numerical Algorithms*, ch. 24), eta ~
+    6.7u per level, at ||y||_2 = sqrt(n k), the norm of the transform of a
+    0/1 indicator of k elements; one entry's error is at most the normwise
+    error.  For pocketfft's mixed radix and Bluestein it is an assumption,
+    not a proof.  ``AbelianGroup.counts``' 0.25 rounding guard stays
+    outside: it only raises, never decides an output."""
+    return 7 * 2.0 ** -53 * (n - 1).bit_length() * np.sqrt(np.multiply(n, k, dtype=float))
 
 
 def _real(table, k):
     """The real parts of character sums, a row of degree k or rows of degrees
-    ``k``; an imaginary part above ``entry`` raises ArithmeticError."""
-    if (np.abs(table.imag).max(axis=-1) > tolerance(k, table.shape[-1]).entry).any():
+    ``k``; an imaginary part above eps raises ArithmeticError."""
+    if (np.abs(table.imag).max(axis=-1) > tolerance(k, table.shape[-1])).any():
         raise ArithmeticError("character sums of a symmetric set must be real")
     return table.real
 
@@ -107,19 +109,20 @@ def _real(table, k):
 def _groups(raw, k, n):
     """Snap and cluster the eigenvalue rows of ``raw`` (m rows, or one) of
     degrees ``k`` on a group of order n.  Returns three m-row arrays: the
-    values within ``snap`` of an integer, snapped (NaN elsewhere), and the
+    values less than eps from an integer, snapped (NaN elsewhere), and the
     mean and size of each cluster of the others at its last position (NaN
     and 0 elsewhere).  Clusters are runs of the sorted values cut at gaps
-    above ``gap``, summed left to right as ``sum`` does: a loop over the
-    position inside a cluster, across all clusters of all rows at once."""
+    above 2 eps (two equal values may each be eps off), summed left to
+    right as ``sum`` does: a loop over the position inside a cluster,
+    across all clusters of all rows at once."""
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    tol = tolerance(np.reshape(k, (-1, 1)), n)
+    eps = tolerance(np.reshape(k, (-1, 1)), n)
     r = np.round(raw)
-    exact = np.abs(raw - r) < tol.snap
+    exact = np.abs(raw - r) < eps
     v = np.sort(np.where(exact, np.nan, raw), axis=1)  # NaN sorts last
     valid = ~np.isnan(v)
     start = valid.copy()
-    start[:, 1:] &= np.diff(v, axis=1) > tol.gap
+    start[:, 1:] &= np.diff(v, axis=1) > 2 * eps
     end = valid.copy()
     end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
     first, last = np.flatnonzero(start), np.flatnonzero(end)
@@ -173,10 +176,9 @@ def table_identity(graph, seed):
     r_i(a_i)), swapping the sums over a and c gives
     sum_a r_a chi_a(C) = sum_{c in C} prod_i r^_i(c_i), with
     r^_i(x) = sum_j r_i(j) exp(2 pi i j x / d_i) the transform of r_i
-    (Freivalds, IFIP 1977).  The left side reads the table; the right side
-    reads C's coordinates (``AbelianGroup.digits``) in O(k t).
-    r is built by one outer product per factor, and no transform of size n
-    is taken.
+    (Freivalds, IFIP 1977).  The left side contracts the grid-shaped table
+    with one r_i per axis; the right side reads C's coordinates
+    (``AbelianGroup.digits``) in O(k t).  No transform of size n is taken.
 
     On ``Z_2^m`` (an int64 table) the identity is exact in F_p,
     p = ``TABLE_PRIME``: r_i = (1, t_i) with t uniform in F_p^m, so
@@ -185,12 +187,11 @@ def table_identity(graph, seed):
     probability at most m/p (Schwartz, JACM 1980).  Otherwise the real
     parts are compared in floats: r_i(x) = +-(1 + U[0, 1)), so every
     |r_a| >= 1, r^_i is one DFT of length d_i, and the sides must agree
-    within tau = ``entry`` * sum_a |r_a|, the per-entry tolerance of the
-    table weighted by the r_a: one entry off by more than tau moves the left
-    side by more than tau.
+    within tau = eps * sum_a |r_a|, the per-entry bound of the table
+    weighted by the r_a: one entry off by more than tau moves the left side
+    by more than tau.
     """
-    group, p, tol = graph.group, TABLE_PRIME, tolerance(graph.k, graph.n)
-    table = graph.characters.ravel()
+    group, p, table = graph.group, TABLE_PRIME, graph.characters
     exact = table.dtype.kind == "i"
     rng = random.Random(seed)
     for _ in range(TABLE_TRIALS):
@@ -201,24 +202,21 @@ def table_identity(graph, seed):
             words = [np.frombuffer(rng.randbytes(8 * d), dtype=np.uint64) for d in group.factors]
             weights = [np.where(w & 1, -1.0, 1.0) * (1.0 + (w >> 11) * 2.0 ** -53) for w in words]
             hats = [np.fft.fft(w) for w in weights]  # conj(r^_i): the sum's real part is kept
-        r = np.ones(1, dtype=weights[0].dtype)
-        for w in weights:  # r_a in ravel order of a
-            r = np.multiply.outer(r, w).ravel()
+        left = table if exact else table.real
+        for w in reversed(weights):  # exact: entries |x| < p and t < p < 2^31 keep sums < 2^62
+            left = left @ w
             if exact:
-                r %= p
+                left %= p
         terms = np.ones(graph.k, dtype=hats[0].dtype)
         for i, digit in group.digits(graph.connection.indices):
             terms *= hats[i][digit]
             if exact:
                 terms %= p
         if exact:
-            lam = table % p
-            lam *= r
-            lam %= p
-            agree = int(lam.sum()) % p == int(terms.sum()) % p
+            agree = int(left) == int(terms.sum()) % p
         else:
-            tau = tol.entry * math.prod(float(np.abs(w).sum()) for w in weights)
-            agree = abs(float(r @ table.real) - float(terms.sum().real)) <= tau
+            tau = tolerance(graph.k, graph.n) * math.prod(float(np.abs(w).sum()) for w in weights)
+            agree = abs(float(left) - float(terms.sum().real)) <= tau
         if not agree:
             return False
     return True
@@ -228,25 +226,25 @@ def _verdicts(ints, means, k, n):
     """The Ramanujan decision for m rows of eigenvalues of degrees ``k`` on
     order n: exact values in ``ints``, unsnapped ones in ``means`` (NaN-padded).
 
-    +-k is exempt (the -k of a bipartite graph; unsnapped: within
-    ``snap``).  Any other exact value fails when lambda^2 > 4(k-1)
-    (exact in floats for |lambda| < 2^26), an unsnapped one above
-    2*sqrt(k-1) + ``boundary``, within which it flags its row.  Returns
-    both failure masks, the ``second_largest_abs`` list (the largest counted
-    |lambda|: a Python int when exact, 0.0 when none) and the
-    ``boundary_flag`` array.  An integer that ties an unsnapped value for
-    the largest raises ArithmeticError: the choice would rest on order.
+    +-k is exempt (the -k of a bipartite graph; unsnapped: within eps).
+    Any other exact value fails when lambda^2 > 4(k-1) (exact in floats for
+    |lambda| < 2^26), an unsnapped one above 2*sqrt(k-1) + eps, within
+    which it flags its row.  Returns both failure masks, the
+    ``second_largest_abs`` list (the largest counted |lambda|: a Python int
+    when exact, 0.0 when none) and the ``boundary_flag`` array.  An integer
+    that ties an unsnapped value for the largest raises ArithmeticError:
+    the choice would rest on order.
     """
     k = np.asarray(k, dtype=np.int64)[:, None]
-    tol, bound = tolerance(k, n), 2.0 * np.sqrt(np.maximum(k - 1, 0))
+    eps, bound = tolerance(k, n), 2.0 * np.sqrt(np.maximum(k - 1, 0))
     a = np.abs(ints)
     counted = ~np.isnan(a) & (a != k)
     bad_ints = counted & (ints * ints > 4 * (k - 1))
     top_int = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
     a = np.abs(means)
-    counted = np.abs(a - k) > tol.snap  # False on NaN
-    bad_means = counted & (a > bound + tol.boundary)
-    boundary = (counted & (np.abs(a - bound) <= tol.boundary)).any(axis=1)
+    counted = np.abs(a - k) > eps  # False on NaN
+    bad_means = counted & (a > bound + eps)
+    boundary = (counted & (np.abs(a - bound) <= eps)).any(axis=1)
     top_mean = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
     if ((top_int == top_mean) & (top_int >= 0)).any():
         raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
@@ -295,12 +293,12 @@ def _witnesses(table, k):
     """The nontrivial character indices the quotient cuts are taken at: the
     first attaining lambda_2 (the largest nontrivial entry, k when the graph
     is disconnected), then, if it is another, the first attaining the
-    largest |lambda| more than ``snap`` from k (on ``Z_2^m``: other than
+    largest |lambda| more than eps from k (on ``Z_2^m``: other than
     +-k), when any entry has one."""
     rest = table[1:].real
     found = [1 + int(np.argmax(rest))]
     a = np.abs(rest)
-    counted = np.abs(a - k) > tolerance(k, table.size).snap
+    counted = np.abs(a - k) > tolerance(k, table.size)
     if counted.any():
         w = 1 + int(np.argmax(np.where(counted, a, -1)))
         if w != found[0]:
@@ -326,16 +324,16 @@ def quotient_cuts(graph, spec):
     t factors: no array of size n (nor of size e) and no transform.
 
     A violation is a cut below its bound (compared exactly in integers when
-    lambda_2 is exact, otherwise with lambda_2 taken ``entry`` higher), or
-    a direct value off its table entry: exactly on ``Z_2^m``, otherwise by
-    more than ``entry``.  Violations are counted, never raised.  Returns
+    lambda_2 is exact, otherwise with lambda_2 taken eps higher), or a
+    direct value off its table entry: exactly on ``Z_2^m``, otherwise by
+    more than eps.  Violations are counted, never raised.  Returns
     ``{"cuts": [...], "violations": int}``, one cut per witness with its
     character (coordinates), order, cut, bound and direct value.
     """
     group, n, k = graph.group, graph.n, graph.k
     table = graph.characters.ravel()
     exact = table.dtype.kind == "i"
-    lam2, tol = second_largest_by_index(spec, k), tolerance(k, n)
+    lam2, eps = second_largest_by_index(spec, k), tolerance(k, n)
     witnesses = _witnesses(table, k)
     chars = np.array([x for _, x in group.digits(witnesses)][::-1]).T.tolist()  # a row each
     orders = [math.lcm(*(d // math.gcd(x, d) for x, d in zip(a, group.factors)))
@@ -355,13 +353,13 @@ def quotient_cuts(graph, spec):
             bound = gap // n if gap % n == 0 else gap / n
         else:
             bound = (k - lam2) * size * (n - size) / n
-            low = cut < bound - tol.entry * size * (n - size) / n
+            low = cut < bound - eps * size * (n - size) / n
         if exact:  # e = 2: the characters of Z_2^m are +-1
             direct = k - 2 * int(pi.sum())
             off = direct != table[at]
         else:
             direct = float(np.cos(2 * np.pi / e * pi).sum())
-            off = abs(direct - table[at]) > tol.entry
+            off = abs(direct - table[at]) > eps
         violations += int(low) + int(off)
         cuts.append({"character": a, "order": e, "cut": cut, "bound": bound,
                      "direct": direct})
@@ -371,22 +369,21 @@ def quotient_cuts(graph, spec):
 def gds_predicted_eigenvalues(cert):
     """The eigenvalue envelope +-sqrt(k - mu1 + (mu1 - mu2) * chi(S)) over
     the nonprincipal characters, for 0 in S; a chi(S) off the reals raises
-    ArithmeticError (S = -S makes every chi(S) real)."""
-    group, tol = cert.group, tolerance(len(cert.S), cert.n)
+    ArithmeticError (S = -S makes every chi(S) real).  The radicand R is
+    off by at most |mu1 - mu2| eps_S, eps_S = ``tolerance(|S|, n)``, and an
+    error delta in R is sqrt(delta) in the root, so R is snapped, not its
+    root: R below -|mu1 - mu2| eps_S raises, and R within it of j^2 gives
+    the exact int j."""
+    group, s = cert.group, len(cert.S)
+    slack = abs(cert.mu1 - cert.mu2) * tolerance(s, cert.n)
     table = group.character_sum_table(group.indicator(cert.S)).ravel()
     values = set()
-    for chi_s in _real(table, len(cert.S))[1:].tolist():  # flat index 0 is the principal character
+    for chi_s in _real(table, s)[1:].tolist():  # flat index 0 is the principal character
         radicand = cert.k - cert.mu1 + (cert.mu1 - cert.mu2) * chi_s
-        if radicand < 0:
-            if radicand < -tol.snap:
-                raise ArithmeticError(f"negative radicand {radicand}")
-            radicand = 0.0
-        root = math.sqrt(radicand)
-        snapped = round(root)
-        if abs(root - snapped) < tol.snap:
-            values.add(snapped)
-            values.add(-snapped)
-        else:
-            values.add(root)
-            values.add(-root)
+        if radicand < -slack:
+            raise ArithmeticError(f"negative radicand {radicand}")
+        root = round(math.sqrt(max(radicand, 0.0)))
+        if abs(radicand - root * root) > slack:
+            root = math.sqrt(radicand)
+        values.update((root, -root))
     return values

@@ -44,7 +44,7 @@ from functools import reduce
 
 import numpy as np
 
-from cayleyx import GdsCertificate, Gf2Field, spectrum_by_characters, verify_gds
+from cayleyx import GdsCertificate, Gf2Field, spectral, spectrum_by_characters, verify_gds
 from cayleyx.gf2 import _sign_tables
 from cayleyx.groupring import _difference_array, _rotl, _two_valued
 from cayleyx.spectral import (
@@ -52,7 +52,6 @@ from cayleyx.spectral import (
     Spectrum,
     _group_eigenvalues,
     second_largest_by_index,
-    tolerance,
 )
 
 # Tolerance factor for "this character sum is real" decisions; the absolute
@@ -226,14 +225,15 @@ def is_symmetric_about_zero(spectrum, tol=1e-9):
 
 
 def group_eigenvalues(raw, k, n):
-    """Snap near-integers, then group equal/near-equal values, with the
-    package's tolerances for degree k and order n."""
-    tol = tolerance(k, n)
+    """Snap the values less than eps from an integer, then group the others
+    at gaps of at most 2 eps, with the package's eps for degree k and
+    order n (read through the module, so a patched model is seen)."""
+    eps = spectral.tolerance(k, n)
     exact_counts = {}
     real_values = []
     for v in raw:
         r = round(v)
-        if abs(v - r) < tol.snap:
+        if abs(v - r) < eps:
             exact_counts[r] = exact_counts.get(r, 0) + 1
         else:
             real_values.append(v)
@@ -242,7 +242,7 @@ def group_eigenvalues(raw, k, n):
         real_values.sort()
         start = 0
         for i in range(1, len(real_values) + 1):
-            if i == len(real_values) or real_values[i] - real_values[i - 1] > tol.gap:
+            if i == len(real_values) or real_values[i] - real_values[i - 1] > 2 * eps:
                 cluster = real_values[start:i]
                 entries.append((sum(cluster) / len(cluster), len(cluster), False))
                 start = i
@@ -261,18 +261,18 @@ def ramanujan_verdict(spectrum, k, connected):
     lambda^2 <= 4(k-1).  Both +k and -k are exempt (the -k of a bipartite
     graph does not break the bound)."""
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
-    tol = tolerance(k, spectrum.n)
+    eps = spectral.tolerance(k, spectrum.n)
     boundary = False
     second = 0.0
     failure = ""
     for v, _, exact in spectrum.entries:
         a = abs(v)
-        if (a == k) if exact else (abs(a - k) <= tol.snap):
+        if (a == k) if exact else (abs(a - k) <= eps):
             continue
         second = max(second, a)
-        if not exact and abs(a - bound) <= tol.boundary:
+        if not exact and abs(a - bound) <= eps:
             boundary = True
-        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + tol.boundary)
+        ok = (v * v <= 4 * (k - 1)) if exact else (a <= bound + eps)
         if not ok and not failure:
             failure = f"eigenvalue {v} exceeds bound"
     if not connected:

@@ -6,8 +6,15 @@ integers and ``math`` only, against the package's certification.
 * Hamming graphs H(d, q) = Cay(Z_q^d, {a e_i : a != 0}): the eigenvalue
   (q - 1)d - qi with multiplicity C(d, i)(q - 1)^i for i = 0..d, every one
   an exact integer, and diameter d.
+* Cycles Cay(Z_n, {+-1}): 2cos(2 pi a/n) for a = 0..n/2, twice for
+  0 < a < n/2, an exact integer where 12a/n is an integer j with
+  gcd(j, 12) > 1, and the largest |lambda| other than 2 and -2 is
+  2cos(2 pi/n) for even n, 2cos(pi/n) for odd n.  They go through the
+  spectrum and the verdict only, not ``certify``, whose frontier search
+  takes n/2 transforms.
 
-Nothing here reads the package's tolerances or its grouping rules.
+Nothing here reads the package's grouping rules; the cycles' irrational
+values are compared within its stated error bound, ``spectral.tolerance``.
 """
 
 import math
@@ -16,6 +23,7 @@ import numpy as np
 import pytest
 
 from cayleyx import AbelianGroup, CayleyGraph, ConnectionSet, certify, cyclic
+from cayleyx.spectral import ramanujan_check, spectrum_by_characters, tolerance
 
 
 def _primes_below(limit):
@@ -29,6 +37,8 @@ def _primes_below(limit):
 
 PALEY_PRIMES = [p for p in _primes_below(1000) if p % 4 == 1] + [65537]
 HAMMING = [(2, 10), (3, 6), (4, 5), (5, 4), (3, 9), (7, 3)]  # (q, d)
+CYCLES = list(range(3, 401)) + [4096, 8192, 10000]
+_TWICE_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2}  # 2cos(2 pi j/12) at the integer ones, j <= 6
 
 
 def test_paley_spectra():
@@ -53,3 +63,22 @@ def test_hamming_spectra(q, d):
     assert report.spectrum.entries == want
     assert all(type(v) is int for v, _, _ in report.spectrum.entries)
     assert report.stats.component_count == 1 and report.stats.diameter == d
+
+
+def test_cycle_spectra():
+    for n in CYCLES:
+        eps = tolerance(2, n)
+        graph = CayleyGraph(ConnectionSet(cyclic(n), np.array([1, n - 1])))
+        spec = spectrum_by_characters(graph)
+        assert len(spec.entries) == n // 2 + 1, n
+        for a, (v, m, exact) in enumerate(spec.entries):
+            j, r = divmod(12 * a, n)
+            want = _TWICE_COS[j] if r == 0 and math.gcd(j, 12) > 1 else None
+            assert m == (1 if a in (0, n / 2) else 2), (n, a)
+            if want is None:
+                assert not exact and abs(v - 2 * math.cos(2 * math.pi * a / n)) <= eps, (n, a)
+            else:
+                assert exact and v == want and type(v) is int, (n, a)
+        verdict = ramanujan_check(spec, 2, connected=True)
+        second = 2 * math.cos((2 if n % 2 == 0 else 1) * math.pi / n)
+        assert verdict.is_ramanujan and abs(verdict.second_largest_abs - second) <= eps, n

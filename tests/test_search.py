@@ -21,6 +21,7 @@ from cayleyx import (
     search_ramanujan_circulant,
 )
 from cayleyx.cli import main
+from cayleyx import spectral
 from cayleyx.spectral import _ramanujan_rows
 from reference import (
     connection_from_encoding,
@@ -245,15 +246,16 @@ def test_ramanujan_rows_hand_built():
     nontrivial spectrum (0.0, not 0) and a failing integer."""
     n = 8
     bound3 = 2.0 * math.sqrt(2)
-    a, b, c = 1.1000000002, 1.1000000359000002, 1.1000000588  # gaps below 1e-8 * n
+    eps = spectral.tolerance(3, n)
+    a, b, c = 1.1, 1.1 + 1.75 * eps, 1.1 + 2 * eps  # gaps below 2 eps
     rows = [
         # one cluster, whose mean depends on the order of the sum and on the
         # division by 3: ((a + b) + c) / 3 != (a + (b + c)) / 3 != (a + b + c) * (1 / 3)
         [3.0, c, a, b, -1.0, -1.0, 0.5, -3.0],
-        # boundary: an unsnapped value 5e-7 above 2 sqrt(k - 1)
-        [3.0, bound3 + 5e-7, -bound3 - 5e-7, 1.0, 0.25, 0.25, -1.5, -1.0],
-        # integer maximum 2 above unsnapped values
-        [3.0, 2.0 + 1e-8, -2.0, 1.75, 0.5, 0.5, -1.0, -1.0],
+        # boundary: an unsnapped value eps / 2 above 2 sqrt(k - 1)
+        [3.0, bound3 + eps / 2, -bound3 - eps / 2, 1.0, 0.25, 0.25, -1.5, -1.0],
+        # integer maximum 2 (2 + eps / 2 snaps to it) above unsnapped values
+        [3.0, 2.0 + eps / 2, -2.0, 1.75, 0.5, 0.5, -1.0, -1.0],
         # complete bipartite: only k, -k and 0
         [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -4.0],
         # integer 5 above 2 sqrt(5)
@@ -270,18 +272,21 @@ def test_ramanujan_rows_hand_built():
     assert second[3] == 0.0 and type(second[3]) is float
 
 
-def test_ramanujan_rows_refuse_a_tie():
+def test_ramanujan_rows_refuse_a_tie(monkeypatch):
     """An integer and a cluster mean of the same |lambda| make the scalar
     reference's answer depend on spectrum order; the verdict refuses it, for
     a chunk of rows and for one spectrum alike.  Such a cluster must
-    straddle the snapped band around 2, so the clustering gap 1e-8 * n has
-    to exceed 2e-6: n = 1000 here (no n <= 32 allows it)."""
-    eps = 2.0 ** -19  # above the snap tolerance, and 2 - eps, 2 + eps average to 2 exactly
+    straddle the snapped band around 2: values less than eps from 2 snap
+    and a cluster is cut at gaps above 2 eps, so its values lie exactly eps
+    from 2.  eps is patched to 2^-19 here, where 2 - eps and 2 + eps are
+    exact and average to 2 exactly."""
+    eps = 2.0 ** -19
+    monkeypatch.setattr(spectral, "tolerance", lambda k, n: eps)
     row = [5.0, 2.0, -(2.0 - eps), -(2.0 + eps), 0.0, 0.0, 0.0, -1.0]
-    scalar = group_eigenvalues(row, 5, 1000)
+    scalar = group_eigenvalues(row, 5, 8)
     assert (2, 1, True) in scalar.entries and (-2.0, 2, False) in scalar.entries
     with pytest.raises(ArithmeticError):
-        _ramanujan_rows(np.array([row]), np.array([5]), 1000)
+        _ramanujan_rows(np.array([row]), np.array([5]), 8)
     for connected in (True, False):
         with pytest.raises(ArithmeticError):
             ramanujan_check(scalar, 5, connected)
