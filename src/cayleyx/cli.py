@@ -235,35 +235,37 @@ def cmd_analyze(args):
 
 class _SetText:
     """``", ".join`` of the elements of sets of Z_n held as int masks (bit i
-    <-> i), one list per array of masks.
+    <-> i), as columns of pieces of text, one entry per mask: ``head`` and
+    the lowest element (``head`` alone for the empty set), then the rest
+    ``HIT_DIGIT_BITS`` bits at a time.  Each digit has a table, built once,
+    whose entry v is the text ``", " + str(i)`` of every set bit i of v in
+    that digit, ascending.  Called, it returns each mask's text alone."""
 
-    A mask is read ``HIT_DIGIT_BITS`` bits at a time.  Each digit has a
-    table, built once, whose entry v is the text ``", " + str(i)`` of every
-    set bit i of v in that digit, ascending; a set's text is its digits'
-    looked-up entries added up as object arrays, less the leading ``", "``.
-    """
-
-    def __init__(self, n):
-        self.tables = []
+    def __init__(self, n, head=""):
+        self.n, self.heads, self.tables = n, [head + str(i) for i in range(n)] + [head], []
         for low in range(0, n, HIT_DIGIT_BITS):
             table = [""]
             for i in range(low, min(low + HIT_DIGIT_BITS, n)):
                 token = ", " + str(i)
                 table += [t + token for t in table]  # the values with bit i set
-            self.tables.append(np.array(table, dtype=object))
+            self.tables.append(table)
+
+    def columns(self, masks):
+        masks, digit = np.asarray(masks, dtype=np.uint64), np.uint64((1 << HIT_DIGIT_BITS) - 1)
+        low = masks & -masks  # the lowest set bit; 0 for the empty set, whose low - 1 has 64
+        first, rest = np.minimum(np.bitwise_count(low - 1), self.n), masks ^ low
+        return [map(self.heads.__getitem__, first.tolist())] + [
+            map(table.__getitem__, (rest >> np.uint64(j * HIT_DIGIT_BITS) & digit).tolist())
+            for j, table in enumerate(self.tables)]
 
     def __call__(self, masks):
-        masks, digit = np.asarray(masks, dtype=np.int64), (1 << HIT_DIGIT_BITS) - 1
-        text = self.tables[0][masks & digit]
-        for j, table in enumerate(self.tables[1:], 1):
-            text += table[masks >> (j * HIT_DIGIT_BITS) & digit]
-        return [t[2:] for t in text.tolist()]
+        return list(map("".join, zip(*self.columns(masks))))
 
 
-def _fill(template, *columns):
-    """``template`` once per row, filled by one ``%`` from the fields of
-    ``columns`` (equal-length sequences) in row-major order."""
-    return (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+def _join(*columns):
+    """The text of rows whose pieces are the entries of ``columns`` (iterables
+    of strings, one entry per row), in row-major order."""
+    return "".join(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _ramanujan_text(n):
@@ -271,16 +273,19 @@ def _ramanujan_text(n):
     (see :func:`cayleyx.search._chunks`) to its hits.jsonl lines, byte for
     byte ``json.dumps({"C", "boundary_flag", "lambda2_abs", "n", "s"},
     sort_keys=True)`` of each hit: ints print as themselves and floats by
-    ``repr``.  Each C is read from a :class:`_SetText` table; the hits share
-    few distinct eigenvalues, so their ``repr`` is kept per value and type.
-    The chunk's text is one ``%`` format."""
-    C_text, number = _SetText(n), functools.lru_cache(maxsize=None, typed=True)(repr)
-    line = '{"C": [%s], "boundary_flag": %s, "lambda2_abs": %s, "n": ' + str(n) + ', "s": %d}\n'
+    ``repr``.  A line joins the columns of :class:`_SetText`, the text from
+    ``]`` to ``"s": `` of its (``lambda2_abs``, ``boundary_flag``), made once
+    per value and type (the hits share few distinct eigenvalues), and
+    ``str(s)``."""
+    C_text = _SetText(n, '{"C": [')
+    middle = functools.lru_cache(maxsize=None, typed=True)(
+        lambda lam, flag: '], "boundary_flag": %s, "lambda2_abs": %r, "n": %d, "s": '
+        % ("true" if flag else "false", lam, n))
 
     def text(chunk):
         s, _, masks, second, boundary = chunk
-        flag = np.where(boundary, "true", "false").tolist()
-        return _fill(line, C_text(masks), flag, list(map(number, second)), s.tolist())
+        return _join(*C_text.columns(masks), map(middle, second, boundary.tolist()),
+                     map(str, s.tolist()), itertools.repeat("}\n"))
     return text
 
 
@@ -288,17 +293,19 @@ def _gds_text(n):
     """The formatter of the GDS hits of Z_n: a function from a chunk (see
     :func:`cayleyx.groupring._chunks`) to its hits.jsonl lines, byte for byte
     ``json.dumps({"C", "gds", "n"}, sort_keys=True)`` of each hit, ``gds``
-    being the certificate's ``[n, |S|, k, mu1, mu2]``.  C is read from a
-    :class:`_SetText` table, |S| and k are row sums of the presentation's
-    and the masks' bits; the chunk's text is one ``%`` format."""
-    C_text = _SetText(n)
-    line = '{"C": [%s], "gds": [' + str(n) + ', %d, %d, %d, %d], "n": ' + str(n) + '}\n'
+    being the certificate's ``[n, |S|, k, mu1, mu2]``.  A line joins the
+    columns of :class:`_SetText` and the text from ``]`` on of its
+    (|S|, k, mu1, mu2), made once per value: |S| and k are row sums of the
+    presentation's and the masks' bits."""
+    C_text = _SetText(n, '{"C": [')
+    tail = functools.cache(lambda *key: '], "gds": [%d, %d, %d, %d, %d], "n": %d}\n'
+                           % (n, *key, n))
 
     def text(chunk):
         masks, counts = chunk
         mu1, mu2, in_S = groupring._presentation(counts)
-        return _fill(line, C_text(masks), in_S.sum(axis=1).tolist(),
-                     np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist())
+        return _join(*C_text.columns(masks), map(tail, in_S.sum(axis=1).tolist(),
+                     np.bitwise_count(masks).tolist(), mu1.tolist(), mu2.tolist()))
     return text
 
 

@@ -82,8 +82,7 @@ def _hits(n, min_degree, s):
     # the real parts of row r of ``sums`` are the chi_a(C) of encoding s[r]
     sums = _real(cyclic(n).character_sum_table((masks[:, None] >> np.arange(n)) & 1), k)
     ok, second, boundary = _ramanujan_rows(sums, k, n)  # connected by the gcd test
-    return (s[ok], k[ok], masks[ok], [x for x, o in zip(second, ok.tolist()) if o],
-            boundary[ok])
+    return s[ok], k[ok], masks[ok], second[ok].tolist(), boundary[ok]
 
 
 def search_ramanujan_circulant(n, min_degree=2):

@@ -108,45 +108,39 @@ def _real(table, k):
 
 def _groups(raw, k, n):
     """Snap and cluster the eigenvalue rows of ``raw`` (m rows, or one) of
-    degrees ``k`` on a group of order n.  Returns three m-row arrays: the
-    values less than eps from an integer, snapped (NaN elsewhere), and the
-    mean and size of each cluster of the others at its last position (NaN
-    and 0 elsewhere).  Clusters are runs of the sorted values cut at gaps
+    degrees ``k`` on a group of order n.  Returns the m-row array of each
+    row's values in ascending order, snapped where less than eps from an
+    integer and NaN elsewhere, and the clusters of the others as flat
+    arrays ``row``, ``mean`` and ``size``, in row-major order, ascending
+    within a row.  Clusters are runs of a row's sorted values cut at gaps
     above 2 eps (two equal values may each be eps off), summed left to
-    right as ``sum`` does: a loop over the position inside a cluster,
-    across all clusters of all rows at once."""
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    eps = tolerance(np.reshape(k, (-1, 1)), n)
-    r = np.round(raw)
-    exact = np.abs(raw - r) < eps
-    v = np.sort(np.where(exact, np.nan, raw), axis=1)  # NaN sorts last
-    valid = ~np.isnan(v)
-    start = valid.copy()
-    start[:, 1:] &= np.diff(v, axis=1) > 2 * eps
-    end = valid.copy()
-    end[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
-    first, last = np.flatnonzero(start), np.flatnonzero(end)
-    sizes = last - first + 1
-    order = np.argsort(-sizes, kind="stable")  # clusters still summing form a prefix
-    first, sizes = first[order], sizes[order]
-    flat = v.ravel()
-    total = flat[first]
-    for p in range(1, sizes[0] if sizes.size else 0):
-        live = np.searchsorted(-sizes, -p, side="left")  # clusters of size > p
-        total[:live] += flat[first[:live] + p]
-    means, counts = np.full(v.shape, np.nan), np.zeros(v.shape, dtype=np.int64)
-    means.flat[last[order]], counts.flat[last[order]] = total / sizes, sizes
-    return np.where(exact, r, np.nan), means, counts
+    right as ``sum`` does: a loop over the position inside a cluster, over
+    the clusters still summing."""
+    raw = np.sort(np.atleast_2d(np.asarray(raw, dtype=float)), axis=1)
+    eps = np.broadcast_to(tolerance(k, n), len(raw))
+    ints = np.round(raw)
+    loose = np.abs(raw - ints) >= eps[:, None]
+    ints[loose] = np.nan
+    flat, count = raw[loose], loose.sum(axis=1)  # each row's unsnapped values, ascending
+    row = np.repeat(np.arange(len(raw)), count)
+    cut = np.ones(flat.size, dtype=bool)  # at a row's first value and at gaps above 2 eps
+    cut[1:] = (np.diff(flat) > 2 * eps[row[1:]]) | (row[1:] != row[:-1])
+    first = np.flatnonzero(cut)
+    size = np.diff(first, append=flat.size)
+    total, live = flat[first], np.arange(first.size)
+    for p in range(1, size.max(initial=0)):
+        live = live[size[live] > p]
+        total[live] += flat[first[live] + p]
+    return ints, row[first], total / size, size
 
 
 def _group_eigenvalues(raw, k, n):
     """The :class:`Spectrum` of one row: the snapped integers of :func:`_groups`
     counted, then its clusters, by descending value (integers first on ties)."""
-    ints, means, sizes = (a[0] for a in _groups(raw, k, n))
+    ints, _, means, sizes = _groups(raw, k, n)
     values, counts = sorted_unique(ints[~np.isnan(ints)], return_counts=True)
-    at = ~np.isnan(means)
     entries = [(v, c, True) for v, c in zip(values.astype(np.int64).tolist(), counts.tolist())]
-    entries += [(v, c, False) for v, c in zip(means[at].tolist(), sizes[at].tolist())]
+    entries += [(v, c, False) for v, c in zip(means.tolist(), sizes.tolist())]
     entries.sort(key=lambda e: -e[0])
     return Spectrum(tuple(entries))
 
@@ -222,49 +216,57 @@ def table_identity(graph, seed):
     return True
 
 
-def _verdicts(ints, means, k, n):
+def _verdicts(ints, row, means, k, n):
     """The Ramanujan decision for m rows of eigenvalues of degrees ``k`` on
-    order n: exact values in ``ints``, unsnapped ones in ``means`` (NaN-padded).
+    order n: exact values in the grid ``ints`` (NaN-padded), unsnapped ones
+    in the flat ``means`` of the rows ``row``.
 
     +-k is exempt (the -k of a bipartite graph; unsnapped: within eps).
     Any other exact value fails when lambda^2 > 4(k-1) (exact in floats for
     |lambda| < 2^26), an unsnapped one above 2*sqrt(k-1) + eps, within
-    which it flags its row.  Returns both failure masks, the
-    ``second_largest_abs`` list (the largest counted |lambda|: a Python int
-    when exact, 0.0 when none) and the ``boundary_flag`` array.  An integer
-    that ties an unsnapped value for the largest raises ArithmeticError:
-    the choice would rest on order.
+    which it flags its row.  Returns both failure masks (the grid's and the
+    flat one's), the ``second_largest_abs`` object array (the largest
+    counted |lambda|: a Python int when exact, else a float, 0.0 when none)
+    and the ``boundary_flag`` array.  An integer that ties an unsnapped
+    value for the largest raises ArithmeticError: the choice would rest on
+    order.
     """
-    k = np.asarray(k, dtype=np.int64)[:, None]
-    eps, bound = tolerance(k, n), 2.0 * np.sqrt(np.maximum(k - 1, 0))
-    a = np.abs(ints)
-    counted = ~np.isnan(a) & (a != k)
-    bad_ints = counted & (ints * ints > 4 * (k - 1))
-    top_int = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
-    a = np.abs(means)
-    counted = np.abs(a - k) > eps  # False on NaN
+    k = np.asarray(k, dtype=np.int64)
+    eps, bound = np.broadcast_to(tolerance(k, n), k.shape), 2.0 * np.sqrt(np.maximum(k - 1, 0))
+    a, col = np.abs(ints), k[:, None]
+    counted = a != col  # True on NaN: the square test is False there, fmax skips it
+    bad_ints = counted & (ints * ints > 4 * (col - 1))
+    top_int = np.fmax.reduce(np.where(counted, a, -1.0), axis=1, initial=-1.0)
+    a, eps, bound = np.abs(means), eps[row], bound[row]
+    counted = np.abs(a - k[row]) > eps
     bad_means = counted & (a > bound + eps)
-    boundary = (counted & (np.abs(a - bound) <= eps)).any(axis=1)
-    top_mean = np.where(counted, a, -1.0).max(axis=1, initial=-1.0)
+    boundary = np.bincount(row[counted & (np.abs(a - bound) <= eps)], minlength=k.size) > 0
+    top_mean = np.full(k.size, -1.0)
+    np.maximum.at(top_mean, row[counted], a[counted])
     if ((top_int == top_mean) & (top_int >= 0)).any():
         raise ArithmeticError("an integer eigenvalue ties a cluster mean for the largest |lambda|")
-    top = np.maximum(top_mean, 0.0).tolist()
-    second = [int(x) if x > y else y for x, y in zip(top_int.tolist(), top)]
+    second = np.maximum(top_mean, 0.0)
+    top, second = top_int > second, second.astype(object)
+    second[top] = top_int[top].astype(np.int64).astype(object)
     return bad_ints, bad_means, second, boundary
 
 
 def ramanujan_check(spectrum, k, connected):
     """Def: connected and every eigenvalue with |lambda| != k has
     lambda^2 <= 4(k-1), decided by :func:`_verdicts` on the spectrum as one
-    row.  The reason names the first failing entry, which for a spectrum in
-    descending order is the largest failing value."""
+    row, its inexact entries as that row's clusters.  The reason names the
+    first failing entry, which for a spectrum in descending order is the
+    largest failing value."""
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
     values = np.array([v for v, _, _ in spectrum.entries], dtype=float)
     exact = np.array([e for _, _, e in spectrum.entries], dtype=bool)
+    means = values[~exact]
     bad_ints, bad_means, (second,), (boundary,) = _verdicts(
-        np.where(exact, values, np.nan)[None], np.where(exact, np.nan, values)[None], [k],
-        spectrum.n)
-    bad = np.flatnonzero(bad_ints[0] | bad_means[0])
+        np.where(exact, values, np.nan)[None], np.zeros(means.size, dtype=np.int64), means,
+        [k], spectrum.n)
+    failing = bad_ints[0]
+    failing[~exact] = bad_means
+    bad = np.flatnonzero(failing)
     reason = f"eigenvalue {spectrum.entries[bad[0]][0]} exceeds bound" if bad.size else ""
     connected = bool(connected)
     reason = reason if connected else "not connected"
@@ -274,9 +276,13 @@ def ramanujan_check(spectrum, k, connected):
 def _ramanujan_rows(raw, k, n):
     """Row-wise ``ramanujan_check(_group_eigenvalues(row, k, n), k, connected=True)``
     for the rows of ``raw`` and their degrees ``k`` (each >= 1): the arrays
-    ``is_ramanujan`` and ``boundary_flag`` and the ``second_largest_abs`` list."""
-    bad_ints, bad_means, second, boundary = _verdicts(*_groups(raw, k, n)[:2], k, n)
-    return ~(bad_ints.any(axis=1) | bad_means.any(axis=1)), second, boundary
+    ``is_ramanujan``, ``second_largest_abs`` (of Python ints and floats) and
+    ``boundary_flag``."""
+    ints, row, means, _ = _groups(raw, k, n)
+    bad_ints, bad_means, second, boundary = _verdicts(ints, row, means, k, n)
+    bad = bad_ints.any(axis=1)
+    bad[row[bad_means]] = True
+    return ~bad, second, boundary
 
 
 def second_largest_by_index(spectrum, k):

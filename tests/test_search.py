@@ -1,7 +1,10 @@
 """Exhaustive Ramanujan-circulant search, and the hit files of both searches."""
 
+import hashlib
 import json
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -208,6 +211,22 @@ def test_set_text_joins_the_set_bits():
                                           for row in rows], n
 
 
+def test_hit_text_is_made_per_value_and_type():
+    """The circulant formatter makes the text of each (lambda2_abs,
+    boundary_flag) once and looks it up: an int and an equal float stay
+    apart, as json.dumps writes them, and so do the two flags."""
+    text = cli._ramanujan_text(8)
+    masks = np.array([0b10000010, 0b10000010, 0b01000100, 0b10000010])
+    chunk = (np.array([1, 1, 2, 1]), None, masks, [2, 2.0, 2, 2.0],
+             np.array([False, False, False, True]))
+    lines = text(chunk).splitlines()
+    assert [json.loads(line)["lambda2_abs"] for line in lines] == [2, 2.0, 2, 2.0]
+    assert [type(json.loads(line)["lambda2_abs"]) for line in lines] == [int, float, int, float]
+    assert [json.loads(line)["boundary_flag"] for line in lines] == [False, False, False, True]
+    assert lines[0] == json.dumps({"C": [1, 7], "boundary_flag": False, "lambda2_abs": 2,
+                                   "n": 8, "s": 1}, sort_keys=True)
+
+
 def _verdict_fields(verdict):
     return (verdict.is_ramanujan, verdict.second_largest_abs,
             type(verdict.second_largest_abs), verdict.boundary_flag)
@@ -223,13 +242,19 @@ def _assert_rows_match_scalar(raw, k, n):
             == _verdict_fields(want), (r, row)
 
 
-@pytest.mark.parametrize("n", [16, 20, 24])
+@pytest.mark.parametrize("n", [16, 20, 24, 32])
 def test_ramanujan_rows_match_scalar_verdict(n):
-    """Every connected encoding of Z_n, hits and non-hits alike, gets the
-    scalar reference verdict field for field, with the same Python type of
+    """Every connected encoding of Z_n up to n = 24, and 1500 seeded ones
+    at the cap n = 32, hits and non-hits alike, gets the scalar reference
+    verdict field for field, with the same Python type of
     second_largest_abs."""
-    encodings = [s for s in range(1, 1 << (n // 2))
-                 if math.gcd(n, *connection_from_encoding(n, s)) == 1]
+    candidates = range(1, 1 << (n // 2))
+    if n == 32:
+        candidates = sorted(random.Random(n).sample(candidates, 1600))
+    encodings = [s for s in candidates if math.gcd(n, *connection_from_encoding(n, s)) == 1]
+    if n == 32:
+        encodings = encodings[:1500]
+        assert len(encodings) == 1500
     ind = np.zeros((len(encodings), n))
     for r, s in enumerate(encodings):
         ind[r, list(connection_from_encoding(n, s))] = 1.0
@@ -270,6 +295,58 @@ def test_ramanujan_rows_hand_built():
     assert boundary.tolist() == [False, True, False, False, False]
     assert second[2] == 2 and type(second[2]) is int
     assert second[3] == 0.0 and type(second[3]) is float
+
+
+def test_rows_without_clusters_sit_beside_rows_with_them():
+    """Rows whose every value snaps (K_8 and K_{4,4}: integers only) hold no
+    cluster, first, between and last in the chunk: the flat ``row`` ids of
+    :func:`spectral._groups` skip them, each row's integers and clusters
+    (ascending) are the scalar reference's, and so is each verdict."""
+    n = 8
+    sets = [range(1, 8), [1, 7], [1, 3, 5, 7], [1, 4, 7], range(1, 8)]
+    ind = np.zeros((len(sets), n))
+    for r, C in enumerate(sets):
+        ind[r, list(C)] = 1.0
+    raw, k = np.fft.fft(ind, axis=1).real, ind.sum(axis=1).astype(np.int64)
+    ints, row, means, sizes = spectral._groups(raw, k, n)
+    assert sorted(set(row.tolist())) == [1, 3] and row.tolist() == sorted(row.tolist())
+    for r in range(len(sets)):
+        want = group_eigenvalues(raw[r].tolist(), int(k[r]), n).entries
+        exact = Counter(int(v) for v in ints[r] if not np.isnan(v))
+        assert sorted((v, m) for v, m, e in want if e) == sorted(exact.items()), r
+        assert [(v, m) for v, m, e in reversed(want) if not e] \
+            == list(zip(means[row == r].tolist(), sizes[row == r].tolist())), r
+    _assert_rows_match_scalar(raw, k, n)
+
+
+def test_a_chunk_without_rows(tmp_path, capsys):
+    """No symmetric set of Z_12 has degree 12, so no row reaches the
+    verdict: the search writes an empty hits.jsonl and reports 0 hits, and
+    an empty chunk decides nothing."""
+    argv = ["search", "ramanujan", "--n", "12", "--minDegree", "12", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert " 0 hits" in capsys.readouterr().out
+    assert (tmp_path / "hits.jsonl").read_bytes() == b""
+    ok, second, boundary = _ramanujan_rows(np.empty((0, 12)), np.empty(0, dtype=np.int64), 12)
+    assert ok.shape == boundary.shape == (0,) and len(second) == 0
+
+
+# sha256, lines and bytes of the hits.jsonl of the benchmark's two search ops:
+# the bytes these searches have always written, pinned so that any change shows.
+BENCHMARK_HITS = {
+    ("ramanujan", 24): ("16f570ba3578973a4776ebd8b820be9ccf0714160097cb8931978951184ef03e",
+                        3532, 432510),
+    ("gds", 18): ("b92478e3fc50f89c747b5df6e3a38ef16ad23d1db54137d4857009116085df78",
+                  9560, 712685),
+}
+
+
+@pytest.mark.parametrize("mode, n", list(BENCHMARK_HITS))
+def test_benchmark_hit_files_are_byte_identical(mode, n, tmp_path):
+    assert main(["search", mode, "--n", str(n), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "hits.jsonl").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n"), len(data)) \
+        == BENCHMARK_HITS[mode, n]
 
 
 def test_ramanujan_rows_refuse_a_tie(monkeypatch):
