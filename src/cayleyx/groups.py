@@ -58,17 +58,14 @@ def _refuse(what, got):  # got beyond 64 bits is a power of 2: str() refuses > 4
     raise ValueError(f"{what} is limited to n <= {MAX_ORDER}, got {got}")
 
 
-def sorted_unique(values, return_counts=False):
-    """The ascending distinct values of an array, and with ``return_counts``
-    how often each occurs, by a sort and a neighbour compare.  (numpy 2.4's
-    hash-based unique took 9.5-10 s on 2^23 distinct int64 values where this
-    takes 0.2 s, and it imports ``numpy.ma``.)"""
+def sorted_unique(values):
+    """The ascending distinct values of an array, by a sort and a neighbour
+    compare.  (numpy 2.4's hash-based unique took 9.5-10 s on 2^23 distinct
+    int64 values where this takes 0.2 s, and it imports ``numpy.ma``.)"""
     x = np.sort(np.ravel(values))
     first = np.ones(x.size, dtype=bool)
     np.not_equal(x[1:], x[:-1], out=first[1:])
-    if not return_counts:
-        return x[first]
-    return x[first], np.diff(np.append(np.flatnonzero(first), x.size))
+    return x[first]
 
 
 # Index bits per Kronecker factor H_{2^b}, whose entry (i, j) is (-1)^popcount(i & j).
@@ -150,9 +147,10 @@ class AbelianGroup:
 
     def indices(self, elements, distinct=False):
         """Sorted distinct flat indices (int64) of coordinate tuples, each
-        coordinate reduced modulo its factor; a bad arity or a non-integer
-        (a bool included) raises ValueError, and so, with ``distinct``, does
-        an element that coincides with an earlier one after reduction.
+        coordinate reduced modulo its factor; a bad arity, an element that is
+        no sequence or a non-integer (a bool included) raises ValueError, and
+        so, with ``distinct``, does an element that coincides with an earlier
+        one after reduction.
 
         A list of lists or tuples is parsed as one array: the coordinate
         types are collected first (``np.array`` would read a bool as 1), the
@@ -202,6 +200,8 @@ class AbelianGroup:
         offending element."""
         found = set()
         for g in elements:
+            if not np.iterable(g):
+                raise ValueError(f"element {g!r} is not a sequence of coordinates")
             g = tuple(g)
             if len(g) != len(self.factors):
                 raise ValueError(f"element {g!r} has {len(g)} coordinates, "

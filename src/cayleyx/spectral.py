@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .groups import sorted_unique
 
 __all__ = [
     "Spectrum",
@@ -41,28 +39,44 @@ TABLE_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
 TABLE_TRIALS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Multiset of eigenvalues as (value, multiplicity, exact) descending."""
+    """Three arrays, descending by value, an exact value first on a tie: ``eigenvalues``
+    (float64), ``multiplicities`` (int64) and ``exact`` (bool; its value is an integer)."""
 
-    entries: tuple  # of (value, multiplicity, exact_flag)
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
+    exact: np.ndarray
 
     @property
     def n(self):
-        return sum(m for _, m, _ in self.entries)
+        return int(self.multiplicities.sum())
+
+    @property
+    def entries(self):
+        """(value, multiplicity, exact) tuples of Python objects, derived."""
+        return tuple(zip(self.values(), self.multiplicities.tolist(), self.exact.tolist()))
 
     def values(self):
-        return [v for v, _, _ in self.entries]
+        """The eigenvalues as Python objects: an int when exact, else a float."""
+        out = self.eigenvalues.astype(object)
+        out[self.exact] = self.eigenvalues[self.exact].astype(np.int64).astype(object)
+        return out.tolist()
+
+    def _value(self, i):
+        """Entry i's eigenvalue as :meth:`values` gives it."""
+        return int(self.eigenvalues[i]) if self.exact[i] else float(self.eigenvalues[i])
 
     def multiplicity(self, value):
-        return sum(m for v, m, _ in self.entries if v == value)
+        return int(self.multiplicities[self.eigenvalues == value].sum())
 
     def to_csv(self):
-        """The rows value, multiplicity, exact (0/1) as ``csv.writer`` writes
-        them, by one ``%`` format: values by ``str``, which is ``repr`` for
-        floats."""
-        fields = tuple(x for entry in self.entries for x in entry)
-        return "value,multiplicity,exact\r\n" + "%s,%d,%d\r\n" * len(self.entries) % fields
+        """The rows value, multiplicity, exact (0/1) as ``csv.writer`` writes them,
+        by one ``%`` format of Python objects (``str`` is ``repr`` for floats)."""
+        fields = [None] * (3 * len(self.exact))
+        fields[::3], fields[1::3], fields[2::3] = (
+            self.values(), self.multiplicities.tolist(), self.exact.tolist())
+        return "value,multiplicity,exact\r\n" + "%s,%d,%d\r\n" * len(self.exact) % tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -75,14 +89,7 @@ class RamanujanVerdict:
     reason: str = ""
 
     def to_json(self):
-        return {
-            "is_ramanujan": self.is_ramanujan,
-            "second_largest_abs": self.second_largest_abs,
-            "bound": self.bound,
-            "connected": self.connected,
-            "boundary_flag": self.boundary_flag,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def tolerance(k, n):
@@ -99,8 +106,8 @@ def tolerance(k, n):
 
 
 def _real(table, k):
-    """The real parts of character sums, a row of degree k or rows of degrees
-    ``k``; an imaginary part above eps raises ArithmeticError."""
+    """The real parts of character sums (or of real values), a row of degree k
+    or rows of degrees ``k``; an imaginary part above eps raises ArithmeticError."""
     if (np.abs(table.imag).max(axis=-1) > tolerance(k, table.shape[-1])).any():
         raise ArithmeticError("character sums of a symmetric set must be real")
     return table.real
@@ -135,30 +142,26 @@ def _groups(raw, k, n):
 
 
 def _group_eigenvalues(raw, k, n):
-    """The :class:`Spectrum` of one row: the snapped integers of :func:`_groups`
-    counted, then its clusters, by descending value (integers first on ties)."""
-    ints, _, means, sizes = _groups(raw, k, n)
-    values, counts = sorted_unique(ints[~np.isnan(ints)], return_counts=True)
-    entries = [(v, c, True) for v, c in zip(values.astype(np.int64).tolist(), counts.tolist())]
-    entries += [(v, c, False) for v, c in zip(means.tolist(), sizes.tolist())]
-    entries.sort(key=lambda e: -e[0])
-    return Spectrum(tuple(entries))
+    """The :class:`Spectrum` of one row of eigenvalues of degree k on order n: an
+    integer row is exact as it stands, any other is snapped and clustered by
+    :func:`_groups`.  The integers, each in [-k, k], are counted once, by
+    ``np.bincount`` over k - v, and merged with the clusters by one ``np.lexsort``."""
+    ints, means, sizes = np.asarray(raw), np.zeros(0), np.zeros(0, dtype=np.int64)
+    if ints.dtype.kind != "i":
+        grid, _, means, sizes = _groups(_real(ints, k), k, n)
+        ints = grid[~np.isnan(grid)].astype(np.int64)
+    counts = np.bincount(k - ints)  # index i counts the value k - i
+    at = np.flatnonzero(counts)
+    values = np.concatenate([k - at, means])
+    exact = np.arange(values.size) < at.size
+    order = np.lexsort((~exact, -values))  # descending, an exact value first on a tie
+    return Spectrum(values[order], np.concatenate([counts[at], sizes])[order], exact[order])
 
 
 def spectrum_by_characters(graph):
-    """One eigenvalue chi(C) per character: the graph's character table.
-
-    An integer table (``Z_2^m``) is grouped exactly, by counting each value
-    in [-k, k] (``|chi(C)| <= k``); a complex one goes through the snapping
-    and clustering of :func:`_groups`.
-    """
-    table = graph.characters
-    if table.dtype.kind == "i":
-        counts = np.bincount(graph.k - table.ravel())  # index i counts the value k - i
-        at = np.flatnonzero(counts)
-        return Spectrum(tuple((v, c, True) for v, c in
-                              zip((graph.k - at).tolist(), counts[at].tolist())))
-    return _group_eigenvalues(_real(table.ravel(), graph.k), graph.k, graph.n)
+    """One eigenvalue chi(C) per character, the graph's character table grouped by
+    :func:`_group_eigenvalues`: as it stands when integer (``Z_2^m``), else its real parts."""
+    return _group_eigenvalues(graph.characters.ravel(), graph.k, graph.n)
 
 
 def table_identity(graph, seed):
@@ -258,19 +261,16 @@ def ramanujan_check(spectrum, k, connected):
     first failing entry, which for a spectrum in descending order is the
     largest failing value."""
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
-    values = np.array([v for v, _, _ in spectrum.entries], dtype=float)
-    exact = np.array([e for _, _, e in spectrum.entries], dtype=bool)
+    values, exact = spectrum.eigenvalues, spectrum.exact
     means = values[~exact]
     bad_ints, bad_means, (second,), (boundary,) = _verdicts(
         np.where(exact, values, np.nan)[None], np.zeros(means.size, dtype=np.int64), means,
         [k], spectrum.n)
-    failing = bad_ints[0]
-    failing[~exact] = bad_means
-    bad = np.flatnonzero(failing)
-    reason = f"eigenvalue {spectrum.entries[bad[0]][0]} exceeds bound" if bad.size else ""
-    connected = bool(connected)
+    bad_ints[0, ~exact] = bad_means  # False there before: NaN fails no square test
+    bad = np.flatnonzero(bad_ints[0])
+    reason = f"eigenvalue {spectrum._value(bad[0])} exceeds bound" if bad.size else ""
     reason = reason if connected else "not connected"
-    return RamanujanVerdict(not reason, second, bound, connected, bool(boundary), reason)
+    return RamanujanVerdict(not reason, second, bound, bool(connected), bool(boundary), reason)
 
 
 def _ramanujan_rows(raw, k, n):
@@ -291,8 +291,8 @@ def second_largest_by_index(spectrum, k):
     crossing bound needs (the bound degenerates to 0 there)."""
     if spectrum.multiplicity(k) > 1:
         return k
-    below = [v for v, _, _ in spectrum.entries if v < k]
-    return max(below) if below else k
+    below = np.flatnonzero(spectrum.eigenvalues < k)  # descending: the first is the largest
+    return spectrum._value(below[0]) if below.size else k
 
 
 def _witnesses(table, k):

@@ -15,8 +15,9 @@ tests can compare the array routes against them:
   spectrum of one unsplit symmetric eigensolve of it (the oracle: it reads
   no character values), compared with another spectrum by
   :func:`spectra_agree`;
-* a spectrum grouped one value at a time (snapped integers, then clusters
-  of the other values), its power sums tr A^j, its Ramanujan verdict one
+* a spectrum built from (value, multiplicity, exact) triples, and one
+  grouped one value at a time (snapped integers, then clusters of the
+  other values), its power sums tr A^j, its Ramanujan verdict one
   entry at a time, a GDS certificate from one list of difference counts,
   the difference-set parameters read off one, and the exact group-ring
   identity a certificate states;
@@ -247,7 +248,15 @@ def group_eigenvalues(raw, k, n):
                 entries.append((sum(cluster) / len(cluster), len(cluster), False))
                 start = i
     entries.sort(key=lambda e: -e[0])
-    return Spectrum(tuple(entries))
+    return spectrum_of(entries)
+
+
+def spectrum_of(entries):
+    """The :class:`Spectrum` record of (value, multiplicity, exact) triples,
+    in the order given."""
+    values, mults, exact = zip(*entries) if entries else ((), (), ())
+    return Spectrum(np.array(values, dtype=float), np.array(mults, dtype=np.int64),
+                    np.array(exact, dtype=bool))
 
 
 def power_sum(spectrum, j):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, round trips."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -432,10 +433,12 @@ def test_analyze_non_integer_coordinates(conn, bad, tmp_path, capsys):
     ([[1], [1], [7], [9]], "element (1,) coincides with an earlier element"),
     ([[1], [7], [9]], "element (9,) coincides with an earlier element"),
     ([[True], [7]], "element (True,) has a non-integer coordinate"),
+    ([1, 7], "element 1 is not a sequence of coordinates"),
 ])
 def test_analyze_refuses_elements_it_would_normalise(conn, words, tmp_path, capsys):
-    """Z_8 elements that coincide after reduction, or a bool read as 1, are
-    refused instead of analysing a smaller set than the file lists."""
+    """Z_8 elements that coincide after reduction, a bool read as 1, or an
+    integer where a coordinate list belongs, are refused instead of
+    analysing a set other than the file lists."""
     gpath = tmp_path / "bad.json"
     gpath.write_text(json.dumps({"factors": [8], "connection_set": conn}))
     assert run(["analyze", str(gpath), "--out", str(tmp_path / "o")]) == 2
@@ -909,3 +912,38 @@ def test_an_unwritable_out_exits_2(command, blocked, tmp_path, capsys):
         path.mkdir(parents=True)
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+
+
+# sha256 of (spectrum.csv, verdict.json) per run: the benchmark's five construct
+# ops at full size, then analyze of a cycle and of a seeded set on a mixed group.
+ARTIFACT_HASHES = {
+    "kloosterman-trace --m 10": ("61dfaea136430756fa4d660a790b3fccd23c23b30aeb692bc9199aa3b173696b",
+                                 "4b5e301ed1ef3b3eb7cffea1681b3655a77bedf1bdccac60f38ab6cf36ef8b55"),
+    "polar-trace --m 5": ("d5f7d1f49ebf7915cad23ab743773f52a8dc928a790994f2df9d5a764a04a9f1",
+                          "925925530361f2b11f15e9cb5a65d12f63dbf09b1eda0225526f6ec9ed46eed3"),
+    "bent-hadamard --u 5": ("a1e39da3ed54b2828785f7d1c4dca9803de1b73d027e43efe2f1beb355909ab9",
+                            "0039f6ca17c80b987d7dd1f35a6e59bdee20abc0b2dbbe7b4fa37a16f9fb6769"),
+    "theorem33 --s 16 --r 16": ("64077b1b5e93ea6147da21241604ac567e5f4cf62e6b0262052720ea468e3c03",
+                                "93182da262b446b3482f65c204289c6c8f33d9f8e8f5bbbda8e1049a798b0a8e"),
+    "dij --m 10 --i 0 --j 1": ("a609e279e2868fa55ac4720334ca04c7083c40f1055c8a22ee3b5276def0f3e4",
+                               "7e2d3203ecba72c04b60317c1dbc91c0e8d2ea82b1032ea1709f4fac9fe5ed4a"),
+    "Z4096 {+-1}": ("b7868eacf6cf14461c1c7b48b74befb32f38ef3f3cbb8d05ba28731ee98d3f45",
+                    "2036773149cd8511d76a63dd8858f1b3ae02aabc27c27b2f7d0ba6f6d47c01e5"),
+    "Z12xZ30 seed 3": ("70e1343204a648861a3be614146c668d12a96fef729bc593f78b7db7af7a4aed",
+                       "8bb217a5bad39366e9374b18e95fb35025c8d527c224ce52ba383dce02e62062"),
+}
+ANALYZED = {"Z4096 {+-1}": lambda: CayleyGraph.build(cyclic(4096), [(1,), (4095,)]),
+            "Z12xZ30 seed 3": lambda: _random_symmetric([12, 30], 20, seed=3)}
+
+
+@pytest.mark.parametrize("label", list(ARTIFACT_HASHES))
+def test_spectrum_and_verdict_files_are_byte_identical(label, tmp_path):
+    """construct's arguments, or the graph analyze reads, write the pinned files."""
+    if label in ANALYZED:
+        (tmp_path / "g.json").write_text(ANALYZED[label]().to_json_str())
+        argv = ["analyze", str(tmp_path / "g.json")]
+    else:
+        argv = ["construct", *label.split()]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert tuple(hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()
+                 for f in ("spectrum.csv", "verdict.json")) == ARTIFACT_HASHES[label]

@@ -129,6 +129,8 @@ def test_digits_match_unravel_index(factors):
     ([[1], [True]], "(True,) has a non-integer coordinate"),  # np.array reads it as 1
     ([[1], [2, 3]], "element (2, 3) has 2 coordinates"),
     ([[1], [11]], "element (11,) coincides with an earlier element"),
+    ([1, 9], "element 1 is not a sequence of coordinates"),
+    (np.array([1, 9]), "element np.int64(1) is not a sequence of coordinates"),
 ])
 def test_indices_reject_bad_elements(bad, words):
     """Each is refused with ``distinct``; a coincidence is merged without it,
@@ -166,12 +168,9 @@ def test_indices_accepts_every_integer(factors, elements, want, monkeypatch):
     np.random.default_rng(3).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 100),
 ], ids=["empty", "all-equal", "negative", "beyond-2^31", "repeated-beyond-2^31", "int64-range"])
 def test_sorted_unique_matches_np_unique(values):
-    want, want_counts = np.unique(values, return_counts=True)
+    want = np.unique(values)
     got = sorted_unique(values)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    got, got_counts = sorted_unique(values, return_counts=True)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert got_counts.dtype == want_counts.dtype and np.array_equal(got_counts, want_counts)
 
 
 def test_pipeline_never_calls_the_tuple_api(monkeypatch):

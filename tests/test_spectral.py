@@ -39,6 +39,7 @@ from reference import (
     power_sum,
     ramanujan_verdict,
     spectra_agree,
+    spectrum_of,
     spectrum_oracle,
 )
 from test_cayley import _random_symmetric
@@ -434,7 +435,7 @@ def test_quotient_cuts_count_a_cut_below_a_spectrum_bound(lam2, violations):
     so a lambda_2 below 7.67 puts it above the cut, an exact one compared in
     integers and a float one within 1e-9 k."""
     graph = _random_symmetric([3, 7, 7], 10, seed=2)
-    spec = spectral.Spectrum(((10, 1, True), (lam2, graph.n - 1, isinstance(lam2, int))))
+    spec = spectrum_of(((10, 1, True), (lam2, graph.n - 1, isinstance(lam2, int))))
     report = spectral.quotient_cuts(graph, spec)
     assert report["cuts"][0]["cut"] == 84 and report["violations"] == violations
 
@@ -507,8 +508,8 @@ def test_every_tolerance_site_reads_the_model(monkeypatch):
 
     heptagon = _circulant(7, [1, 6])
     spec = spectrum_by_characters(heptagon)
-    near_k = spectral.Spectrum(((3, 1, True), (2.5, 2, False), (-1, 4, True)))
-    above = spectral.Spectrum(((3, 1, True), (2.9, 2, False), (-1, 4, True)))
+    near_k = spectrum_of(((3, 1, True), (2.5, 2, False), (-1, 4, True)))
+    above = spectrum_of(((3, 1, True), (2.9, 2, False), (-1, 4, True)))
     table = np.array([3.0, 2.5, -2.9, 1.0])
     pair = [3.0, 1.4, 1.4, 1.6, 1.6, -1.0, -2.0, -3.0]  # 0.4 from integers, 0.2 apart
     # radicand 1 - 1 + (1 - 0) chi(S) = 1 + 2cos(2pi j/7): 2.247, 0.555 and -0.802
@@ -618,7 +619,28 @@ def test_spectrum_csv_equals_csv_writer():
     entries = ((24, 1, True), (13.34553434433975, 2, False), (0.1, 3, False),
                (0, 7, True), (-0.0, 1, False), (-1e-07, 2, False), (-2.5, 4, False),
                (-12, 1, True), (-1.0000000000000002e+300, 1, False))
-    for spec in (spectral.Spectrum(()), spectral.Spectrum(entries),
+    for spec in (spectrum_of(()), spectrum_of(entries),
                  spectrum_by_characters(_circulant(13, [1, 5, 8, 12]))):
         assert spec.to_csv() == _csv_writer_text(spec.entries)
-    assert "-0.0,1,0\r\n" in spectral.Spectrum(entries).to_csv()
+    assert "-0.0,1,0\r\n" in spectrum_of(entries).to_csv()
+
+
+@pytest.mark.parametrize("factors, C, lam2", [
+    ([2] * 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 2),
+    ([3, 5], [(1, 0), (2, 0), (0, 1), (0, 4)], 2 + 2 * math.cos(2 * math.pi / 5)),
+], ids=["Z2^4", "Z3xZ5"])
+def test_certify_reads_the_spectrum_arrays_only(factors, C, lam2, monkeypatch):
+    """The certify path reads the spectrum's three arrays, never its tuple
+    views: with ``entries`` and ``values`` refusing, a connected Ramanujan
+    graph on Z_2^m (all exact) and one on a mixed group (exact and
+    clustered) still certify, and their quotient cuts and lambda_2 read."""
+    def refuse(*args):
+        raise AssertionError("the certify path read a tuple view of the spectrum")
+
+    monkeypatch.setattr(spectral.Spectrum, "entries", property(refuse))
+    monkeypatch.setattr(spectral.Spectrum, "values", refuse)
+    graph = CayleyGraph.build(AbelianGroup(factors), C)
+    report = certify(graph)
+    assert report.verdict.is_ramanujan and report.verdict.connected
+    assert spectral.quotient_cuts(graph, report.spectrum)["violations"] == 0
+    assert second_largest_by_index(report.spectrum, graph.k) == pytest.approx(lam2)
